@@ -13,20 +13,7 @@ import sys
 
 from .evaluator import CacheError, ResidueCache, eval_table, parse_index, parse_signs
 from .harmonic import all_compositions
-from .identities import (
-    default_weighted_indices,
-    verify_antipode,
-    verify_conj38,
-    verify_depth2,
-    verify_example24,
-    verify_key_identity,
-    verify_lemmas,
-    verify_parity,
-    verify_ppt,
-    verify_prop21,
-    verify_sum_formula,
-    verify_weighted_perm,
-)
+from .identities import SUITES, WEIGHT_GUARD
 from .modmath import sieve_primes
 from .relations import (
     AmbiguousRelationError,
@@ -38,11 +25,13 @@ from .relations import (
 )
 
 CACHE_ENV = "FMZV_CACHE"
-SUITES = ("key", "parity", "antipode", "prop21", "depth2", "example24",
-          "sumformula", "ppt", "weighted1", "weighted2", "conj38", "lemmas")
-WEIGHT_GUARD = 12
-DEPTH_GUARD = 6
 DIMS_GUARD = 7
+# bound flag -> the suites that take it
+BOUND_FLAGS = {}
+for _suite in SUITES.values():
+    for _param in _suite.params:
+        if _param.guard is not None:
+            BOUND_FLAGS.setdefault(_param.flag or _param.name, []).append(_suite.name)
 
 
 class UsageError(Exception):
@@ -57,6 +46,13 @@ def _parse_prime_range(text):
     if lo < 5 or hi < lo:
         raise UsageError("prime range needs 5 <= lo <= hi, got %s" % text)
     return sieve_primes(lo, hi)
+
+
+def _primes_above(text, weight):
+    primes = [p for p in _parse_prime_range(text) if p > weight + 2]
+    if len(primes) < 4:
+        raise UsageError("need at least 4 primes above weight + 2; widen --primes")
+    return primes
 
 
 def _bound(value, default, name, guard):
@@ -86,13 +82,11 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p = sub.add_parser("verify", help="run an identity verification suite")
-    p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--suite", required=True, choices=tuple(SUITES))
     p.add_argument("--primes", default="5..200")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--wmax", type=int)
-    p.add_argument("--rmax", type=int)
-    p.add_argument("--dmax", type=int)
+    for flag, names in BOUND_FLAGS.items():
+        p.add_argument("--" + flag, type=int, help="bound of " + ", ".join(names))
 
     p = sub.add_parser("discover", help="express a value over a candidate basis")
     p.add_argument("--target", required=True, help="target index, e.g. 2,1")
@@ -158,53 +152,14 @@ def _run_compute(args, cache):
 
 def _run_verify(args, cache):
     primes = _parse_prime_range(args.primes)
-    jobs = args.jobs
-    s = args.suite
-    if s == "prop21":
-        rep = verify_prop21(_bound(args.kmax, 9, "kmax", WEIGHT_GUARD),
-                            primes=primes, cache=cache, jobs=jobs)
-    elif s == "depth2":
-        rep = verify_depth2(_bound(args.kmax, 9, "kmax", WEIGHT_GUARD),
-                            primes=primes, cache=cache, jobs=jobs)
-    elif s == "key":
-        rep = verify_key_identity(_bound(args.wmax, 7, "wmax", WEIGHT_GUARD),
-                                  primes=primes, cache=cache, jobs=jobs)
-    elif s == "parity":
-        rep = verify_parity(_bound(args.wmax, 7, "wmax", WEIGHT_GUARD),
-                            primes=primes, cache=cache, jobs=jobs)
-    elif s == "antipode":
-        rep = verify_antipode(_bound(args.dmax, 5, "dmax", DEPTH_GUARD),
-                              _bound(args.wmax, 8, "wmax", WEIGHT_GUARD),
-                              primes=primes, cache=cache, jobs=jobs)
-    elif s == "example24":
-        rep = verify_example24(_bound(args.wmax, 9, "wmax", WEIGHT_GUARD),
-                               primes=primes, cache=cache, jobs=jobs)
-    elif s == "sumformula":
-        rep = verify_sum_formula(_bound(args.kmax, 10, "kmax", WEIGHT_GUARD),
-                                 primes=primes, cache=cache, jobs=jobs)
-    elif s == "ppt":
-        rep = verify_ppt(_bound(args.rmax, 6, "rmax", DEPTH_GUARD),
-                         primes=primes, cache=cache, jobs=jobs)
-    elif s in ("weighted1", "weighted2"):
-        level = 1 if s == "weighted1" else 2
-        wmax = _bound(args.wmax, 8 if level == 1 else 9, "wmax", WEIGHT_GUARD)
-        dmax = _bound(args.dmax, 4, "dmax", 4)
-        indices = default_weighted_indices(level, wmax=wmax, dmax=dmax)
-        rep = verify_weighted_perm(level, indices=indices, primes=primes,
-                                   cache=cache, jobs=jobs)
-    elif s == "conj38":
-        rep = verify_conj38(_bound(args.rmax, 8, "rmax", WEIGHT_GUARD),
-                            primes=primes, cache=cache, jobs=jobs)
-    else:
-        rep = verify_lemmas(_bound(args.kmax, 10, "kmax", WEIGHT_GUARD),
-                            _bound(args.wmax, 8, "wmax", WEIGHT_GUARD),
-                            _bound(args.dmax, 4, "dmax", DEPTH_GUARD))
-    if args.format == "json":
-        _print(rep.to_json())
-    elif args.format == "csv":
-        _print(rep.to_csv())
-    else:
-        _print(rep.to_text())
+    suite = SUITES[args.suite]
+    flags = {p.flag or p.name: p for p in suite.params if p.guard is not None}
+    unknown = [f for f in BOUND_FLAGS if getattr(args, f) is not None and f not in flags]
+    if unknown:
+        raise UsageError("suite %s does not take --%s" % (suite.name, ", --".join(unknown)))
+    bounds = {p.name: _bound(getattr(args, f), p.default, f, p.guard) for f, p in flags.items()}
+    rep = suite.run(bounds, primes, cache, args.jobs)
+    _print(getattr(rep, "to_" + args.format)())
     return 0 if rep.passed else 1
 
 
@@ -234,10 +189,7 @@ def _run_discover(args, cache):
     if not basis:
         raise UsageError("basis is empty for weight %d" % weight)
 
-    wmax = max([sum(target_index)] + [sum(ix) for _, ix in basis])
-    primes = [p for p in _parse_prime_range(args.primes) if p > wmax + 2]
-    if len(primes) < 4:
-        raise UsageError("need at least 4 primes above weight + 2; widen --primes")
+    primes = _primes_above(args.primes, max([sum(target_index)] + [sum(ix) for _, ix in basis]))
 
     def run(ps):
         return express_in_basis(target, basis, ps, height_bound=args.height_bound,
@@ -271,9 +223,7 @@ def _run_dims(args, cache):
         raise UsageError("weight must be >= 1")
     if k > DIMS_GUARD:
         raise UsageError("weight > %d refused (cost guard)" % DIMS_GUARD)
-    primes = [p for p in _parse_prime_range(args.primes) if p > k + 2]
-    if len(primes) < 4:
-        raise UsageError("need at least 4 primes above weight + 2; widen --primes")
+    primes = _primes_above(args.primes, k)
     m2, dim2 = dimension_estimate(k, variant="zeta2", primes=primes,
                                   height_bound=args.height_bound,
                                   cache=cache, jobs=args.jobs)
@@ -326,16 +276,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cache = None
     try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
         path, cache = _open_cache(args)
-        if args.command == "compute":
-            return _run_compute(args, cache)
-        if args.command == "verify":
-            return _run_verify(args, cache)
-        if args.command == "discover":
-            return _run_discover(args, cache)
-        if args.command == "dims":
-            return _run_dims(args, cache)
-        return _run_cache(args, cache, path)
+        if args.command == "cache":
+            return _run_cache(args, cache, path)
+        run = {"compute": _run_compute, "verify": _run_verify,
+               "discover": _run_discover, "dims": _run_dims}[args.command]
+        return run(args, cache)
     except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ T_j(M) = T_j(M-1) + T_{j-1}(M-1) * M^(-k_j); inverses are produced in
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 from .modmath import batch_inv, check_prime, is_prime
@@ -177,27 +178,31 @@ class ResidueCache:
 
     The whole file is read at construction; add() appends a line immediately.
     Only one process may write (the CLI and suites route all writes through
-    the parent process).
+    the parent process).  A last line without a newline is an append cut short
+    by a crash (its residue may be cut): it is ignored and cut off by the next add().
     """
 
     def __init__(self, path: str):
         self.path = path
         self._cells: dict[tuple, int] = {}
         self._fh = None
+        self._complete = None  # length of the file's complete lines when loaded
         if os.path.exists(path):
             self._load()
 
     def _load(self):
-        with open(self.path, "r", encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    key, residue = self._parse_line(line)
-                except Exception:
-                    raise CacheError("%s:%d: bad cache line: %r" % (self.path, lineno, line))
-                self._cells[key] = residue
+        with open(self.path, "r", encoding="ascii", newline="") as fh:
+            text = fh.read()
+        self._complete = text.rfind("\n") + 1
+        for lineno, raw in enumerate(text[:self._complete].split("\n")[:-1], start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                key, residue = self._parse_line(line)
+            except Exception:
+                raise CacheError("%s:%d: bad cache line: %r" % (self.path, lineno, line))
+            self._cells[key] = residue
 
     @staticmethod
     def _parse_line(line: str):
@@ -234,6 +239,8 @@ class ResidueCache:
             return
         self._cells[key] = residue
         if self._fh is None:
+            if self._complete is not None:
+                os.truncate(self.path, self._complete)
             self._fh = open(self.path, "a", encoding="ascii")
         sgn = signs_to_str(signs) if signs is not None else ""
         self._fh.write("%s,%s,%s,%d,%d\n" % (variant, index_to_str(index), sgn, p, residue))
@@ -256,21 +263,8 @@ def clear_memo():
     _MEMO.clear()
 
 
-def memo_keys():
-    return set(_MEMO)
-
-
-def memo_new_since(keys):
-    # cells added after a memo_keys() snapshot; lets pool workers ship results back
-    return {k: v for k, v in _MEMO.items() if k not in keys}
-
-
-def memo_merge(cells):
-    _MEMO.update(cells)
-
-
 def compute_cell(variant: str, index, signs, p: int) -> int:
-    """Uncached single-cell evaluation (also the worker entry for pools)."""
+    """Uncached single-cell evaluation."""
     if variant == "zeta":
         return eval_zeta(index, p)
     if variant == "zeta2":
@@ -303,6 +297,46 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
     return v
 
 
+def values_at(columns, p: int, cache: ResidueCache | None = None) -> tuple:
+    """Values of the (variant, index, signs) columns at one prime."""
+    return tuple(value_of(v, ix, s, p, cache) for v, ix, s in columns)
+
+
+def _prime_task(fn, known, p):
+    # the worker's memo holds one prime's cells: the parent's known ones plus new ones
+    _MEMO.clear()
+    _MEMO.update(known)
+    result = fn(p, None)
+    return result, {k: v for k, v in _MEMO.items() if k not in known}
+
+
+def per_prime(fn, primes, jobs=1, cache=None) -> list:
+    """[fn(p, cache) for p in primes]; with jobs > 1 the primes go to a worker pool.
+
+    A worker starts from the parent's memo and cache cells at its prime and sends
+    back the cells it computed; the parent, the only writer, merges and caches them.
+    """
+    primes = list(primes)
+    if jobs <= 1 or len(primes) < 2:
+        return [fn(p, cache) for p in primes]
+    known = {p: {} for p in primes}
+    for cells in (cache._cells if cache is not None else {}, _MEMO):
+        for key, v in cells.items():
+            if key[3] in known:
+                known[key[3]][key] = v
+    import concurrent.futures
+
+    out = []
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        for result, cells in pool.map(partial(_prime_task, fn), [known[p] for p in primes], primes):
+            out.append(result)
+            _MEMO.update(cells)
+            if cache is not None:
+                for (variant, index, signs, q), v in cells.items():
+                    cache.add(variant, index, signs, q, v)
+    return out
+
+
 def eval_table(variant, index, signs=None, primes=(), cache=None, jobs=1) -> ResidueTable:
     """Evaluate one cell per prime; primes must be nonempty and ascending."""
     if variant not in VARIANTS:
@@ -317,31 +351,6 @@ def eval_table(variant, index, signs=None, primes=(), cache=None, jobs=1) -> Res
         raise ValueError("primes must be a nonempty ascending list")
     for p in primes:
         check_prime(p)
-    rows = {}
-    if jobs > 1 and index:
-        todo = []
-        for p in primes:
-            key = (variant, index, signs, p)
-            if key in _MEMO:
-                rows[p] = _MEMO[key]
-            elif cache is not None and cache.get(variant, index, signs, p) is not None:
-                rows[p] = _MEMO[key] = cache.get(variant, index, signs, p)
-            else:
-                todo.append(p)
-        if todo:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_pool_cell, [(variant, index, signs, p) for p in todo]))
-            for p, v in zip(todo, results):
-                rows[p] = _MEMO[(variant, index, signs, p)] = v
-                if cache is not None:
-                    cache.add(variant, index, signs, p, v)
-    else:
-        for p in primes:
-            rows[p] = value_of(variant, index, signs, p, cache)
-    return ResidueTable(variant=variant, index=index, signs=signs, rows=rows)
-
-
-def _pool_cell(args):
-    return compute_cell(*args)
+    values = per_prime(partial(values_at, ((variant, index, signs),)), primes, jobs, cache)
+    return ResidueTable(variant=variant, index=index, signs=signs,
+                        rows={p: v for p, (v,) in zip(primes, values)})

@@ -11,12 +11,13 @@ import io
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 from .bernoulli import L2, Zk
-from .evaluator import memo_merge, memo_keys, memo_new_since, value_of
+from .evaluator import per_prime, value_of
 from .harmonic import (
     all_compositions,
     antipode_sum,
@@ -74,7 +75,8 @@ class Report:
 
     @property
     def passed(self):
-        return self.failed == 0
+        # a run that checked nothing proves nothing
+        return self.total > 0 and self.failed == 0
 
     def to_json(self) -> str:
         doc = {
@@ -111,11 +113,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _sorted_report(suite, params, rows) -> Report:
-    rows = sorted(rows, key=lambda c: (c.case, -1 if c.prime is None else c.prime))
-    return Report(suite=suite, params=params, cases=rows)
-
-
 def _num_case(name, p, lhs, rhs) -> Case:
     return Case(case=name, prime=p, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs)
 
@@ -126,32 +123,6 @@ def _filtered(primes, weight):
 
 def _frac_mod(q: Fraction, p: int) -> int:
     return q.numerator * mod_inv(q.denominator, p) % p
-
-
-def _prime_worker(fn, p):
-    before = memo_keys()
-    rows = fn(p, None)
-    return rows, memo_new_since(before)
-
-
-def _per_prime(fn, primes, jobs, cache):
-    # fn(p, cache) -> list[Case]; workers never touch the disk cache
-    if jobs <= 1 or len(primes) < 2:
-        rows = []
-        for p in primes:
-            rows.extend(fn(p, cache))
-        return rows
-    from concurrent.futures import ProcessPoolExecutor
-
-    rows = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for rws, cells in pool.map(partial(_prime_worker, fn), primes):
-            rows.extend(rws)
-            memo_merge(cells)
-            if cache is not None:
-                for (variant, index, signs, q), v in cells.items():
-                    cache.add(variant, index, signs, q, v)
-    return rows
 
 
 def _indices_of_weight_up_to(wmax, dmax=None):
@@ -201,12 +172,6 @@ def _prop21_rows(kmax, p, cache):
     return rows
 
 
-def verify_prop21(kmax=9, primes=(), cache=None, jobs=1) -> Report:
-    """Depth-1 closed forms: weight 1 vs the Fermat quotient, weight >= 2 vs Zk."""
-    rows = _per_prime(partial(_prop21_rows, kmax), list(primes), jobs, cache)
-    return _sorted_report("prop21", {"kmax": kmax}, rows)
-
-
 def _depth2_rows(kmax, p, cache):
     rows = []
     for k in range(3, kmax + 1, 2):
@@ -220,12 +185,6 @@ def _depth2_rows(kmax, p, cache):
             rhs = inv2 * (((-1) ** k2 * math.comb(k, k2) + pow(2, k, p) - 2) % p) % p * zk % p
             rows.append(_num_case(_istr((k1, k2)), p, lhs, rhs))
     return rows
-
-
-def verify_depth2(kmax=9, primes=(), cache=None, jobs=1) -> Report:
-    """Odd-weight depth-2 closed form against the binomial expression times Zk."""
-    rows = _per_prime(partial(_depth2_rows, kmax), list(primes), jobs, cache)
-    return _sorted_report("depth2", {"kmax": kmax}, rows)
 
 
 def _key_rows(wmax, p, cache):
@@ -245,12 +204,6 @@ def _key_rows(wmax, p, cache):
     return rows
 
 
-def verify_key_identity(wmax=7, primes=(), cache=None, jobs=1) -> Report:
-    """Level-1 value as the alternating prefix/reversed-suffix convolution of level-2 values."""
-    rows = _per_prime(partial(_key_rows, wmax), list(primes), jobs, cache)
-    return _sorted_report("key", {"wmax": wmax}, rows)
-
-
 def _parity_rows(wmax, p, cache):
     rows = []
     for index in _indices_of_weight_up_to(wmax):
@@ -268,12 +221,6 @@ def _parity_rows(wmax, p, cache):
     return rows
 
 
-def verify_parity(wmax=7, primes=(), cache=None, jobs=1) -> Report:
-    """Level-2 value as the signed convolution of reversed level-1 prefixes and star suffixes."""
-    rows = _per_prime(partial(_parity_rows, wmax), list(primes), jobs, cache)
-    return _sorted_report("parity", {"wmax": wmax}, rows)
-
-
 def _antipode_num_rows(dmax, wmax, p, cache):
     rows = []
     for index in _indices_of_weight_up_to(wmax, dmax):
@@ -289,16 +236,14 @@ def _antipode_num_rows(dmax, wmax, p, cache):
     return rows
 
 
-def verify_antipode(dmax=5, wmax=8, primes=(), cache=None, jobs=1) -> Report:
-    """Alternating prefix/star-suffix sums: symbolically zero, and zero mod each prime."""
+def _antipode_sym_rows(dmax, wmax, primes, cache):
     rows = []
     for index in _indices_of_weight_up_to(wmax, dmax):
         diff = antipode_sum(index)
         rows.append(Case(case="sym %s" % _istr(index), prime=None,
                          lhs="0" if diff.is_zero() else str(diff), rhs="0",
                          passed=diff.is_zero()))
-    rows.extend(_per_prime(partial(_antipode_num_rows, dmax, wmax), list(primes), jobs, cache))
-    return _sorted_report("antipode", {"dmax": dmax, "wmax": wmax}, rows)
+    return rows
 
 
 def _example24_rows(wmax, p, cache):
@@ -328,12 +273,6 @@ def _example24_rows(wmax, p, cache):
                 rhs = inv2 * rhs % p
                 rows.append(_num_case("ii %s" % _istr((k1, k2, k3)), p, lhs, rhs))
     return rows
-
-
-def verify_example24(wmax=9, primes=(), cache=None, jobs=1) -> Report:
-    """Two closed-form rewrites: odd-weight pairs and even-weight triples."""
-    rows = _per_prime(partial(_example24_rows, wmax), list(primes), jobs, cache)
-    return _sorted_report("example24", {"wmax": wmax}, rows)
 
 
 def _comb0(n, m):
@@ -387,12 +326,6 @@ def _sum_formula_rows(kmax, p, cache):
     return rows
 
 
-def verify_sum_formula(kmax=10, primes=(), cache=None, jobs=1) -> Report:
-    """Fixed-depth sum formulas against binomial-weighted all-odd block sums."""
-    rows = _per_prime(partial(_sum_formula_rows, kmax), list(primes), jobs, cache)
-    return _sorted_report("sumformula", {"kmax": kmax}, rows)
-
-
 def _one_odd_compositions(k, r, i):
     """Compositions of k into r parts with part i odd and every other part even."""
     def rec(remaining, pos):
@@ -401,11 +334,8 @@ def _one_odd_compositions(k, r, i):
                 yield ()
             return
         lo = 1 if pos == i - 1 else 2
-        step = 2
-        for x in range(lo, remaining + 1, step):
-            tail_min = sum(1 if q == i - 1 else 2 for q in range(pos + 1, r))
-            if remaining - x < tail_min:
-                break
+        tail_min = sum(1 if q == i - 1 else 2 for q in range(pos + 1, r))
+        for x in range(lo, remaining - tail_min + 1, 2):
             for rest in rec(remaining - x, pos + 1):
                 yield (x,) + rest
     yield from rec(k, 0)
@@ -418,7 +348,7 @@ def _one_odd_lhs(k, r, i, p, cache):
     return tot
 
 
-def _ppt_special_rows(rmax, p, cache):
+def _ppt_special_rows(rmax, _recon_weight_max, p, cache):
     rows = []
     for r in range(1, rmax + 1):
         k = 2 * r - 1
@@ -466,56 +396,46 @@ def ppt_constants(max_weight, primes, cache=None):
     return out
 
 
-def verify_ppt(rmax=6, primes=(), recon_weight_max=None, cache=None, jobs=1) -> Report:
-    """One-odd-rest-even pattern sums as rational multiples of the depth-1 value.
-
-    Part one checks the displayed two-power binomial constant for the
-    all-twos-and-one-1 patterns; part two reconstructs the constant for every
-    one-odd pattern from training primes and re-verifies it on held-out primes.
-    """
-    primes = list(primes)
-    rows = _per_prime(partial(_ppt_special_rows, rmax), primes, jobs, cache)
+def _ppt_setup(rmax, recon_weight_max):
     if recon_weight_max is None:
         recon_weight_max = 2 * rmax + 1
-    for k, r, i in _one_odd_patterns(recon_weight_max):
-        name = "pattern k=%d r=%d i=%d" % (k, r, i)
+    return (rmax, recon_weight_max), {"rmax": rmax, "recon_weight_max": recon_weight_max}
+
+
+def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
+    rows = []
+    for k, pats in itertools.groupby(_one_odd_patterns(recon_weight_max), key=lambda t: t[0]):
         usable = _filtered(primes, k)
         split = max(1, (2 * len(usable) + 2) // 3)
         train, held = usable[:split], usable[split:]
-        c = ppt_constants(k, train, cache).get((k, r, i)) if train else None
-        if c is None:
-            rows.append(Case(case=name, prime=None, lhs="reconstruction failed",
-                             rhs="rational constant", passed=False))
-            continue
-        rows.append(Case(case=name + " c", prime=None, lhs=str(c), rhs=str(c), passed=True))
-        for p in held:
-            lhs = c.denominator * _one_odd_lhs(k, r, i, p, cache) % p
-            rhs = c.numerator * value_of("zeta2", (k,), None, p, cache) % p
-            rows.append(_num_case(name + " heldout", p, lhs, rhs))
-    return _sorted_report("ppt", {"rmax": rmax, "recon_weight_max": recon_weight_max}, rows)
+        # the training primes depend only on k, so one reconstruction serves every pattern
+        consts = ppt_constants(k, train, cache) if train else {}
+        for pat in pats:
+            name = "pattern k=%d r=%d i=%d" % pat
+            c = consts.get(pat)
+            if c is None:
+                rows.append(Case(case=name, prime=None, lhs="reconstruction failed",
+                                 rhs="rational constant", passed=False))
+                continue
+            rows.append(Case(case=name + " c", prime=None, lhs=str(c), rhs=str(c), passed=True))
+            for p in held:
+                lhs = c.denominator * _one_odd_lhs(*pat, p, cache) % p
+                rhs = c.numerator * value_of("zeta2", (k,), None, p, cache) % p
+                rows.append(_num_case(name + " heldout", p, lhs, rhs))
+    return rows
 
 
-def default_weighted_indices(level, wmax=None, dmax=4):
+def default_weighted_indices(level, wmax=None, dmax=None):
     """Index families for the permutation-weighted checks.
 
     Level 1: every index of depth <= dmax and weight <= wmax.  Level 2: the
-    hypothesis family (all entries even except an odd last entry).
+    hypothesis family (all entries even except an odd last entry).  Unset
+    bounds take the weighted suite's defaults.
     """
-    if level == 1:
-        wmax = 8 if wmax is None else wmax
-        return _indices_of_weight_up_to(wmax, dmax)
-    wmax = 9 if wmax is None else wmax
-    out = []
-    for index in _indices_of_weight_up_to(wmax, dmax):
-        if index[-1] % 2 == 1 and all(x % 2 == 0 for x in index[:-1]):
-            out.append(index)
-    return out
-
-
-def _check_weighted_hypothesis(level, index):
-    if level == 2:
-        if index[-1] % 2 == 0 or any(x % 2 for x in index[:-1]):
-            raise ValueError("level-2 weighted identity needs even entries with an odd last entry, got %r" % (index,))
+    wmax = _default("weighted%d" % level, "wmax") if wmax is None else wmax
+    dmax = _default("weighted%d" % level, "dmax") if dmax is None else dmax
+    return [index for index in _indices_of_weight_up_to(wmax, dmax)
+            if level == 1 or index[-1] % 2 == 1 and all(x % 2 == 0 for x in index[:-1])]
 
 
 def _weighted_rows(level, indices, p, cache):
@@ -541,21 +461,18 @@ def _weighted_rows(level, indices, p, cache):
     return rows
 
 
-def verify_weighted_perm(level, indices=None, primes=(), cache=None, jobs=1) -> Report:
-    """Position-weighted permutation sums against C-coefficient multiples of Zk."""
-    if level not in (1, 2):
-        raise ValueError("level must be 1 or 2")
+def _weighted_setup(level, wmax, dmax, indices):
     if indices is None:
-        indices = default_weighted_indices(level)
+        indices = default_weighted_indices(level, wmax, dmax)
     indices = [tuple(ix) for ix in indices]
     for index in indices:
         if not index:
             raise ValueError("empty index not allowed")
-        if len(index) > 4:
-            raise ValueError("depth > 4 rejected (cost r!)")
-        _check_weighted_hypothesis(level, index)
-    rows = _per_prime(partial(_weighted_rows, level, indices), list(primes), jobs, cache)
-    return _sorted_report("weighted%d" % level, {"level": level, "indices": len(indices)}, rows)
+        if len(index) > PERM_DEPTH_GUARD:
+            raise ValueError("depth > %d rejected (cost r!)" % PERM_DEPTH_GUARD)
+        if level == 2 and (index[-1] % 2 == 0 or any(x % 2 for x in index[:-1])):
+            raise ValueError("level-2 weighted identity needs even entries with an odd last entry, got %r" % (index,))
+    return (level, indices), {"level": level, "indices": len(indices)}
 
 
 def _conj38_rows(rmax, p, cache):
@@ -576,14 +493,7 @@ def _conj38_rows(rmax, p, cache):
     return rows
 
 
-def verify_conj38(rmax=8, primes=(), cache=None, jobs=1) -> Report:
-    """Weighted vanishing sums over {1,2}-indices with a fixed count of twos."""
-    rows = _per_prime(partial(_conj38_rows, rmax), list(primes), jobs, cache)
-    return _sorted_report("conj38", {"rmax": rmax}, rows)
-
-
-def verify_lemmas(g_kmax=10, r_wmax=8, r_dmax=4) -> Report:
-    """Symbolic checks of the two combinatorial recursions (no primes involved)."""
+def _lemma_rows(g_kmax, r_wmax, r_dmax, primes, cache):
     rows = []
     for k in range(1, g_kmax + 1):
         for r in range(1, k + 1):
@@ -596,4 +506,135 @@ def verify_lemmas(g_kmax=10, r_wmax=8, r_dmax=4) -> Report:
             ok = lemma_R_check(index)
             rows.append(Case(case="R %s" % _istr(index), prime=None,
                              lhs="0" if ok else "nonzero", rhs="0", passed=ok))
-    return _sorted_report("lemmas", {"g_kmax": g_kmax, "r_wmax": r_wmax, "r_dmax": r_dmax}, rows)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# the suite table
+
+WEIGHT_GUARD = 12      # CLI cap on weight and count bounds
+DEPTH_GUARD = 6        # CLI cap on depth bounds
+PERM_DEPTH_GUARD = 4   # the weighted suites sum over r! permutations per case
+
+
+# A bound of a suite.  One with a guard can be set from the CLI, up to the guard,
+# with --flag (the name unless given); the others are API-only.
+Param = namedtuple("Param", "name default guard flag", defaults=(None, None))
+
+
+class Suite(namedtuple("Suite", "name params rows fixed setup", defaults=(None, None, None))):
+    """A verification suite: rows(*args, p, cache) is run at every prime and
+    fixed(*args, primes, cache) gives its prime-free rows.  setup(*bounds)
+    turns the bounds into (args, report params); by default both are the bounds."""
+
+    def run(self, bounds, primes=(), cache=None, jobs=1) -> Report:
+        """Report of the suite; a bound that is None or missing takes its default."""
+        values = [p.default if bounds.get(p.name) is None else bounds[p.name]
+                  for p in self.params]
+        if self.setup is None:
+            args, params = values, {p.name: v for p, v in zip(self.params, values)}
+        else:
+            args, params = self.setup(*values)
+        primes = list(primes)
+        rows = []
+        if self.rows is not None:
+            for part in per_prime(partial(self.rows, *args), primes, jobs, cache):
+                rows.extend(part)
+        if self.fixed is not None:
+            rows.extend(self.fixed(*args, primes, cache))
+        rows.sort(key=lambda c: (c.case, -1 if c.prime is None else c.prime))
+        return Report(suite=self.name, params=params, cases=rows)
+
+
+SUITES = {s.name: s for s in (
+    Suite("key", (Param("wmax", 7, WEIGHT_GUARD),), rows=_key_rows),
+    Suite("parity", (Param("wmax", 7, WEIGHT_GUARD),), rows=_parity_rows),
+    Suite("antipode", (Param("dmax", 5, DEPTH_GUARD), Param("wmax", 8, WEIGHT_GUARD)),
+          rows=_antipode_num_rows, fixed=_antipode_sym_rows),
+    Suite("prop21", (Param("kmax", 9, WEIGHT_GUARD),), rows=_prop21_rows),
+    Suite("depth2", (Param("kmax", 9, WEIGHT_GUARD),), rows=_depth2_rows),
+    Suite("example24", (Param("wmax", 9, WEIGHT_GUARD),), rows=_example24_rows),
+    Suite("sumformula", (Param("kmax", 10, WEIGHT_GUARD),), rows=_sum_formula_rows),
+    Suite("ppt", (Param("rmax", 6, DEPTH_GUARD), Param("recon_weight_max", None)),
+          rows=_ppt_special_rows, fixed=_ppt_recon_rows, setup=_ppt_setup),
+    Suite("weighted1", (Param("wmax", 8, WEIGHT_GUARD), Param("dmax", 4, PERM_DEPTH_GUARD),
+                        Param("indices", None)), rows=_weighted_rows, setup=partial(_weighted_setup, 1)),
+    Suite("weighted2", (Param("wmax", 9, WEIGHT_GUARD), Param("dmax", 4, PERM_DEPTH_GUARD),
+                        Param("indices", None)), rows=_weighted_rows, setup=partial(_weighted_setup, 2)),
+    Suite("conj38", (Param("rmax", 8, WEIGHT_GUARD),), rows=_conj38_rows),
+    Suite("lemmas", (Param("g_kmax", 10, WEIGHT_GUARD, "kmax"),
+                     Param("r_wmax", 8, WEIGHT_GUARD, "wmax"),
+                     Param("r_dmax", 4, DEPTH_GUARD, "dmax")), fixed=_lemma_rows),
+)}
+
+
+def _default(suite, name):
+    return next(p.default for p in SUITES[suite].params if p.name == name)
+
+
+def verify_prop21(kmax=_default("prop21", "kmax"), primes=(), cache=None, jobs=1) -> Report:
+    """Depth-1 closed forms: weight 1 vs the Fermat quotient, weight >= 2 vs Zk."""
+    return SUITES["prop21"].run({"kmax": kmax}, primes, cache, jobs)
+
+
+def verify_depth2(kmax=_default("depth2", "kmax"), primes=(), cache=None, jobs=1) -> Report:
+    """Odd-weight depth-2 closed form against the binomial expression times Zk."""
+    return SUITES["depth2"].run({"kmax": kmax}, primes, cache, jobs)
+
+
+def verify_key_identity(wmax=_default("key", "wmax"), primes=(), cache=None, jobs=1) -> Report:
+    """Level-1 value as the alternating prefix/reversed-suffix convolution of level-2 values."""
+    return SUITES["key"].run({"wmax": wmax}, primes, cache, jobs)
+
+
+def verify_parity(wmax=_default("parity", "wmax"), primes=(), cache=None, jobs=1) -> Report:
+    """Level-2 value as the signed convolution of reversed level-1 prefixes and star suffixes."""
+    return SUITES["parity"].run({"wmax": wmax}, primes, cache, jobs)
+
+
+def verify_antipode(dmax=_default("antipode", "dmax"), wmax=_default("antipode", "wmax"),
+                    primes=(), cache=None, jobs=1) -> Report:
+    """Alternating prefix/star-suffix sums: symbolically zero, and zero mod each prime."""
+    return SUITES["antipode"].run({"dmax": dmax, "wmax": wmax}, primes, cache, jobs)
+
+
+def verify_example24(wmax=_default("example24", "wmax"), primes=(), cache=None, jobs=1) -> Report:
+    """Two closed-form rewrites: odd-weight pairs and even-weight triples."""
+    return SUITES["example24"].run({"wmax": wmax}, primes, cache, jobs)
+
+
+def verify_sum_formula(kmax=_default("sumformula", "kmax"), primes=(), cache=None,
+                       jobs=1) -> Report:
+    """Fixed-depth sum formulas against binomial-weighted all-odd block sums."""
+    return SUITES["sumformula"].run({"kmax": kmax}, primes, cache, jobs)
+
+
+def verify_ppt(rmax=_default("ppt", "rmax"), primes=(), recon_weight_max=None, cache=None,
+               jobs=1) -> Report:
+    """One-odd-rest-even pattern sums as rational multiples of the depth-1 value.
+
+    Part one checks the displayed two-power binomial constant for the
+    all-twos-and-one-1 patterns; part two reconstructs the constant for every
+    one-odd pattern (weight <= recon_weight_max, default 2 rmax + 1) from
+    training primes and re-verifies it on held-out primes.
+    """
+    return SUITES["ppt"].run({"rmax": rmax, "recon_weight_max": recon_weight_max},
+                             primes, cache, jobs)
+
+
+def verify_weighted_perm(level, indices=None, primes=(), cache=None, jobs=1) -> Report:
+    """Position-weighted permutation sums against C-coefficient multiples of Zk."""
+    if level not in (1, 2):
+        raise ValueError("level must be 1 or 2")
+    return SUITES["weighted%d" % level].run({"indices": indices}, primes, cache, jobs)
+
+
+def verify_conj38(rmax=_default("conj38", "rmax"), primes=(), cache=None, jobs=1) -> Report:
+    """Weighted vanishing sums over {1,2}-indices with a fixed count of twos."""
+    return SUITES["conj38"].run({"rmax": rmax}, primes, cache, jobs)
+
+
+def verify_lemmas(g_kmax=_default("lemmas", "g_kmax"), r_wmax=_default("lemmas", "r_wmax"),
+                  r_dmax=_default("lemmas", "r_dmax")) -> Report:
+    """Symbolic checks of the two combinatorial recursions (no primes involved)."""
+    return SUITES["lemmas"].run({"g_kmax": g_kmax, "r_wmax": r_wmax, "r_dmax": r_dmax})

@@ -8,9 +8,10 @@ and held-out prime we looked at", never a proof.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
-from .evaluator import VARIANTS, check_index, eval_table, parse_signs, signs_to_str
+from .evaluator import VARIANTS, check_index, parse_signs, per_prime, signs_to_str, values_at
 from .harmonic import all_compositions
 from .lattice import congruence_cut, dot, lll_reduce
 from .modmath import check_prime
@@ -108,9 +109,7 @@ def build_matrix(descriptors, primes, cache=None, jobs=1) -> ValueMatrix:
                          % (primes[0], wmax + 2))
     order = _canonical_perm(descs)
     columns = tuple(descs[i] for i in order)
-    tables = [eval_table(v, ix, signs=s, primes=primes, cache=cache, jobs=jobs)
-              for v, ix, s in columns]
-    cells = tuple(tuple(tbl.rows[p] for tbl in tables) for p in primes)
+    cells = tuple(per_prime(partial(values_at, columns), primes, jobs, cache))
     return ValueMatrix(columns=columns, primes=tuple(primes), cells=cells)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -242,3 +243,67 @@ def test_corrupt_cache_is_io_error(tmp_path, capsys):
                        "--primes", "5..11")
     assert code == 1
     assert "bad cache line" in err
+
+
+# sha256 of `verify --suite S --primes 5..60 --format json` stdout at default
+# bounds, recorded before the suites moved into one table; every suite exits 0
+GOLDEN_5_60 = {
+    "key": "205140eeab21cadf19455b3faf7501a295df1e0a6bc61622a7b7cb2eb9e48c87",
+    "parity": "720a5672e956f2cf09eaf04261dfd2bc961ff25c8c841688d68d1f8841ac2047",
+    "antipode": "8a63a5646f1116fecd6f3472ba8e92b39ed892d93de48244754689808805cd22",
+    "prop21": "35e814575bfcc5c0b7925a741544242db3779566814bd29cd08a2d8a3eca8d61",
+    "depth2": "cc631de185e2c0031df8dbfd343ab6e374bea28755193ff53049c0c6f7453cbc",
+    "example24": "47a3febfcf45c0104a37c4bdd5c31d00b4e39451d7d839ea333816800f12ec10",
+    "sumformula": "7e66d12b7f6811c0c891f573e4508c9ed4b139cbb93f84e26dbcf085ea13ea6b",
+    "ppt": "47ef5c21d2b5faccea178cfa933d0c0f61cf39c664d524f42eac22f63bdfa38c",
+    "weighted1": "da6f0b15e909ce17f2fdacb57d09eb72605211efaab14b49bcbe1a46c859e99b",
+    "weighted2": "092bb2751fea1254124c8aea67d56337af2bc5e35a1ccc71c663c3876924bbe1",
+    "conj38": "50a8f8d3b88f042a0194effb981ef8453c76691a15a03b1effdde82fbc25caf8",
+    "lemmas": "3dde76e4b4fb4701eab38b9d0323b3a8ff046467660dfb6fb841ee8eb604e12f",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_5_60))
+def test_verify_golden_output(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--primes", "5..60",
+                       "--format", "json")
+    clear_memo()  # later tests count the cells a run writes to a cache
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_5_60[suite]
+
+
+def test_zero_case_suite_fails(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "depth2", "--kmax", "9",
+                       "--primes", "5..5")
+    assert code == 1
+    assert out == "case  prime  lhs  rhs  pass\nsuite depth2: 0 cases, 0 passed, 0 failed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "key", "--kmax", "3"),
+    ("verify", "--suite", "key", "--kmax", "3", "--rmax", "2"),
+    ("verify", "--suite", "prop21", "--dmax", "2"),
+    ("verify", "--suite", "lemmas", "--rmax", "2"),
+])
+def test_bound_flag_the_suite_does_not_take(capsys, argv):
+    code, out, err = run(capsys, *argv, "--primes", "5..30")
+    assert code == 2
+    assert out == ""
+    assert "does not take" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "--jobs", jobs, "verify", "--suite", "prop21",
+                         "--primes", "5..30")
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_torn_cache_line_is_recovered(tmp_path, capsys):
+    path = tmp_path / "torn.csv"
+    path.write_text("zeta2,1,,7,3\nzeta2,2,,7,")
+    code, out, _ = run(capsys, "--cache", str(path), "cache", "info")
+    assert code == 0
+    assert out == "%s: 1 cells\n" % path

@@ -225,6 +225,29 @@ def test_cache_corruption(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("torn", ["zeta2,2,,7,", "zeta2,2,,7,4"])
+def test_cache_torn_last_line(tmp_path, torn):
+    # an append cut short leaves a last line without its newline; even one that
+    # parses may have lost digits of its residue, so it is dropped either way
+    path = tmp_path / "torn.txt"
+    path.write_text("zeta2,1,,7,3\n" + torn)
+    cache = ResidueCache(str(path))
+    assert len(cache) == 1 and cache.get("zeta2", (2,), None, 7) is None
+    cache.add("zeta2", (1, 2), None, 7, 1)
+    cache.close()
+    assert path.read_text() == "zeta2,1,,7,3\nzeta2,1,2,,7,1\n"
+    reloaded = ResidueCache(str(path))
+    assert len(reloaded) == 2 and reloaded.get("zeta2", (1, 2), None, 7) == 1
+
+
+def test_cache_corrupt_interior_line_before_torn_tail(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("zeta2,1,,9,3\nzeta2,1,,7,3\nzeta2,2,,7,")
+    with pytest.raises(CacheError) as err:
+        ResidueCache(str(path))
+    assert ":1:" in str(err.value)
+
+
 def test_eval_table_parallel_matches_serial():
     primes = sieve_primes(5, 40)
     serial = eval_table("zeta2", (2, 1), primes=primes)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fmzv.evaluator import eval_zeta2
+from fmzv.evaluator import clear_memo, eval_zeta2
 from fmzv.harmonic import all_compositions
 from fmzv.lattice import dot, hnf, hnf_contains
 from fmzv.modmath import sieve_primes
@@ -39,6 +39,15 @@ def test_build_matrix_weight3_row():
     assert [d[1] for d in m.columns] == [(3,), (1, 2), (2, 1), (1, 1, 1)]
     assert m.row(7) == (1, 1, 5, eval_zeta2((1, 1, 1), 7))
     assert m.row(7)[3] == 6
+
+
+def test_build_matrix_parallel_matches_serial():
+    descs = [("zeta", ix) for ix in all_compositions(4)] + [("euler", (1, 2), (1, -1))]
+    primes = sieve_primes(7, 60)
+    clear_memo()
+    serial = build_matrix(descs, primes)
+    clear_memo()
+    assert build_matrix(descs, primes, jobs=2) == serial
 
 
 def test_build_matrix_single_cell_and_errors():
