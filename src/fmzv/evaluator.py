@@ -9,9 +9,17 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
   zeta2star  level 2, non-strict (<=) sum up to (p-1)/2
   euler      level 1 with numerator signs eps_i^(m_i), eps_i in {+1,-1}
 
-The streaming DP holds r running accumulators T_1..T_r with
-T_j(M) = T_j(M-1) + T_{j-1}(M-1) * M^(-k_j); inverses are produced in
-4096-element batches (one modular inversion per batch).
+Production values come from one sweep per prime (`plan`, `_sweep`): the
+requested indices and all their prefixes form a trie with one accumulator
+per node, T_node(m) = T_node(m-1) + T_parent(m-1) * m^(-k) for the node's
+last entry k, and one pass over m = 1..p-1 advances every node.  zeta and
+euler share a trie keyed by (k, sign); zeta2 is that trie read at
+m = (p-1)/2; zeta2star has its own trie, updated parent-first so that a
+node reads its parent at m itself.
+
+`eval_*` and `_dp_sum` evaluate one cell on their own with the streaming DP
+and are kept as the independent oracle route the tests compare against; no
+production path calls them.
 """
 
 import os
@@ -191,8 +199,12 @@ class ResidueCache:
             self._load()
 
     def _load(self):
-        with open(self.path, "r", encoding="ascii", newline="") as fh:
-            text = fh.read()
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CacheError("%s: byte %d is not ASCII: not a cache file" % (self.path, exc.start))
         self._complete = text.rfind("\n") + 1
         for lineno, raw in enumerate(text[:self._complete].split("\n")[:-1], start=1):
             line = raw.strip()
@@ -258,22 +270,106 @@ class ResidueCache:
 # process-level memo of computed cells; purely an optimization
 _MEMO: dict[tuple, int] = {}
 
+# the swept values of the cells planned at one prime, each taken once by compute_cell
+_SWEPT: dict[tuple, int] = {}
+
 
 def clear_memo():
     _MEMO.clear()
+    _SWEPT.clear()
+
+
+def _trie(words):
+    """The prefix-closed trie of the words.
+
+    pos maps every prefix to its node, the root () being node 0; steps lists
+    (node, parent node, last letter) for every other node, parents first.
+    """
+    nodes = sorted({w[:d] for w in words for d in range(len(w) + 1)}, key=lambda w: (len(w), w))
+    pos = {w: i for i, w in enumerate(nodes)}
+    return pos, [(i, pos[w[:-1]], w[-1]) for i, w in enumerate(nodes) if w]
+
+
+def _sweep(cells, p) -> dict:
+    """{(variant, index, signs): value mod p} for the cells, from one pass over m."""
+    check_prime(p)
+    strict, star = {}, {}
+    for variant, index, signs in cells:
+        index = check_index(index)
+        if variant == "zeta2star":
+            star[variant, index, signs] = index
+        elif variant in ("zeta", "zeta2"):
+            strict[variant, index, signs] = index
+        elif variant == "euler":
+            if signs is None or len(signs) != len(index) or any(e not in (1, -1) for e in signs):
+                raise ValueError("signs must be a +/-1 vector matching the index depth")
+            strict[variant, index, signs] = signs
+        else:
+            raise ValueError("unknown variant %r" % (variant,))
+    emax = max((k for _, index, _ in strict.keys() | star.keys() for k in index), default=0)
+    # a letter is the place of its weight: m^-k at k, (-1)^m m^-k at emax + 1 + k
+    for cell in strict:
+        if cell[0] == "euler":
+            strict[cell] = tuple(k if e > 0 else emax + 1 + k for k, e in zip(cell[1], cell[2]))
+    signed = any(cell[0] == "euler" and -1 in cell[2] for cell in strict)
+    pos1, steps1 = _trie(strict.values())
+    pos2, steps2 = _trie(star.values())
+    # strict sums: deepest first, so that a node reads its parent at m - 1
+    steps1.reverse()
+    acc1 = [1] + [0] * len(steps1)
+    acc2 = [1] + [0] * len(steps2)
+    half = (p - 1) // 2
+    top = p - 1 if any(cell[0] != "zeta2" for cell in strict) else half
+    out = {}
+    for m, im in enumerate(batch_inv(list(range(1, top + 1)), p), 1):
+        weights = [1, im]
+        for _ in range(emax - 1):
+            weights.append(weights[-1] * im % p)
+        if signed:
+            weights += weights if m % 2 == 0 else [p - w for w in weights]
+        for i, j, e in steps1:
+            acc1[i] = (acc1[i] + acc1[j] * weights[e]) % p
+        if m <= half:
+            # non-strict sums: parents first, so that a node reads its parent at m
+            for i, j, e in steps2:
+                acc2[i] = (acc2[i] + acc2[j] * weights[e]) % p
+        if m == half:
+            for cell, w in strict.items():
+                if cell[0] == "zeta2":
+                    out[cell] = acc1[pos1[w]]
+    for cell, w in strict.items():
+        if cell[0] != "zeta2":
+            out[cell] = acc1[pos1[w]]
+    for cell, w in star.items():
+        out[cell] = acc2[pos2[w]]
+    return out
+
+
+def plan(cells, p: int, cache: ResidueCache | None = None):
+    """Sweep at p, in one pass, every (variant, index, signs) cell that value_of will
+    be asked for and holds in neither the memo nor the cache.
+
+    The values wait in a table of this prime only, which the next plan replaces,
+    until compute_cell takes them.
+    """
+    todo = {}
+    for variant, index, signs in cells:
+        index = tuple(index)
+        key = (variant, index, signs, p)
+        if index and key not in _MEMO and (cache is None or key not in cache._cells):
+            todo[variant, index, signs] = None
+    _SWEPT.clear()
+    if todo:
+        _SWEPT.update(((*cell, p), v) for cell, v in _sweep(todo, p).items())
 
 
 def compute_cell(variant: str, index, signs, p: int) -> int:
-    """Uncached single-cell evaluation."""
-    if variant == "zeta":
-        return eval_zeta(index, p)
-    if variant == "zeta2":
-        return eval_zeta2(index, p)
-    if variant == "zeta2star":
-        return eval_zeta2_star(index, p)
-    if variant == "euler":
-        return eval_euler(index, signs, p)
-    raise ValueError("unknown variant %r" % variant)
+    """Uncached single-cell evaluation: the planned sweep's value, else a sweep of this cell."""
+    index = tuple(index)
+    v = _SWEPT.pop((variant, index, signs, p), None)
+    if v is None:
+        (v,) = _sweep([(variant, index, signs)], p).values()
+    return v
 
 
 def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None) -> int:
@@ -299,6 +395,7 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
 
 def values_at(columns, p: int, cache: ResidueCache | None = None) -> tuple:
     """Values of the (variant, index, signs) columns at one prime."""
+    plan(columns, p, cache)
     return tuple(value_of(v, ix, s, p, cache) for v, ix, s in columns)
 
 

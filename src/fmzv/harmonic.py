@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .evaluator import value_of
+from .evaluator import plan, value_of
 from .modmath import mod_inv
 
 __all__ = [
@@ -325,6 +325,7 @@ def evaluate_combination(comb: IndexCombination, variant: str, p: int, cache=Non
     """
     if variant == "euler":
         raise ValueError("evaluate_combination does not take the signed variant")
+    plan(((variant, index, None) for index, _ in comb.terms()), p, cache)
     total = 0
     for index, coeff in comb.terms():
         if coeff.denominator % p == 0:

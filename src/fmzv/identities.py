@@ -14,10 +14,10 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .bernoulli import L2, Zk
-from .evaluator import per_prime, value_of
+from .evaluator import per_prime, plan, value_of
 from .harmonic import (
     all_compositions,
     antipode_sum,
@@ -125,13 +125,15 @@ def _frac_mod(q: Fraction, p: int) -> int:
     return q.numerator * mod_inv(q.denominator, p) % p
 
 
+@lru_cache(maxsize=None)
 def _indices_of_weight_up_to(wmax, dmax=None):
-    out = []
-    for k in range(1, wmax + 1):
-        for index in all_compositions(k):
-            if dmax is None or len(index) <= dmax:
-                out.append(index)
-    return out
+    return tuple(index for k in range(1, wmax + 1) for index in all_compositions(k)
+                 if dmax is None or len(index) <= dmax)
+
+
+def _indices_at(p, wmax, dmax=None):
+    # the indices a suite checks at p: weight below p - 2
+    return [index for index in _indices_of_weight_up_to(wmax, dmax) if p > sum(index) + 2]
 
 
 def _istr(index):
@@ -158,6 +160,10 @@ def coeff_C(index) -> int:
 # ---------------------------------------------------------------------------
 # suites
 
+def _prop21_cells(kmax, p):
+    return [("zeta2", (k,), None) for k in range(1, min(kmax, p - 3) + 1)]
+
+
 def _prop21_rows(kmax, p, cache):
     rows = []
     for k in range(1, kmax + 1):
@@ -170,6 +176,11 @@ def _prop21_rows(kmax, p, cache):
             rhs = (2 - pow(2, k, p)) * Zk(k, p) % p
         rows.append(_num_case("k=%d" % k, p, lhs, rhs))
     return rows
+
+
+def _depth2_cells(kmax, p):
+    return [("zeta2", (k1, k - k1), None)
+            for k in range(3, min(kmax, p - 3) + 1, 2) for k1 in range(1, k)]
 
 
 def _depth2_rows(kmax, p, cache):
@@ -187,12 +198,17 @@ def _depth2_rows(kmax, p, cache):
     return rows
 
 
+def _key_cells(wmax, p):
+    for index in _indices_at(p, wmax):
+        yield "zeta", index, None
+        for i in range(len(index) + 1):
+            yield "zeta2", index[:i], None
+            yield "zeta2", index[i:][::-1], None
+
+
 def _key_rows(wmax, p, cache):
     rows = []
-    for index in _indices_of_weight_up_to(wmax):
-        k = sum(index)
-        if p <= k + 2:
-            continue
+    for index in _indices_at(p, wmax):
         lhs = value_of("zeta", index, None, p, cache)
         rhs = 0
         for i in range(len(index) + 1):
@@ -204,12 +220,18 @@ def _key_rows(wmax, p, cache):
     return rows
 
 
+def _parity_cells(wmax, p):
+    for index in _indices_at(p, wmax):
+        yield "zeta2", index, None
+        for i in range(len(index) + 1):
+            yield "zeta", index[:i][::-1], None
+            yield "zeta2star", index[i:], None
+
+
 def _parity_rows(wmax, p, cache):
     rows = []
-    for index in _indices_of_weight_up_to(wmax):
+    for index in _indices_at(p, wmax):
         k, r = sum(index), len(index)
-        if p <= k + 2:
-            continue
         lhs = value_of("zeta2", index, None, p, cache)
         rhs = 0
         for i in range(r + 1):
@@ -221,12 +243,16 @@ def _parity_rows(wmax, p, cache):
     return rows
 
 
+def _antipode_cells(dmax, wmax, p):
+    for index in _indices_at(p, wmax, dmax):
+        for j in range(len(index) + 1):
+            yield "zeta2", index[:j][::-1], None
+            yield "zeta2star", index[j:], None
+
+
 def _antipode_num_rows(dmax, wmax, p, cache):
     rows = []
-    for index in _indices_of_weight_up_to(wmax, dmax):
-        k = sum(index)
-        if p <= k + 2:
-            continue
+    for index in _indices_at(p, wmax, dmax):
         lhs = 0
         for j in range(len(index) + 1):
             term = (value_of("zeta2", tuple(reversed(index[:j])), None, p, cache)
@@ -244,6 +270,20 @@ def _antipode_sym_rows(dmax, wmax, primes, cache):
                          lhs="0" if diff.is_zero() else str(diff), rhs="0",
                          passed=diff.is_zero()))
     return rows
+
+
+def _example24_cells(wmax, p):
+    for k in range(3, min(wmax, p - 3) + 1, 2):
+        for k1 in range(1, k):
+            k2 = k - k1
+            yield from (("zeta2", (k1, k2), None), ("zeta2", (k,), None), ("zeta", (k2, k1), None))
+    for k in range(4, min(wmax, p - 3) + 1, 2):
+        for k1 in range(1, k - 1):
+            for k2 in range(1, k - k1):
+                k3 = k - k1 - k2
+                yield from (("zeta2", (k1, k2, k3), None), ("zeta", (k1, k2, k3), None),
+                            ("zeta2", (k1 + k2, k3), None), ("zeta2", (k1, k2 + k3), None),
+                            ("zeta", (k1, k2), None), ("zeta2", (k3,), None))
 
 
 def _example24_rows(wmax, p, cache):
@@ -280,6 +320,11 @@ def _comb0(n, m):
     if m < 0 or n < 0 or m > n:
         return 0
     return math.comb(n, m)
+
+
+def _sum_formula_cells(kmax, p):
+    # S(k, r) sums every composition of k into r parts
+    return [("zeta2", index, None) for index in _indices_at(p, kmax)]
 
 
 def _sum_formula_rows(kmax, p, cache):
@@ -342,10 +387,20 @@ def _one_odd_compositions(k, r, i):
 
 
 def _one_odd_lhs(k, r, i, p, cache):
+    comps = list(_one_odd_compositions(k, r, i))
+    plan((("zeta2", comp, None) for comp in comps), p, cache)
     tot = 0
-    for comp in _one_odd_compositions(k, r, i):
+    for comp in comps:
         tot = (tot + value_of("zeta2", comp, None, p, cache)) % p
     return tot
+
+
+def _ppt_special_cells(rmax, _recon_weight_max, p):
+    for r in range(1, rmax + 1):
+        if p > 2 * r + 1:
+            yield "zeta2", (2 * r - 1,), None
+            for i in range(1, r + 1):
+                yield "zeta2", (2,) * (i - 1) + (1,) + (2,) * (r - i), None
 
 
 def _ppt_special_rows(rmax, _recon_weight_max, p, cache):
@@ -438,6 +493,23 @@ def default_weighted_indices(level, wmax=None, dmax=None):
             if level == 1 or index[-1] % 2 == 1 and all(x % 2 == 0 for x in index[:-1])]
 
 
+def _weighted_terms(index):
+    # (coefficient, permuted index) of the position-weighted sum, zero coefficients left out
+    r = len(index)
+    for perm in itertools.permutations(range(r)):
+        coeff = r + 1 - 2 * (perm.index(r - 1) + 1)
+        if coeff:
+            yield coeff, tuple(index[t] for t in perm)
+
+
+def _weighted_cells(level, indices, p):
+    variant = "zeta" if level == 1 else "zeta2"
+    for index in indices:
+        if p > sum(index) + 2:
+            for _, permuted in _weighted_terms(index):
+                yield variant, permuted, None
+
+
 def _weighted_rows(level, indices, p, cache):
     variant = "zeta" if level == 1 else "zeta2"
     factor = 2 if level == 1 else 1
@@ -447,11 +519,8 @@ def _weighted_rows(level, indices, p, cache):
         if p <= k + 2:
             continue
         lhs = 0
-        for perm in itertools.permutations(range(r)):
-            coeff = r + 1 - 2 * (perm.index(r - 1) + 1)
-            if coeff:
-                permuted = tuple(index[t] for t in perm)
-                lhs = (lhs + coeff * value_of(variant, permuted, None, p, cache)) % p
+        for coeff, permuted in _weighted_terms(index):
+            lhs = (lhs + coeff * value_of(variant, permuted, None, p, cache)) % p
         csum = 0
         head, last = index[:-1], index[-1]
         for tau in itertools.permutations(range(r - 1)):
@@ -475,6 +544,22 @@ def _weighted_setup(level, wmax, dmax, indices):
     return (level, indices), {"level": level, "indices": len(indices)}
 
 
+def _conj38_terms(r, a):
+    # (coefficient, index) over the {1,2}-indices of depth r with a twos, zero coefficients left out
+    for positions in itertools.combinations(range(r), a):
+        odd_twos = sum(1 for t in positions if (t + 1) % 2 == 1)
+        coeff = (-1) ** odd_twos * 2 ** a - 1
+        if coeff:
+            yield coeff, tuple(2 if t in positions else 1 for t in range(r))
+
+
+def _conj38_cells(rmax, p):
+    for r in range(1, rmax + 1):
+        for a in range(0, min(r, p - 3 - r) + 1):
+            for _, index in _conj38_terms(r, a):
+                yield "zeta2", index, None
+
+
 def _conj38_rows(rmax, p, cache):
     rows = []
     for r in range(1, rmax + 1):
@@ -483,12 +568,8 @@ def _conj38_rows(rmax, p, cache):
             if p <= k + 2:
                 continue
             lhs = 0
-            for positions in itertools.combinations(range(r), a):
-                index = tuple(2 if t in positions else 1 for t in range(r))
-                odd_twos = sum(1 for t in positions if (t + 1) % 2 == 1)
-                coeff = (-1) ** odd_twos * 2 ** a - 1
-                if coeff:
-                    lhs = (lhs + coeff * value_of("zeta2", index, None, p, cache)) % p
+            for coeff, index in _conj38_terms(r, a):
+                lhs = (lhs + coeff * value_of("zeta2", index, None, p, cache)) % p
             rows.append(_num_case("r=%d a=%d" % (r, a), p, lhs, 0))
     return rows
 
@@ -522,23 +603,36 @@ PERM_DEPTH_GUARD = 4   # the weighted suites sum over r! permutations per case
 Param = namedtuple("Param", "name default guard flag", defaults=(None, None))
 
 
-class Suite(namedtuple("Suite", "name params rows fixed setup", defaults=(None, None, None))):
-    """A verification suite: rows(*args, p, cache) is run at every prime and
-    fixed(*args, primes, cache) gives its prime-free rows.  setup(*bounds)
-    turns the bounds into (args, report params); by default both are the bounds."""
+def _planned_rows(cells, rows, args, p, cache):
+    # one sweep at p serves every cell the rows will read
+    plan(cells(*args, p), p, cache)
+    return rows(*args, p, cache)
 
-    def run(self, bounds, primes=(), cache=None, jobs=1) -> Report:
-        """Report of the suite; a bound that is None or missing takes its default."""
+
+class Suite(namedtuple("Suite", "name params rows cells fixed setup",
+                       defaults=(None, None, None, None))):
+    """A verification suite: rows(*args, p, cache) is run at every prime, after one
+    sweep of the (variant, index, signs) cells that cells(*args, p) lists, which
+    must be exactly the cells the rows read; fixed(*args, primes, cache) gives its
+    prime-free rows.  setup(*bounds) turns the bounds into (args, report params);
+    by default both are the bounds."""
+
+    def resolve(self, bounds):
+        """(args, report params) of the bounds; one that is None or missing takes its default."""
         values = [p.default if bounds.get(p.name) is None else bounds[p.name]
                   for p in self.params]
         if self.setup is None:
-            args, params = values, {p.name: v for p, v in zip(self.params, values)}
-        else:
-            args, params = self.setup(*values)
+            return values, {p.name: v for p, v in zip(self.params, values)}
+        return self.setup(*values)
+
+    def run(self, bounds, primes=(), cache=None, jobs=1) -> Report:
+        """Report of the suite; a bound that is None or missing takes its default."""
+        args, params = self.resolve(bounds)
         primes = list(primes)
         rows = []
         if self.rows is not None:
-            for part in per_prime(partial(self.rows, *args), primes, jobs, cache):
+            for part in per_prime(partial(_planned_rows, self.cells, self.rows, args),
+                                  primes, jobs, cache):
                 rows.extend(part)
         if self.fixed is not None:
             rows.extend(self.fixed(*args, primes, cache))
@@ -547,21 +641,26 @@ class Suite(namedtuple("Suite", "name params rows fixed setup", defaults=(None, 
 
 
 SUITES = {s.name: s for s in (
-    Suite("key", (Param("wmax", 7, WEIGHT_GUARD),), rows=_key_rows),
-    Suite("parity", (Param("wmax", 7, WEIGHT_GUARD),), rows=_parity_rows),
+    Suite("key", (Param("wmax", 7, WEIGHT_GUARD),), rows=_key_rows, cells=_key_cells),
+    Suite("parity", (Param("wmax", 7, WEIGHT_GUARD),), rows=_parity_rows, cells=_parity_cells),
     Suite("antipode", (Param("dmax", 5, DEPTH_GUARD), Param("wmax", 8, WEIGHT_GUARD)),
-          rows=_antipode_num_rows, fixed=_antipode_sym_rows),
-    Suite("prop21", (Param("kmax", 9, WEIGHT_GUARD),), rows=_prop21_rows),
-    Suite("depth2", (Param("kmax", 9, WEIGHT_GUARD),), rows=_depth2_rows),
-    Suite("example24", (Param("wmax", 9, WEIGHT_GUARD),), rows=_example24_rows),
-    Suite("sumformula", (Param("kmax", 10, WEIGHT_GUARD),), rows=_sum_formula_rows),
+          rows=_antipode_num_rows, cells=_antipode_cells, fixed=_antipode_sym_rows),
+    Suite("prop21", (Param("kmax", 9, WEIGHT_GUARD),), rows=_prop21_rows, cells=_prop21_cells),
+    Suite("depth2", (Param("kmax", 9, WEIGHT_GUARD),), rows=_depth2_rows, cells=_depth2_cells),
+    Suite("example24", (Param("wmax", 9, WEIGHT_GUARD),), rows=_example24_rows,
+          cells=_example24_cells),
+    Suite("sumformula", (Param("kmax", 10, WEIGHT_GUARD),), rows=_sum_formula_rows,
+          cells=_sum_formula_cells),
     Suite("ppt", (Param("rmax", 6, DEPTH_GUARD), Param("recon_weight_max", None)),
-          rows=_ppt_special_rows, fixed=_ppt_recon_rows, setup=_ppt_setup),
+          rows=_ppt_special_rows, cells=_ppt_special_cells, fixed=_ppt_recon_rows,
+          setup=_ppt_setup),
     Suite("weighted1", (Param("wmax", 8, WEIGHT_GUARD), Param("dmax", 4, PERM_DEPTH_GUARD),
-                        Param("indices", None)), rows=_weighted_rows, setup=partial(_weighted_setup, 1)),
+                        Param("indices", None)), rows=_weighted_rows, cells=_weighted_cells,
+          setup=partial(_weighted_setup, 1)),
     Suite("weighted2", (Param("wmax", 9, WEIGHT_GUARD), Param("dmax", 4, PERM_DEPTH_GUARD),
-                        Param("indices", None)), rows=_weighted_rows, setup=partial(_weighted_setup, 2)),
-    Suite("conj38", (Param("rmax", 8, WEIGHT_GUARD),), rows=_conj38_rows),
+                        Param("indices", None)), rows=_weighted_rows, cells=_weighted_cells,
+          setup=partial(_weighted_setup, 2)),
+    Suite("conj38", (Param("rmax", 8, WEIGHT_GUARD),), rows=_conj38_rows, cells=_conj38_cells),
     Suite("lemmas", (Param("g_kmax", 10, WEIGHT_GUARD, "kmax"),
                      Param("r_wmax", 8, WEIGHT_GUARD, "wmax"),
                      Param("r_dmax", 4, DEPTH_GUARD, "dmax")), fixed=_lemma_rows),

@@ -307,3 +307,25 @@ def test_torn_cache_line_is_recovered(tmp_path, capsys):
     code, out, _ = run(capsys, "--cache", str(path), "cache", "info")
     assert code == 0
     assert out == "%s: 1 cells\n" % path
+
+
+def test_non_ascii_cache_is_corrupt(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"zeta2,1,,7,3\n\xff\n")
+    code, out, err = run(capsys, "--cache", str(path), "cache", "info")
+    assert code == 1
+    assert out == ""
+    assert str(path) in err and "not ASCII" in err
+
+
+def test_cold_cache_bytes(tmp_path, capsys):
+    # sha256 of the cache file a cold run writes, recorded before the per-prime
+    # sweep: the same cells, in the same order
+    clear_memo()
+    path = tmp_path / "new.csv"
+    code, _, _ = run(capsys, "--cache", str(path), "verify", "--suite", "key", "--wmax", "5",
+                     "--primes", "5..60")
+    clear_memo()
+    assert code == 0
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "44f227cca8db77406bf56fba5c2c6b2cee6934a9f343515435dde7e745cdcac6")

@@ -168,6 +168,53 @@ def test_serialization_round_trip():
         parse_signs("+,x")
 
 
+# --- the per-prime sweep against the oracle route ---
+
+ORACLES = {"zeta": eval_zeta, "zeta2": eval_zeta2, "zeta2star": eval_zeta2_star}
+
+
+def test_sweep_matches_oracles():
+    # every composition of weight <= 6, every euler sign vector; the small primes
+    # have p <= weight + 2, which compute and eval_table can ask for
+    cells = []
+    for index in all_indices(6):
+        cells += [(variant, index, None) for variant in ORACLES]
+        cells += [("euler", index, s) for s in itertools.product((1, -1), repeat=len(index))]
+    for p in sieve_primes(5, 113):
+        swept = ev._sweep(cells, p)
+        assert len(swept) == len(cells)
+        for (variant, index, signs), v in swept.items():
+            want = eval_euler(index, signs, p) if signs else ORACLES[variant](index, p)
+            assert v == want, (variant, index, signs, p)
+
+
+def test_unplanned_cell_is_swept_alone():
+    ev.clear_memo()
+    assert ev.compute_cell("zeta2star", (2, 1), None, 11) == eval_zeta2_star((2, 1), 11)
+    assert ev.compute_cell("euler", (1, 2), (-1, 1), 7) == eval_euler((1, 2), (-1, 1), 7)
+    assert ev.compute_cell("zeta", (), None, 7) == 1
+    with pytest.raises(ValueError):
+        ev.compute_cell("zeta3", (1,), None, 7)
+    with pytest.raises(ValueError):
+        ev.compute_cell("euler", (1, 2), (1,), 7)
+    with pytest.raises(ValueError):
+        ev.compute_cell("zeta", (1,), None, 9)
+
+
+def test_plan_skips_known_cells_and_holds_one_prime(tmp_path):
+    ev.clear_memo()
+    cache = ResidueCache(str(tmp_path / "c.txt"))
+    cache.add("zeta2", (1,), None, 7, 3)
+    ev.value_of("zeta", (1, 2), None, 7)
+    ev.plan([("zeta2", (1,), None), ("zeta", (1, 2), None), ("zeta2", (2, 1), None),
+             ("zeta", (), None)], 7, cache)
+    assert ev._SWEPT == {("zeta2", (2, 1), None, 7): eval_zeta2((2, 1), 7)}
+    ev.plan([("zeta2", (1,), None)], 11, cache)
+    assert ev._SWEPT == {("zeta2", (1,), None, 11): eval_zeta2((1,), 11)}
+    cache.close()
+    ev.clear_memo()
+
+
 # --- eval_table and the cache ---
 
 def test_eval_table_examples(tmp_path):
@@ -188,6 +235,7 @@ def test_eval_table_examples(tmp_path):
 
 
 def test_cache_round_trip(tmp_path):
+    ev.clear_memo()  # a memo left by an earlier test would keep cells out of the cache
     path = str(tmp_path / "cache.txt")
     cache = ResidueCache(path)
     eval_table("zeta2", (1, 2), primes=[7, 11], cache=cache)
@@ -213,6 +261,14 @@ def test_cache_round_trip(tmp_path):
         key, residue = ResidueCache._parse_line(line)
         variant, index, signs, p = key
         assert ev.compute_cell(variant, index, signs, p) == residue
+
+
+def test_cache_not_ascii(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"zeta2,1,,7,3\n\xff\n")
+    with pytest.raises(CacheError) as err:
+        ResidueCache(str(path))
+    assert str(path) in str(err.value) and "ASCII" in str(err.value)
 
 
 def test_cache_corruption(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import fmzv.evaluator as ev
 from fmzv.evaluator import ResidueCache, clear_memo, value_of
 from fmzv.harmonic import all_compositions
 from fmzv.identities import (
@@ -26,7 +27,7 @@ from fmzv.identities import (
     verify_sum_formula,
     verify_weighted_perm,
 )
-from fmzv.identities import _one_odd_compositions
+from fmzv.identities import SUITES, _one_odd_compositions, _planned_rows
 from fmzv.modmath import sieve_primes
 
 PRIMES = sieve_primes(5, 60)
@@ -255,3 +256,24 @@ def test_cache_reuse_is_invisible(tmp_path):
     warm = verify_depth2(kmax=7, primes=(11, 13), cache=warm_cache)
     warm_cache.close()
     assert cold.to_json() == warm.to_json()
+
+
+@pytest.mark.parametrize("name", [n for n, s in SUITES.items() if s.rows is not None])
+def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
+    # one sweep per prime serves every computed cell: none falls back to a
+    # one-cell sweep, and no planned cell is left unread
+    suite = SUITES[name]
+    args, _ = suite.resolve({})
+    sweeps, computed = [], []
+    sweep, compute = ev._sweep, ev.compute_cell
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
+    monkeypatch.setattr(ev, "compute_cell", lambda *key: computed.append(key) or compute(*key))
+    for p in PRIMES:
+        clear_memo()
+        sweeps.clear()
+        computed.clear()
+        _planned_rows(suite.cells, suite.rows, args, p, None)
+        assert len(sweeps) <= 1
+        assert sorted(computed) == sorted((*cell, p) for cell in (sweeps[0] if sweeps else ()))
+        assert not ev._SWEPT
+    clear_memo()
