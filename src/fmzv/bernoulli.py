@@ -2,6 +2,12 @@
 
 Conventions: B_1 = -1/2 (the generating function x/(e^x - 1)); Zk(k, p) is
 B_{p-k}/k mod p for k >= 2; L2(p) is the Fermat quotient (2^{p-1} - 1)/p mod p.
+
+Zk needs one Bernoulli number, which the Kummer/Glaisher power-sum congruence
+sum_{m=1}^{p-1} m^n = p B_n (mod p^2), for even n with 2 <= n <= p - 3, gives
+in O(p) multiplications mod p^2 (Ireland-Rosen, ch. 15).  The table route
+behind bernoulli_mod and bernoulli_poly_mod inverts a power series in O(p^2)
+and is kept as the independent oracle for it.
 """
 
 import math
@@ -12,7 +18,7 @@ from .modmath import check_prime, mod_inv, mod_pow
 __all__ = ["bernoulli_mod", "bernoulli_poly_mod", "Zk", "L2", "power_sum_oracle"]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _bernoulli_table(n: int, p: int) -> tuple[int, ...]:
     # B_0..B_n mod p by inverting the series (e^x - 1)/x truncated at degree n.
     # Needs (n+1)! invertible, hence the n <= p - 2 restriction.
@@ -54,13 +60,24 @@ def bernoulli_poly_mod(n: int, x: int, p: int) -> int:
 
 
 def Zk(k: int, p: int) -> int:
-    """The depth-1 constant B_{p-k}/k mod p; defined for k >= 2, p > k + 2."""
+    """The depth-1 constant B_{p-k}/k mod p; defined for k >= 2, p > k + 2.
+
+    With n = p - k, B_n is 0 for odd n >= 3 (k = 2 and every even k), and for
+    even n, 2 <= n <= p - 3, it is (sum_{m=1}^{p-1} m^n mod p^2) / p mod p by
+    the Kummer/Glaisher power-sum congruence: O(p) modular powers, no table.
+    bernoulli_mod(p - k, p) / k is the O(p^2) oracle for this.
+    """
     check_prime(p)
     if k < 2:
         raise ValueError("Zk needs k >= 2, got %d" % k)
     if p <= k + 2:
         raise ValueError("Zk needs p > k + 2, got k=%d p=%d" % (k, p))
-    return bernoulli_mod(p - k, p) * mod_inv(k, p) % p
+    n = p - k
+    if n % 2:
+        return 0
+    p2 = p * p
+    s = sum(pow(m, n, p2) for m in range(1, p))
+    return s % p2 // p * mod_inv(k, p) % p
 
 
 def L2(p: int) -> int:

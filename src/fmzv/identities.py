@@ -428,14 +428,17 @@ def _one_odd_patterns(max_weight):
     return pats
 
 
-def ppt_constants(max_weight, primes, cache=None):
+def ppt_constants(max_weight, primes, cache=None, min_weight=1):
     """Reconstructed rational c with (one-odd pattern sum) = c * (depth-1 value).
 
-    Uses every prime where the depth-1 reference value is nonzero; returns a
-    dict (k, r, i) -> Fraction or None when reconstruction fails.
+    Covers the patterns of weight min_weight..max_weight.  Uses every prime
+    where the depth-1 reference value is nonzero; returns a dict
+    (k, r, i) -> Fraction or None when reconstruction fails.
     """
     out = {}
     for k, r, i in _one_odd_patterns(max_weight):
+        if k < min_weight:
+            continue
         pairs = []
         for p in _filtered(primes, k):
             ref = value_of("zeta2", (k,), None, p, cache)
@@ -463,8 +466,8 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
         usable = _filtered(primes, k)
         split = max(1, (2 * len(usable) + 2) // 3)
         train, held = usable[:split], usable[split:]
-        # the training primes depend only on k, so one reconstruction serves every pattern
-        consts = ppt_constants(k, train, cache) if train else {}
+        # the training primes depend only on k, so one call serves every pattern of weight k
+        consts = ppt_constants(k, train, cache, min_weight=k) if train else {}
         for pat in pats:
             name = "pattern k=%d r=%d i=%d" % pat
             c = consts.get(pat)
@@ -514,6 +517,7 @@ def _weighted_rows(level, indices, p, cache):
     variant = "zeta" if level == 1 else "zeta2"
     factor = 2 if level == 1 else 1
     rows = []
+    zk = {}  # weight -> Zk(weight, p), computed at most once per weight
     for index in indices:
         k, r = sum(index), len(index)
         if p <= k + 2:
@@ -525,7 +529,12 @@ def _weighted_rows(level, indices, p, cache):
         head, last = index[:-1], index[-1]
         for tau in itertools.permutations(range(r - 1)):
             csum += coeff_C(tuple(head[t] for t in tau) + (last,))
-        rhs = 0 if csum == 0 else (-1) ** r * factor * csum * Zk(k, p) % p
+        if csum == 0:
+            rhs = 0
+        else:
+            if k not in zk:
+                zk[k] = Zk(k, p)
+            rhs = (-1) ** r * factor * csum * zk[k] % p
         rows.append(_num_case(_istr(index), p, lhs, rhs))
     return rows
 

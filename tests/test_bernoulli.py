@@ -119,3 +119,23 @@ def test_power_sum_full_range():
         for n in range(1, 2 * p):
             expect = p - 1 if n % (p - 1) == 0 else 0
             assert power_sum_oracle(p, n, p) == expect
+
+
+def test_Zk_matches_table_oracle():
+    # the power-sum congruence against the series-inversion table, every k at every prime
+    for p in sieve_primes(5, 200):
+        for k in range(2, p - 2):
+            assert Zk(k, p) == bernoulli_mod(p - k, p) * mod_inv(k, p) % p
+
+
+def test_Zk_matches_table_oracle_large_primes():
+    for p in (1009, 1409):
+        for k in (3, 5, 7, 9):
+            assert Zk(k, p) == bernoulli_mod(p - k, p) * mod_inv(k, p) % p
+
+
+def test_Zk_even_weight_vanishes():
+    # p - k is odd, and B_n = 0 for odd n >= 3
+    for p in sieve_primes(5, 200):
+        for k in range(2, p - 2, 2):
+            assert Zk(k, p) == 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import fmzv.evaluator as ev
+import fmzv.identities as ids
 from fmzv.evaluator import ResidueCache, clear_memo, value_of
 from fmzv.harmonic import all_compositions
 from fmzv.identities import (
@@ -159,6 +160,13 @@ def test_ppt_constants_stable_across_prime_sets():
     assert all(v is not None for v in ca.values())
 
 
+def test_ppt_constants_min_weight_keeps_the_heavier_patterns():
+    primes = sieve_primes(5, 120)
+    full = ppt_constants(7, primes)
+    assert ppt_constants(7, primes, min_weight=5) == {pat: c for pat, c in full.items()
+                                                      if pat[0] >= 5}
+
+
 def test_weighted_level1_passes_and_anchor():
     rep = verify_weighted_perm(1, indices=default_weighted_indices(1, wmax=6, dmax=3),
                                primes=sieve_primes(5, 40))
@@ -173,6 +181,15 @@ def test_weighted_level2_passes_and_anchor():
     assert rep.passed
     r = get_row(rep, "(2,1)", 7)
     assert r.lhs == r.rhs == "3"
+
+
+def test_weighted_calls_Zk_once_per_weight_and_prime(monkeypatch):
+    calls = []
+    zk = ids.Zk
+    monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
+    rep = verify_weighted_perm(1, primes=sieve_primes(5, 60))
+    assert rep.passed
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_weighted_level2_hypothesis_rejected():
