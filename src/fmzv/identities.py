@@ -505,30 +505,26 @@ def _weighted_terms(index):
             yield coeff, tuple(index[t] for t in perm)
 
 
-def _weighted_cells(level, indices, p):
+def _weighted_cells(level, entries, p):
     variant = "zeta" if level == 1 else "zeta2"
-    for index in indices:
+    for index, terms, _ in entries:
         if p > sum(index) + 2:
-            for _, permuted in _weighted_terms(index):
+            for _, permuted in terms:
                 yield variant, permuted, None
 
 
-def _weighted_rows(level, indices, p, cache):
+def _weighted_rows(level, entries, p, cache):
     variant = "zeta" if level == 1 else "zeta2"
     factor = 2 if level == 1 else 1
     rows = []
     zk = {}  # weight -> Zk(weight, p), computed at most once per weight
-    for index in indices:
+    for index, terms, csum in entries:
         k, r = sum(index), len(index)
         if p <= k + 2:
             continue
         lhs = 0
-        for coeff, permuted in _weighted_terms(index):
+        for coeff, permuted in terms:
             lhs = (lhs + coeff * value_of(variant, permuted, None, p, cache)) % p
-        csum = 0
-        head, last = index[:-1], index[-1]
-        for tau in itertools.permutations(range(r - 1)):
-            csum += coeff_C(tuple(head[t] for t in tau) + (last,))
         if csum == 0:
             rhs = 0
         else:
@@ -550,7 +546,11 @@ def _weighted_setup(level, wmax, dmax, indices):
             raise ValueError("depth > %d rejected (cost r!)" % PERM_DEPTH_GUARD)
         if level == 2 and (index[-1] % 2 == 0 or any(x % 2 for x in index[:-1])):
             raise ValueError("level-2 weighted identity needs even entries with an odd last entry, got %r" % (index,))
-    return (level, indices), {"level": level, "indices": len(indices)}
+    # the terms and the sum of C over the head's permutations depend only on the index
+    entries = [(index, tuple(_weighted_terms(index)),
+                sum(coeff_C(head + index[-1:]) for head in itertools.permutations(index[:-1])))
+               for index in indices]
+    return (level, entries), {"level": level, "indices": len(indices)}
 
 
 def _conj38_terms(r, a):

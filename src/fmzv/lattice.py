@@ -29,6 +29,18 @@ def hnf(rows):
     ncols = len(work[0])
     if any(len(r) != ncols for r in work):
         raise ValueError("ragged rows")
+
+    def eliminate(r, col, targets):
+        # work[i] -= q * work[r] for i in targets, touching only work[r]'s nonzero entries
+        piv = work[r][col]
+        nz = [(j, b) for j, b in enumerate(work[r]) if b]
+        for i in targets:
+            q = work[i][col] // piv
+            if q:
+                row = work[i]
+                for j, b in nz:
+                    row[j] -= q * b
+
     r = 0
     for col in range(ncols):
         # gcd-eliminate below row r in this column
@@ -40,19 +52,11 @@ def hnf(rows):
             work[r], work[i0] = work[i0], work[r]
             if all(work[i][col] == 0 for i in range(r + 1, len(work))):
                 break
-            piv = work[r][col]
-            for i in range(r + 1, len(work)):
-                q = work[i][col] // piv
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+            eliminate(r, col, range(r + 1, len(work)))
         if r < len(work) and work[r][col]:
             if work[r][col] < 0:
                 work[r] = [-a for a in work[r]]
-            piv = work[r][col]
-            for i in range(r):
-                q = work[i][col] // piv
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+            eliminate(r, col, range(r))
             r += 1
             if r == len(work):
                 break
@@ -97,9 +101,11 @@ def congruence_cut(basis, weights, p):
 def lll_reduce(rows, delta_num=99, delta_den=100):
     """LLL-reduce a basis of linearly independent integer rows, exactly.
 
-    Uses the all-integer Gram-Schmidt representation: d[0..n] with d[0] = 1,
-    mu[i][j] = lam[i][j] / d[j+1], |b*_i|^2 = d[i+1] / d[i].  All divisions
-    below are exact by construction.
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7, with
+    incremental Gram-Schmidt in all-integer form: d[0] = 1, mu[i][j] =
+    lam[i][j] / d[j+1], |b*_i|^2 = d[i+1] / d[i].  Row i's data is computed
+    when the reduction first reaches it (kmax), and swaps update it only up
+    to kmax.  All divisions are exact.  Dependent rows raise ValueError.
     """
     B = [list(r) for r in rows]
     n = len(B)
@@ -108,39 +114,47 @@ def lll_reduce(rows, delta_num=99, delta_den=100):
 
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
-    for i in range(n):
+
+    def gram_schmidt(i):
+        # lam[i] and d[i+1] from the current rows 0..i
+        bi, li = B[i], lam[i]
         for j in range(i + 1):
-            u = dot(B[i], B[j])
+            u = dot(bi, B[j])
+            lj = lam[j]
             for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+                u = (d[t + 1] * u - li[t] * lj[t]) // d[t]
             if j < i:
-                lam[i][j] = u
+                li[j] = u
+            elif u == 0:
+                raise ValueError("rows are linearly dependent")
             else:
-                if u == 0:
-                    raise ValueError("rows are linearly dependent")
                 d[i + 1] = u
 
     def red(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        lk, dl = lam[k], d[l + 1]
+        if 2 * abs(lk[l]) > dl:
+            q = (2 * lk[l] + dl) // (2 * dl)
             B[k] = [a - q * b for a, b in zip(B[k], B[l])]
-            lam[k][l] -= q * d[l + 1]
-            for t in range(l):
-                lam[k][t] -= q * lam[l][t]
+            lk[l] -= q * dl
+            lk[:l] = [a - q * b for a, b in zip(lk[:l], lam[l])]
 
-    k = 1
+    gram_schmidt(0)
+    kmax, k = 0, 1
     while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
         red(k, k - 1)
-        if delta_den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < delta_num * d[k] ** 2:
+        lam_kk, dk, dk1 = lam[k][k - 1], d[k], d[k + 1]
+        if delta_den * (dk1 * d[k - 1] + lam_kk ** 2) < delta_num * dk ** 2:
             B[k], B[k - 1] = B[k - 1], B[k]
-            for t in range(k - 1):
-                lam[k][t], lam[k - 1][t] = lam[k - 1][t], lam[k][t]
-            lam_kk = lam[k][k - 1]
-            dk_new = (d[k - 1] * d[k + 1] + lam_kk ** 2) // d[k]
-            for i in range(k + 1, n):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_kk * t) // d[k]
-                lam[i][k - 1] = (dk_new * t + lam_kk * lam[i][k]) // d[k + 1]
+            lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+            dk_new = (d[k - 1] * dk1 + lam_kk ** 2) // dk
+            for i in range(k + 1, kmax + 1):
+                li = lam[i]
+                t = li[k]
+                li[k] = (dk1 * li[k - 1] - lam_kk * t) // dk
+                li[k - 1] = (dk_new * t + lam_kk * li[k]) // dk1
             d[k] = dk_new
             k = max(1, k - 1)
         else:

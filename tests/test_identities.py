@@ -192,6 +192,19 @@ def test_weighted_calls_Zk_once_per_weight_and_prime(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_weighted_builds_terms_and_C_sum_once_per_index(monkeypatch):
+    # both depend only on the index, so the number of primes must not matter
+    terms, cs = [], []
+    weighted_terms, coeff = ids._weighted_terms, ids.coeff_C
+    monkeypatch.setattr(ids, "_weighted_terms", lambda ix: terms.append(ix) or weighted_terms(ix))
+    monkeypatch.setattr(ids, "coeff_C", lambda ix: cs.append(ix) or coeff(ix))
+    indices = default_weighted_indices(1)
+    rep = verify_weighted_perm(1, primes=sieve_primes(5, 60))
+    assert rep.passed
+    assert sorted(terms) == sorted(indices)
+    assert len(cs) == sum(math.factorial(len(ix) - 1) for ix in indices)
+
+
 def test_weighted_level2_hypothesis_rejected():
     with pytest.raises(ValueError):
         verify_weighted_perm(2, indices=[(1, 3)], primes=(7,))

@@ -3,7 +3,96 @@ from fractions import Fraction
 
 import pytest
 
+import fmzv.lattice as lattice
+from fmzv.harmonic import all_compositions
 from fmzv.lattice import congruence_cut, dot, hnf, hnf_contains, lll_reduce
+from fmzv.modmath import sieve_primes
+from fmzv.relations import _train_split, build_matrix
+
+
+def dense_hnf(rows):
+    """Reference HNF: every row operation runs over the whole row."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return []
+    ncols = len(work[0])
+    r = 0
+    for col in range(ncols):
+        while True:
+            live = [i for i in range(r, len(work)) if work[i][col]]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: abs(work[i][col]))
+            work[r], work[i0] = work[i0], work[r]
+            if all(work[i][col] == 0 for i in range(r + 1, len(work))):
+                break
+            piv = work[r][col]
+            for i in range(r + 1, len(work)):
+                q = work[i][col] // piv
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+        if r < len(work) and work[r][col]:
+            if work[r][col] < 0:
+                work[r] = [-a for a in work[r]]
+            piv = work[r][col]
+            for i in range(r):
+                q = work[i][col] // piv
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+            r += 1
+            if r == len(work):
+                break
+    return work[:r]
+
+
+def upfront_lll(rows, delta_num=99, delta_den=100):
+    """Reference LLL: the whole Gram-Schmidt data up front, every row updated on a swap."""
+    B = [list(r) for r in rows]
+    n = len(B)
+    if n <= 1:
+        return B
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = dot(B[i], B[j])
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                if u == 0:
+                    raise ValueError("rows are linearly dependent")
+                d[i + 1] = u
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            B[k] = [a - q * b for a, b in zip(B[k], B[l])]
+            lam[k][l] -= q * d[l + 1]
+            for t in range(l):
+                lam[k][t] -= q * lam[l][t]
+
+    k = 1
+    while k < n:
+        red(k, k - 1)
+        if delta_den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < delta_num * d[k] ** 2:
+            B[k], B[k - 1] = B[k - 1], B[k]
+            for t in range(k - 1):
+                lam[k][t], lam[k - 1][t] = lam[k - 1][t], lam[k][t]
+            lam_kk = lam[k][k - 1]
+            dk_new = (d[k - 1] * d[k + 1] + lam_kk ** 2) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_kk * t) // d[k]
+                lam[i][k - 1] = (dk_new * t + lam_kk * lam[i][k]) // d[k + 1]
+            d[k] = dk_new
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return B
 
 
 def gram_schmidt(rows):
@@ -160,3 +249,104 @@ def test_lll_finds_short_kernel_vector():
     # the planted relations lie in the cut lattice
     assert hnf_contains(hnf(cut), [3, -1, 0])
     assert hnf_contains(hnf(cut), [1, 0, 2])
+
+
+def knapsack_basis(rng, n, m, bits):
+    # identity plus m dense columns, the shape of the relation engine's cut lattices
+    return [[int(i == j) for j in range(n)] + [rng.getrandbits(bits) for _ in range(m)]
+            for i in range(n)]
+
+
+def dims_cut_basis(k, variant):
+    # the basis dimension_estimate(k, variant) hands to LLL, on the primes of `dims --weight k`
+    matrix = build_matrix([(variant, ix) for ix in all_compositions(k)],
+                          [p for p in sieve_primes(5, 200) if p > k + 2])
+    n = len(matrix.columns)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    for p in _train_split(matrix.primes)[0]:
+        basis = congruence_cut(basis, matrix.row(p), p)
+    return basis
+
+
+def test_lll_matches_upfront_reference_on_dense_bases():
+    rng = random.Random(20)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        m = n + rng.randint(0, 3)
+        rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(m)] for _ in range(n)]
+        assert lll_reduce(rows) == upfront_lll(rows)
+
+
+def test_lll_matches_upfront_reference_on_knapsack_bases():
+    rng = random.Random(21)
+    for n, m, bits in [(2, 1, 200), (3, 3, 60), (8, 3, 200), (15, 2, 120), (20, 1, 200),
+                       (25, 3, 60), (40, 1, 60)]:
+        rows = knapsack_basis(rng, n, m, bits)
+        assert lll_reduce(rows) == upfront_lll(rows), (n, m, bits)
+
+
+@pytest.mark.parametrize("k", [6, 7])
+@pytest.mark.parametrize("variant", ["zeta2", "zeta"])
+def test_lll_matches_upfront_reference_on_dims_cut_bases(k, variant):
+    basis = dims_cut_basis(k, variant)
+    assert len(basis) == 2 ** (k - 1)
+    assert lll_reduce(basis) == upfront_lll(basis)
+
+
+def test_lll_dependency_at_the_last_row():
+    with pytest.raises(ValueError):
+        lll_reduce([[1, 0], [0, 1], [1, 1]])
+    rng = random.Random(22)
+    for _ in range(10):
+        rows = knapsack_basis(rng, 6, 2, 80)
+        coeffs = [rng.randint(-5, 5) for _ in rows]
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(rows[0]))])
+        with pytest.raises(ValueError):
+            upfront_lll(rows)
+        with pytest.raises(ValueError):
+            lll_reduce(rows)
+
+
+def test_lll_rank_0_and_1_unchanged():
+    assert lll_reduce([]) == []
+    assert lll_reduce([[3, -4, 0]]) == [[3, -4, 0]]
+    assert lll_reduce([[0, 0]]) == [[0, 0]]
+
+
+def test_hnf_matches_dense_reference():
+    rng = random.Random(23)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(m)]
+                for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.3:
+            rows.append([0] * m)
+        if rng.random() < 0.3 and len(rows) > 1:
+            # rank-deficient: one row is a combination of two others
+            a, b = rng.sample(rows, 2)
+            rows.append([2 * x - 3 * y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        assert hnf(rows) == dense_hnf(rows), rows
+
+
+def test_hnf_negative_pivots_match_dense_reference():
+    rows = [[-3, 1, 0], [0, -5, 2], [-6, 7, -4]]
+    assert hnf(rows) == dense_hnf(rows)
+    assert hnf([[0, 0], [-2, 0], [0, 0]]) == dense_hnf([[0, 0], [-2, 0], [0, 0]]) == [[2, 0]]
+
+
+def test_congruence_cut_chains_match_dense_hnf(monkeypatch):
+    rng = random.Random(24)
+    primes = sieve_primes(10 ** 4, 10 ** 4 + 400)
+    for n in (3, 8, 20):
+        columns = [[rng.randrange(p) for _ in range(n)] for p in primes[:8]]
+        sparse = dense = [[int(i == j) for j in range(n)] for i in range(n)]
+        sparse_chain = []
+        for p, w in zip(primes, columns):
+            sparse = congruence_cut(sparse, w, p)
+            sparse_chain.append(sparse)
+        with monkeypatch.context() as mp:
+            mp.setattr(lattice, "hnf", dense_hnf)
+            for p, w, want in zip(primes, columns, sparse_chain):
+                dense = congruence_cut(dense, w, p)
+                assert dense == want
