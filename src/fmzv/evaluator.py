@@ -9,7 +9,12 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
   zeta2star  level 2, non-strict (<=) sum up to (p-1)/2
   euler      level 1 with numerator signs eps_i^(m_i), eps_i in {+1,-1}
 
-Production values come from one sweep per prime (`plan`, `_sweep`): the
+A value takes one route (`value_of`): the residue cache if one is given, else
+the table of one prime, which holds the cells planned or swept alone at it,
+else a sweep of the cell alone, which the table keeps.  The table is emptied
+when a call arrives at another prime, so no store but the cache outlives a prime.
+
+A sweep (`plan`, `_sweep`) evaluates many cells of one prime at once: the
 requested indices and all their prefixes form a trie with one accumulator
 per node, T_node(m) = T_node(m-1) + T_parent(m-1) * m^(-k) for the node's
 last entry k, and one pass over m = 1..p-1 advances every node.  zeta and
@@ -188,14 +193,15 @@ class ResidueCache:
     Only one process may write (the CLI and suites route all writes through
     the parent process).  A last line without a newline is an append cut short
     by a crash (its residue may be cut): it is ignored and cut off by the next add().
+    Without a path the cache lives in memory only.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str | None = None):
         self.path = path
         self._cells: dict[tuple, int] = {}
         self._fh = None
         self._complete = None  # length of the file's complete lines when loaded
-        if os.path.exists(path):
+        if path is not None and os.path.exists(path):
             self._load()
 
     def _load(self):
@@ -250,6 +256,8 @@ class ResidueCache:
         if key in self._cells:
             return
         self._cells[key] = residue
+        if self.path is None:
+            return
         if self._fh is None:
             if self._complete is not None:
                 os.truncate(self.path, self._complete)
@@ -267,16 +275,21 @@ class ResidueCache:
         return len(self._cells)
 
 
-# process-level memo of computed cells; purely an optimization
-_MEMO: dict[tuple, int] = {}
+# (variant, index, signs, p) -> value of the cells of one prime p: those
+# planned at it and those swept alone at it
+_TABLE: dict[tuple, int] = {}
 
-# the swept values of the cells planned at one prime, each taken once by compute_cell
-_SWEPT: dict[tuple, int] = {}
+
+def _table_at(p):
+    # the table, emptied first if it holds another prime
+    if _TABLE and next(iter(_TABLE))[3] != p:
+        _TABLE.clear()
+    return _TABLE
 
 
 def clear_memo():
-    _MEMO.clear()
-    _SWEPT.clear()
+    """Empty the table of the current prime."""
+    _TABLE.clear()
 
 
 def _trie(words):
@@ -346,50 +359,39 @@ def _sweep(cells, p) -> dict:
 
 
 def plan(cells, p: int, cache: ResidueCache | None = None):
-    """Sweep at p, in one pass, every (variant, index, signs) cell that value_of will
-    be asked for and holds in neither the memo nor the cache.
-
-    The values wait in a table of this prime only, which the next plan replaces,
-    until compute_cell takes them.
-    """
+    """Add to the table of p, in one sweep, every (variant, index, signs) cell that
+    value_of will be asked for and that neither the table nor the cache holds."""
+    table = _table_at(p)
     todo = {}
     for variant, index, signs in cells:
-        index = tuple(index)
-        key = (variant, index, signs, p)
-        if index and key not in _MEMO and (cache is None or key not in cache._cells):
-            todo[variant, index, signs] = None
-    _SWEPT.clear()
+        key = (variant, tuple(index), signs, p)
+        if key[1] and key not in table and (cache is None or key not in cache._cells):
+            todo[key[:3]] = None
     if todo:
-        _SWEPT.update(((*cell, p), v) for cell, v in _sweep(todo, p).items())
+        table.update(((*cell, p), v) for cell, v in _sweep(todo, p).items())
 
 
 def compute_cell(variant: str, index, signs, p: int) -> int:
-    """Uncached single-cell evaluation: the planned sweep's value, else a sweep of this cell."""
-    index = tuple(index)
-    v = _SWEPT.pop((variant, index, signs, p), None)
-    if v is None:
-        (v,) = _sweep([(variant, index, signs)], p).values()
-    return v
+    """Uncached single-cell evaluation: the table's value, else a sweep of this cell,
+    which the table keeps."""
+    key = (variant, tuple(index), signs, p)
+    table = _table_at(p)
+    if key not in table:
+        (table[key],) = _sweep([key[:3]], p).values()
+    return table[key]
 
 
 def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None) -> int:
-    """Memoized single-cell evaluation, consulting/updating the disk cache if given."""
+    """Single-cell evaluation: the cache's value if given, else compute_cell's, which
+    the cache then keeps."""
     index = tuple(index)
     if not index:
         return 1
-    key = (variant, index, signs, p)
-    v = _MEMO.get(key)
-    if v is not None:
-        return v
-    if cache is not None:
-        v = cache.get(variant, index, signs, p)
-        if v is not None:
-            _MEMO[key] = v
-            return v
-    v = compute_cell(variant, index, signs, p)
-    _MEMO[key] = v
-    if cache is not None:
-        cache.add(variant, index, signs, p, v)
+    v = None if cache is None else cache.get(variant, index, signs, p)
+    if v is None:
+        v = compute_cell(variant, index, signs, p)
+        if cache is not None:
+            cache.add(variant, index, signs, p, v)
     return v
 
 
@@ -400,37 +402,36 @@ def values_at(columns, p: int, cache: ResidueCache | None = None) -> tuple:
 
 
 def _prime_task(fn, known, p):
-    # the worker's memo holds one prime's cells: the parent's known ones plus new ones
-    _MEMO.clear()
-    _MEMO.update(known)
-    result = fn(p, None)
-    return result, {k: v for k, v in _MEMO.items() if k not in known}
+    # the worker's cache lives in memory and holds its prime's cells: the parent's plus new ones
+    cache = ResidueCache()
+    cache._cells.update(known)
+    result = fn(p, cache)
+    return result, list(cache._cells.items())[len(known):]
 
 
 def per_prime(fn, primes, jobs=1, cache=None) -> list:
     """[fn(p, cache) for p in primes]; with jobs > 1 the primes go to a worker pool.
 
-    A worker starts from the parent's memo and cache cells at its prime and sends
-    back the cells it computed; the parent, the only writer, merges and caches them.
+    A worker starts from an in-memory cache of the parent's cache cells at its prime
+    and sends back the cells it added, in the order it read them; the parent, the
+    only writer, adds them to its cache.
     """
     primes = list(primes)
     if jobs <= 1 or len(primes) < 2:
         return [fn(p, cache) for p in primes]
     known = {p: {} for p in primes}
-    for cells in (cache._cells if cache is not None else {}, _MEMO):
-        for key, v in cells.items():
-            if key[3] in known:
-                known[key[3]][key] = v
+    for key, v in (cache._cells if cache is not None else {}).items():
+        if key[3] in known:
+            known[key[3]][key] = v
     import concurrent.futures
 
     out = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         for result, cells in pool.map(partial(_prime_task, fn), [known[p] for p in primes], primes):
             out.append(result)
-            _MEMO.update(cells)
             if cache is not None:
-                for (variant, index, signs, q), v in cells.items():
-                    cache.add(variant, index, signs, q, v)
+                for key, v in cells:
+                    cache.add(*key, v)
     return out
 
 

@@ -383,16 +383,12 @@ def _one_odd_compositions(k, r, i):
         for x in range(lo, remaining - tail_min + 1, 2):
             for rest in rec(remaining - x, pos + 1):
                 yield (x,) + rest
-    yield from rec(k, 0)
+    return list(rec(k, 0))
 
 
-def _one_odd_lhs(k, r, i, p, cache):
-    comps = list(_one_odd_compositions(k, r, i))
-    plan((("zeta2", comp, None) for comp in comps), p, cache)
-    tot = 0
-    for comp in comps:
-        tot = (tot + value_of("zeta2", comp, None, p, cache)) % p
-    return tot
+def _plan_one_odd(comps, p, cache):
+    # one sweep at p for the compositions and the depth-1 reference of every pattern
+    plan([("zeta2", c, None) for (k, _, _), cs in comps.items() for c in ((k,), *cs)], p, cache)
 
 
 def _ppt_special_cells(rmax, _recon_weight_max, p):
@@ -435,23 +431,18 @@ def ppt_constants(max_weight, primes, cache=None, min_weight=1):
     where the depth-1 reference value is nonzero; returns a dict
     (k, r, i) -> Fraction or None when reconstruction fails.
     """
-    out = {}
-    for k, r, i in _one_odd_patterns(max_weight):
-        if k < min_weight:
-            continue
-        pairs = []
-        for p in _filtered(primes, k):
+    comps = {pat: _one_odd_compositions(*pat)
+             for pat in _one_odd_patterns(max_weight) if pat[0] >= min_weight}
+    pairs = {pat: [] for pat in comps}
+    for p in primes:
+        at_p = {pat: cs for pat, cs in comps.items() if p > pat[0] + 2}
+        _plan_one_odd(at_p, p, cache)
+        for (k, r, i), cs in at_p.items():
             ref = value_of("zeta2", (k,), None, p, cache)
-            if ref == 0:
-                continue
-            ratio = _one_odd_lhs(k, r, i, p, cache) * mod_inv(ref, p) % p
-            pairs.append((ratio, p))
-        if not pairs:
-            out[(k, r, i)] = None
-            continue
-        R, M = crt_combine(pairs)
-        out[(k, r, i)] = rat_reconstruct(R, M)
-    return out
+            if ref:
+                lhs = sum(value_of("zeta2", c, None, p, cache) for c in cs)
+                pairs[k, r, i].append((lhs * mod_inv(ref, p) % p, p))
+    return {pat: rat_reconstruct(*crt_combine(pr)) if pr else None for pat, pr in pairs.items()}
 
 
 def _ppt_setup(rmax, recon_weight_max):
@@ -468,6 +459,7 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
         train, held = usable[:split], usable[split:]
         # the training primes depend only on k, so one call serves every pattern of weight k
         consts = ppt_constants(k, train, cache, min_weight=k) if train else {}
+        comps = {}
         for pat in pats:
             name = "pattern k=%d r=%d i=%d" % pat
             c = consts.get(pat)
@@ -476,10 +468,14 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
                                  rhs="rational constant", passed=False))
                 continue
             rows.append(Case(case=name + " c", prime=None, lhs=str(c), rhs=str(c), passed=True))
-            for p in held:
-                lhs = c.denominator * _one_odd_lhs(*pat, p, cache) % p
+            comps[pat] = _one_odd_compositions(*pat)
+        for p in held:
+            _plan_one_odd(comps, p, cache)
+            for pat, cs in comps.items():
+                c = consts[pat]
+                lhs = c.denominator * sum(value_of("zeta2", x, None, p, cache) for x in cs) % p
                 rhs = c.numerator * value_of("zeta2", (k,), None, p, cache) % p
-                rows.append(_num_case(name + " heldout", p, lhs, rhs))
+                rows.append(_num_case("pattern k=%d r=%d i=%d heldout" % pat, p, lhs, rhs))
     return rows
 
 

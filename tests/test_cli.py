@@ -267,7 +267,7 @@ GOLDEN_5_60 = {
 def test_verify_golden_output(capsys, suite):
     code, out, _ = run(capsys, "verify", "--suite", suite, "--primes", "5..60",
                        "--format", "json")
-    clear_memo()  # later tests count the cells a run writes to a cache
+    clear_memo()  # later tests count the sweeps a run makes
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_5_60[suite]
 
@@ -320,12 +320,32 @@ def test_non_ascii_cache_is_corrupt(tmp_path, capsys):
 
 def test_cold_cache_bytes(tmp_path, capsys):
     # sha256 of the cache file a cold run writes, recorded before the per-prime
-    # sweep: the same cells, in the same order
+    # sweep: the same cells, in the same order, with or without workers
+    for jobs in ("1", "2"):
+        clear_memo()
+        path = tmp_path / ("new%s.csv" % jobs)
+        code, _, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "verify", "--suite", "key",
+                         "--wmax", "5", "--primes", "5..60")
+        clear_memo()
+        assert code == 0
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "44f227cca8db77406bf56fba5c2c6b2cee6934a9f343515435dde7e745cdcac6")
+
+
+def test_cold_ppt_cache_lines(tmp_path, capsys):
+    # ppt writes its cells prime by prime, so only the sorted lines keep the
+    # sha256 recorded before that; workers write the same bytes as one process
+    data = []
+    for jobs in ("1", "2"):
+        clear_memo()
+        path = tmp_path / ("ppt%s.csv" % jobs)
+        code, _, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "verify", "--suite", "ppt",
+                         "--primes", "5..60")
+        assert code == 0
+        data.append(path.read_bytes())
     clear_memo()
-    path = tmp_path / "new.csv"
-    code, _, _ = run(capsys, "--cache", str(path), "verify", "--suite", "key", "--wmax", "5",
-                     "--primes", "5..60")
-    clear_memo()
-    assert code == 0
-    assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "44f227cca8db77406bf56fba5c2c6b2cee6934a9f343515435dde7e745cdcac6")
+    assert data[0] == data[1]
+    lines = data[0].splitlines(keepends=True)
+    assert len(lines) == 4894
+    assert (hashlib.sha256(b"".join(sorted(lines))).hexdigest()
+            == "37563d1659542457e20aab6166ce2b5c0e7311fa8201b6a65a167571543c58c0")

@@ -201,18 +201,49 @@ def test_unplanned_cell_is_swept_alone():
         ev.compute_cell("zeta", (1,), None, 9)
 
 
-def test_plan_skips_known_cells_and_holds_one_prime(tmp_path):
+def test_plan_skips_known_cells_and_holds_one_prime(tmp_path, monkeypatch):
     ev.clear_memo()
+    sweeps = []
+    sweep = ev._sweep
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
     cache = ResidueCache(str(tmp_path / "c.txt"))
     cache.add("zeta2", (1,), None, 7, 3)
-    ev.value_of("zeta", (1, 2), None, 7)
+    ev.value_of("zeta", (1, 2), None, 7)  # swept alone, and the table keeps it
     ev.plan([("zeta2", (1,), None), ("zeta", (1, 2), None), ("zeta2", (2, 1), None),
              ("zeta", (), None)], 7, cache)
-    assert ev._SWEPT == {("zeta2", (2, 1), None, 7): eval_zeta2((2, 1), 7)}
+    assert sweeps == [{("zeta", (1, 2), None)}, {("zeta2", (2, 1), None)}]
+    # a second plan at the same prime adds to the table
+    ev.plan([("zeta2", (2, 1), None), ("zeta2", (3,), None)], 7, cache)
+    assert sweeps[2:] == [{("zeta2", (3,), None)}]
+    assert ev._TABLE == {("zeta", (1, 2), None, 7): eval_zeta((1, 2), 7),
+                         ("zeta2", (2, 1), None, 7): eval_zeta2((2, 1), 7),
+                         ("zeta2", (3,), None, 7): eval_zeta2((3,), 7)}
+    # a call at another prime empties it
     ev.plan([("zeta2", (1,), None)], 11, cache)
-    assert ev._SWEPT == {("zeta2", (1,), None, 11): eval_zeta2((1,), 11)}
+    assert ev._TABLE == {("zeta2", (1,), None, 11): eval_zeta2((1,), 11)}
     cache.close()
     ev.clear_memo()
+
+
+def test_table_holds_one_prime_after_a_run_over_many():
+    primes = sieve_primes(5, 120)
+    eval_table("zeta2", (2, 1), primes=primes)
+    assert {key[3] for key in ev._TABLE} == {primes[-1]}
+    for p in primes:
+        ev.compute_cell("zeta2star", (1, 2), None, p)
+    assert {key[3] for key in ev._TABLE} == {primes[-1]}
+    ev.clear_memo()
+    assert not ev._TABLE
+
+
+def test_in_memory_cache_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cache = ResidueCache()
+    eval_table("zeta2", (1, 2), primes=[7, 11], cache=cache)
+    assert cache.get("zeta2", (1, 2), None, 11) == eval_zeta2((1, 2), 11)
+    assert len(cache) == 2
+    cache.close()
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- eval_table and the cache ---
@@ -235,7 +266,7 @@ def test_eval_table_examples(tmp_path):
 
 
 def test_cache_round_trip(tmp_path):
-    ev.clear_memo()  # a memo left by an earlier test would keep cells out of the cache
+    ev.clear_memo()
     path = str(tmp_path / "cache.txt")
     cache = ResidueCache(path)
     eval_table("zeta2", (1, 2), primes=[7, 11], cache=cache)

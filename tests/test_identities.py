@@ -291,7 +291,8 @@ def test_cache_reuse_is_invisible(tmp_path):
 @pytest.mark.parametrize("name", [n for n, s in SUITES.items() if s.rows is not None])
 def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
     # one sweep per prime serves every computed cell: none falls back to a
-    # one-cell sweep, and no planned cell is left unread
+    # one-cell sweep, and no planned cell is left unread; without a cache a
+    # cell read twice reaches compute_cell twice, so the cells compare as sets
     suite = SUITES[name]
     args, _ = suite.resolve({})
     sweeps, computed = [], []
@@ -304,6 +305,20 @@ def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
         computed.clear()
         _planned_rows(suite.cells, suite.rows, args, p, None)
         assert len(sweeps) <= 1
-        assert sorted(computed) == sorted((*cell, p) for cell in (sweeps[0] if sweeps else ()))
-        assert not ev._SWEPT
+        assert set(computed) == {(*cell, p) for cell in (sweeps[0] if sweeps else ())}
     clear_memo()
+
+
+def test_ppt_sweeps_once_per_prime_and_weight(monkeypatch):
+    # the per-prime rows take one sweep at each prime, and the reconstruction one
+    # per (weight, prime) for the depth-1 reference and all patterns of that weight
+    swept = []
+    sweep = ev._sweep
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    clear_memo()
+    assert verify_ppt(primes=PRIMES).passed
+    clear_memo()
+    args, _ = SUITES["ppt"].resolve({})
+    weights = {k for k, _, _ in ids._one_odd_patterns(args[1])}
+    for p in PRIMES:
+        assert swept.count(p) <= 1 + sum(1 for k in weights if p > k + 2), p

@@ -27,5 +27,5 @@ def test_readme_block(lineno, block):
     try:
         runner.run(test, out=report.append)
     finally:
-        clear_memo()  # later tests count the cells a run computes
+        clear_memo()  # later tests count the sweeps a run makes
     assert runner.failures == 0, "".join(report)
