@@ -190,6 +190,9 @@ def _run_discover(args, cache):
         raise UsageError("basis is empty for weight %d" % weight)
 
     primes = _primes_above(args.primes, max([sum(target_index)] + [sum(ix) for _, ix in basis]))
+    if cache is None:
+        # the half-range fits read the cells the full fit swept
+        cache = ResidueCache()
 
     def run(ps):
         return express_in_basis(target, basis, ps, height_bound=args.height_bound,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .bernoulli import L2, Zk
-from .evaluator import per_prime, plan, value_of
+from .evaluator import per_prime, plan, value_of, values_at
 from .harmonic import (
     all_compositions,
     antipode_sum,
@@ -113,10 +113,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _num_case(name, p, lhs, rhs) -> Case:
-    return Case(case=name, prime=p, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs)
-
-
 def _filtered(primes, weight):
     return [p for p in primes if p > weight + 2]
 
@@ -160,106 +156,67 @@ def coeff_C(index) -> int:
 # ---------------------------------------------------------------------------
 # suites
 
-def _prop21_cells(kmax, p):
-    return [("zeta2", (k,), None) for k in range(1, min(kmax, p - 3) + 1)]
+def _prime_rows(rows, args, p, cache):
+    """The Cases of rows(*args, p), each distinct cell read once, in the order first named."""
+    rows = list(rows(*args, p))
+    cells = {}
+    for _, lhs, rhs in rows:
+        for term in (*lhs, *rhs):
+            for cell in term[1:]:
+                cells[cell] = None
+    values = dict(zip(cells, values_at([(v, ix, None) for v, ix in cells], p, cache)))
+
+    def side(terms):
+        total = 0
+        for coeff, *term in terms:
+            for cell in term:
+                coeff *= values[cell]
+            total += coeff
+        return total % p
+
+    cases = []
+    for name, lhs, rhs in rows:
+        lhs, rhs = side(lhs), side(rhs)
+        cases.append(Case(case=name, prime=p, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs))
+    return cases
 
 
-def _prop21_rows(kmax, p, cache):
-    rows = []
-    for k in range(1, kmax + 1):
-        if p <= k + 2:
-            continue
-        lhs = value_of("zeta2", (k,), None, p, cache)
-        if k == 1:
-            rhs = -2 * L2(p) % p
-        else:
-            rhs = (2 - pow(2, k, p)) * Zk(k, p) % p
-        rows.append(_num_case("k=%d" % k, p, lhs, rhs))
-    return rows
+def _prop21_rows(kmax, p):
+    for k in range(1, min(kmax, p - 3) + 1):
+        rhs = -2 * L2(p) if k == 1 else (2 - pow(2, k, p)) * Zk(k, p)
+        yield "k=%d" % k, [(1, ("zeta2", (k,)))], [(rhs,)]
 
 
-def _depth2_cells(kmax, p):
-    return [("zeta2", (k1, k - k1), None)
-            for k in range(3, min(kmax, p - 3) + 1, 2) for k1 in range(1, k)]
-
-
-def _depth2_rows(kmax, p, cache):
-    rows = []
-    for k in range(3, kmax + 1, 2):
-        if p <= k + 2:
-            continue
+def _depth2_rows(kmax, p):
+    inv2 = mod_inv(2, p)
+    for k in range(3, min(kmax, p - 3) + 1, 2):
         zk = Zk(k, p)
-        inv2 = mod_inv(2, p)
         for k1 in range(1, k):
             k2 = k - k1
-            lhs = value_of("zeta2", (k1, k2), None, p, cache)
-            rhs = inv2 * (((-1) ** k2 * math.comb(k, k2) + pow(2, k, p) - 2) % p) % p * zk % p
-            rows.append(_num_case(_istr((k1, k2)), p, lhs, rhs))
-    return rows
+            rhs = inv2 * ((-1) ** k2 * math.comb(k, k2) + pow(2, k, p) - 2) * zk
+            yield _istr((k1, k2)), [(1, ("zeta2", (k1, k2)))], [(rhs,)]
 
 
-def _key_cells(wmax, p):
+def _key_rows(wmax, p):
     for index in _indices_at(p, wmax):
-        yield "zeta", index, None
-        for i in range(len(index) + 1):
-            yield "zeta2", index[:i], None
-            yield "zeta2", index[i:][::-1], None
+        yield _istr(index), [(1, ("zeta", index))], [
+            ((-1) ** sum(index[i:]), ("zeta2", index[:i]), ("zeta2", index[i:][::-1]))
+            for i in range(len(index) + 1)]
 
 
-def _key_rows(wmax, p, cache):
-    rows = []
-    for index in _indices_at(p, wmax):
-        lhs = value_of("zeta", index, None, p, cache)
-        rhs = 0
-        for i in range(len(index) + 1):
-            sign = pow(p - 1, sum(index[i:]), p)
-            rhs = (rhs + sign
-                   * value_of("zeta2", index[:i], None, p, cache)
-                   * value_of("zeta2", tuple(reversed(index[i:])), None, p, cache)) % p
-        rows.append(_num_case(_istr(index), p, lhs, rhs))
-    return rows
-
-
-def _parity_cells(wmax, p):
-    for index in _indices_at(p, wmax):
-        yield "zeta2", index, None
-        for i in range(len(index) + 1):
-            yield "zeta", index[:i][::-1], None
-            yield "zeta2star", index[i:], None
-
-
-def _parity_rows(wmax, p, cache):
-    rows = []
+def _parity_rows(wmax, p):
     for index in _indices_at(p, wmax):
         k, r = sum(index), len(index)
-        lhs = value_of("zeta2", index, None, p, cache)
-        rhs = 0
-        for i in range(r + 1):
-            term = (value_of("zeta", tuple(reversed(index[:i])), None, p, cache)
-                    * value_of("zeta2star", index[i:], None, p, cache)) % p
-            rhs = (rhs + pow(p - 1, i, p) * term) % p
-        rhs = pow(p - 1, r + k, p) * rhs % p
-        rows.append(_num_case(_istr(index), p, lhs, rhs))
-    return rows
+        yield _istr(index), [(1, ("zeta2", index))], [
+            ((-1) ** (i + r + k), ("zeta", index[:i][::-1]), ("zeta2star", index[i:]))
+            for i in range(r + 1)]
 
 
-def _antipode_cells(dmax, wmax, p):
+def _antipode_num_rows(dmax, wmax, p):
     for index in _indices_at(p, wmax, dmax):
-        for j in range(len(index) + 1):
-            yield "zeta2", index[:j][::-1], None
-            yield "zeta2star", index[j:], None
-
-
-def _antipode_num_rows(dmax, wmax, p, cache):
-    rows = []
-    for index in _indices_at(p, wmax, dmax):
-        lhs = 0
-        for j in range(len(index) + 1):
-            term = (value_of("zeta2", tuple(reversed(index[:j])), None, p, cache)
-                    * value_of("zeta2star", index[j:], None, p, cache)) % p
-            lhs = (lhs + pow(p - 1, j, p) * term) % p
-        rows.append(_num_case("num %s" % _istr(index), p, lhs, 0))
-    return rows
+        yield "num %s" % _istr(index), [
+            ((-1) ** j, ("zeta2", index[:j][::-1]), ("zeta2star", index[j:]))
+            for j in range(len(index) + 1)], []
 
 
 def _antipode_sym_rows(dmax, wmax, primes, cache):
@@ -272,47 +229,21 @@ def _antipode_sym_rows(dmax, wmax, primes, cache):
     return rows
 
 
-def _example24_cells(wmax, p):
+def _example24_rows(wmax, p):
+    inv2 = mod_inv(2, p)
     for k in range(3, min(wmax, p - 3) + 1, 2):
         for k1 in range(1, k):
             k2 = k - k1
-            yield from (("zeta2", (k1, k2), None), ("zeta2", (k,), None), ("zeta", (k2, k1), None))
+            yield "i %s" % _istr((k1, k2)), [(1, ("zeta2", (k1, k2)))], [
+                (-inv2, ("zeta2", (k,))), (-inv2, ("zeta", (k2, k1)))]
     for k in range(4, min(wmax, p - 3) + 1, 2):
         for k1 in range(1, k - 1):
             for k2 in range(1, k - k1):
                 k3 = k - k1 - k2
-                yield from (("zeta2", (k1, k2, k3), None), ("zeta", (k1, k2, k3), None),
-                            ("zeta2", (k1 + k2, k3), None), ("zeta2", (k1, k2 + k3), None),
-                            ("zeta", (k1, k2), None), ("zeta2", (k3,), None))
-
-
-def _example24_rows(wmax, p, cache):
-    rows = []
-    inv2 = mod_inv(2, p)
-    for k in range(3, wmax + 1, 2):
-        if p <= k + 2:
-            continue
-        for k1 in range(1, k):
-            k2 = k - k1
-            lhs = value_of("zeta2", (k1, k2), None, p, cache)
-            rhs = -inv2 * ((value_of("zeta2", (k,), None, p, cache)
-                            + value_of("zeta", (k2, k1), None, p, cache)) % p) % p
-            rows.append(_num_case("i %s" % _istr((k1, k2)), p, lhs, rhs))
-    for k in range(4, wmax + 1, 2):
-        if p <= k + 2:
-            continue
-        for k1 in range(1, k - 1):
-            for k2 in range(1, k - k1):
-                k3 = k - k1 - k2
-                lhs = value_of("zeta2", (k1, k2, k3), None, p, cache)
-                rhs = (value_of("zeta", (k1, k2, k3), None, p, cache)
-                       - value_of("zeta2", (k1 + k2, k3), None, p, cache)
-                       - value_of("zeta2", (k1, k2 + k3), None, p, cache)
-                       + value_of("zeta", (k1, k2), None, p, cache)
-                       * value_of("zeta2", (k3,), None, p, cache)) % p
-                rhs = inv2 * rhs % p
-                rows.append(_num_case("ii %s" % _istr((k1, k2, k3)), p, lhs, rhs))
-    return rows
+                yield "ii %s" % _istr((k1, k2, k3)), [(1, ("zeta2", (k1, k2, k3)))], [
+                    (inv2, ("zeta", (k1, k2, k3))), (-inv2, ("zeta2", (k1 + k2, k3))),
+                    (-inv2, ("zeta2", (k1, k2 + k3))),
+                    (inv2, ("zeta", (k1, k2)), ("zeta2", (k3,)))]
 
 
 def _comb0(n, m):
@@ -322,53 +253,21 @@ def _comb0(n, m):
     return math.comb(n, m)
 
 
-def _sum_formula_cells(kmax, p):
-    # S(k, r) sums every composition of k into r parts
-    return [("zeta2", index, None) for index in _indices_at(p, kmax)]
-
-
-def _sum_formula_rows(kmax, p, cache):
-    rows = []
-    for k in range(1, kmax + 1):
-        if p <= k + 2:
-            continue
-        # odd-entry block sums B(k,i) and B1(k,i), shared across r
-        bsum = {}
-        b1sum = {}
-        for i in range(1, k + 1):
-            if (k - i) % 2:
-                continue
-            tot = tot1 = 0
-            for comp in compositions(k, i):
-                if all(x % 2 for x in comp):
-                    tot = (tot + value_of("zeta2", comp, None, p, cache)) % p
-                    if all(x >= 3 for x in comp):
-                        tot1 = (tot1 + value_of("zeta2", comp, None, p, cache)) % p
-            bsum[i] = tot
-            b1sum[i] = tot1
+def _sum_formula_rows(kmax, p):
+    for k in range(1, min(kmax, p - 3) + 1):
+        # odd-entry block compositions of B(k,i) and B1(k,i), shared across r
+        odd = {i: [c for c in compositions(k, i) if all(x % 2 for x in c)]
+               for i in range(k % 2 or 2, k + 1, 2)}
+        odd1 = {i: [c for c in cs if all(x >= 3 for x in c)] for i, cs in odd.items()}
         for r in range(1, k + 1):
-            lhs = 0
-            for comp in compositions(k, r):
-                lhs = (lhs + value_of("zeta2", comp, None, p, cache)) % p
-            rhs = 0
-            for i in range(1, r + 1):
-                if (k - i) % 2:
-                    continue
-                rhs = (rhs + _comb0((k - i) // 2, r - i) * bsum[i]) % p
-            rhs = pow(p - 1, k + r, p) * rhs % p
-            rows.append(_num_case("S(%d,%d)" % (k, r), p, lhs, rhs))
-
-            lhs1 = 0
-            for comp in compositions(k, r, min_part=2):
-                lhs1 = (lhs1 + value_of("zeta2", comp, None, p, cache)) % p
-            rhs1 = 0
-            for i in range(1, r + 1):
-                if (k - i) % 2:
-                    continue
-                rhs1 = (rhs1 + _comb0((k - 3 * i) // 2, r - i) * b1sum[i]) % p
-            rhs1 = pow(p - 1, k + r, p) * rhs1 % p
-            rows.append(_num_case("S1(%d,%d)" % (k, r), p, lhs1, rhs1))
-    return rows
+            sign = (-1) ** (k + r)
+            yield "S(%d,%d)" % (k, r), [(1, ("zeta2", c)) for c in compositions(k, r)], [
+                (sign * _comb0((k - i) // 2, r - i), ("zeta2", c))
+                for i, cs in odd.items() if i <= r for c in cs]
+            yield "S1(%d,%d)" % (k, r), [
+                (1, ("zeta2", c)) for c in compositions(k, r, min_part=2)], [
+                (sign * _comb0((k - 3 * i) // 2, r - i), ("zeta2", c))
+                for i, cs in odd1.items() if i <= r for c in cs]
 
 
 def _one_odd_compositions(k, r, i):
@@ -386,33 +285,16 @@ def _one_odd_compositions(k, r, i):
     return list(rec(k, 0))
 
 
-def _plan_one_odd(comps, p, cache):
-    # one sweep at p for the compositions and the depth-1 reference of every pattern
-    plan([("zeta2", c, None) for (k, _, _), cs in comps.items() for c in ((k,), *cs)], p, cache)
-
-
-def _ppt_special_cells(rmax, _recon_weight_max, p):
-    for r in range(1, rmax + 1):
-        if p > 2 * r + 1:
-            yield "zeta2", (2 * r - 1,), None
-            for i in range(1, r + 1):
-                yield "zeta2", (2,) * (i - 1) + (1,) + (2,) * (r - i), None
-
-
-def _ppt_special_rows(rmax, _recon_weight_max, p, cache):
-    rows = []
+def _ppt_special_rows(rmax, _recon_weight_max, p):
     for r in range(1, rmax + 1):
         k = 2 * r - 1
         if p <= k + 2:
             continue
-        ref = value_of("zeta2", (k,), None, p, cache)
         for i in range(1, r + 1):
-            pattern = (2,) * (i - 1) + (1,) + (2,) * (r - i)
-            lhs = value_of("zeta2", pattern, None, p, cache)
-            coeff = Fraction((-1) ** (r - 1) * math.comb(2 * r - 1, 2 * i - 1), 2 ** (2 * r - 2))
-            rhs = _frac_mod(coeff, p) * ref % p
-            rows.append(_num_case("special r=%d i=%d" % (r, i), p, lhs, rhs))
-    return rows
+            coeff = Fraction((-1) ** (r - 1) * math.comb(k, 2 * i - 1), 2 ** (2 * r - 2))
+            yield ("special r=%d i=%d" % (r, i),
+                   [(1, ("zeta2", (2,) * (i - 1) + (1,) + (2,) * (r - i)))],
+                   [(_frac_mod(coeff, p), ("zeta2", (k,)))])
 
 
 def _one_odd_patterns(max_weight):
@@ -436,7 +318,8 @@ def ppt_constants(max_weight, primes, cache=None, min_weight=1):
     pairs = {pat: [] for pat in comps}
     for p in primes:
         at_p = {pat: cs for pat, cs in comps.items() if p > pat[0] + 2}
-        _plan_one_odd(at_p, p, cache)
+        # one sweep at p for the compositions and the depth-1 reference of every pattern
+        plan([("zeta2", c, None) for (k, _, _), cs in at_p.items() for c in ((k,), *cs)], p, cache)
         for (k, r, i), cs in at_p.items():
             ref = value_of("zeta2", (k,), None, p, cache)
             if ref:
@@ -449,6 +332,13 @@ def _ppt_setup(rmax, recon_weight_max):
     if recon_weight_max is None:
         recon_weight_max = 2 * rmax + 1
     return (rmax, recon_weight_max), {"rmax": rmax, "recon_weight_max": recon_weight_max}
+
+
+def _ppt_heldout_rows(comps, consts, p):
+    for (k, r, i), cs in comps.items():
+        c = consts[k, r, i]
+        yield ("pattern k=%d r=%d i=%d heldout" % (k, r, i),
+               [(c.denominator, ("zeta2", x)) for x in cs], [(c.numerator, ("zeta2", (k,)))])
 
 
 def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
@@ -470,12 +360,7 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
             rows.append(Case(case=name + " c", prime=None, lhs=str(c), rhs=str(c), passed=True))
             comps[pat] = _one_odd_compositions(*pat)
         for p in held:
-            _plan_one_odd(comps, p, cache)
-            for pat, cs in comps.items():
-                c = consts[pat]
-                lhs = c.denominator * sum(value_of("zeta2", x, None, p, cache) for x in cs) % p
-                rhs = c.numerator * value_of("zeta2", (k,), None, p, cache) % p
-                rows.append(_num_case("pattern k=%d r=%d i=%d heldout" % pat, p, lhs, rhs))
+            rows.extend(_prime_rows(_ppt_heldout_rows, (comps, consts), p, cache))
     return rows
 
 
@@ -501,34 +386,19 @@ def _weighted_terms(index):
             yield coeff, tuple(index[t] for t in perm)
 
 
-def _weighted_cells(level, entries, p):
-    variant = "zeta" if level == 1 else "zeta2"
-    for index, terms, _ in entries:
-        if p > sum(index) + 2:
-            for _, permuted in terms:
-                yield variant, permuted, None
-
-
-def _weighted_rows(level, entries, p, cache):
-    variant = "zeta" if level == 1 else "zeta2"
+def _weighted_rows(level, entries, p):
     factor = 2 if level == 1 else 1
-    rows = []
     zk = {}  # weight -> Zk(weight, p), computed at most once per weight
     for index, terms, csum in entries:
         k, r = sum(index), len(index)
         if p <= k + 2:
             continue
-        lhs = 0
-        for coeff, permuted in terms:
-            lhs = (lhs + coeff * value_of(variant, permuted, None, p, cache)) % p
-        if csum == 0:
-            rhs = 0
-        else:
+        rhs = []
+        if csum:
             if k not in zk:
                 zk[k] = Zk(k, p)
-            rhs = (-1) ** r * factor * csum * zk[k] % p
-        rows.append(_num_case(_istr(index), p, lhs, rhs))
-    return rows
+            rhs = [((-1) ** r * factor * csum * zk[k],)]
+        yield _istr(index), terms, rhs
 
 
 def _weighted_setup(level, wmax, dmax, indices):
@@ -543,40 +413,23 @@ def _weighted_setup(level, wmax, dmax, indices):
         if level == 2 and (index[-1] % 2 == 0 or any(x % 2 for x in index[:-1])):
             raise ValueError("level-2 weighted identity needs even entries with an odd last entry, got %r" % (index,))
     # the terms and the sum of C over the head's permutations depend only on the index
-    entries = [(index, tuple(_weighted_terms(index)),
+    variant = "zeta" if level == 1 else "zeta2"
+    entries = [(index, [(coeff, (variant, permuted)) for coeff, permuted in _weighted_terms(index)],
                 sum(coeff_C(head + index[-1:]) for head in itertools.permutations(index[:-1])))
                for index in indices]
     return (level, entries), {"level": level, "indices": len(indices)}
 
 
-def _conj38_terms(r, a):
-    # (coefficient, index) over the {1,2}-indices of depth r with a twos, zero coefficients left out
-    for positions in itertools.combinations(range(r), a):
-        odd_twos = sum(1 for t in positions if (t + 1) % 2 == 1)
-        coeff = (-1) ** odd_twos * 2 ** a - 1
-        if coeff:
-            yield coeff, tuple(2 if t in positions else 1 for t in range(r))
-
-
-def _conj38_cells(rmax, p):
+def _conj38_rows(rmax, p):
+    # the lhs runs over the {1,2}-indices of depth r with a twos, zero coefficients left out
     for r in range(1, rmax + 1):
         for a in range(0, min(r, p - 3 - r) + 1):
-            for _, index in _conj38_terms(r, a):
-                yield "zeta2", index, None
-
-
-def _conj38_rows(rmax, p, cache):
-    rows = []
-    for r in range(1, rmax + 1):
-        for a in range(0, r + 1):
-            k = r + a
-            if p <= k + 2:
-                continue
-            lhs = 0
-            for coeff, index in _conj38_terms(r, a):
-                lhs = (lhs + coeff * value_of("zeta2", index, None, p, cache)) % p
-            rows.append(_num_case("r=%d a=%d" % (r, a), p, lhs, 0))
-    return rows
+            lhs = []
+            for twos in itertools.combinations(range(r), a):
+                coeff = (-1) ** sum(1 for t in twos if t % 2 == 0) * 2 ** a - 1
+                if coeff:
+                    lhs.append((coeff, ("zeta2", tuple(2 if t in twos else 1 for t in range(r)))))
+            yield "r=%d a=%d" % (r, a), lhs, []
 
 
 def _lemma_rows(g_kmax, r_wmax, r_dmax, primes, cache):
@@ -608,19 +461,17 @@ PERM_DEPTH_GUARD = 4   # the weighted suites sum over r! permutations per case
 Param = namedtuple("Param", "name default guard flag", defaults=(None, None))
 
 
-def _planned_rows(cells, rows, args, p, cache):
-    # one sweep at p serves every cell the rows will read
-    plan(cells(*args, p), p, cache)
-    return rows(*args, p, cache)
+class Suite(namedtuple("Suite", "name params rows fixed setup",
+                       defaults=(None, None, None))):
+    """A verification suite.
 
-
-class Suite(namedtuple("Suite", "name params rows cells fixed setup",
-                       defaults=(None, None, None, None))):
-    """A verification suite: rows(*args, p, cache) is run at every prime, after one
-    sweep of the (variant, index, signs) cells that cells(*args, p) lists, which
-    must be exactly the cells the rows read; fixed(*args, primes, cache) gives its
-    prime-free rows.  setup(*bounds) turns the bounds into (args, report params);
-    by default both are the bounds."""
+    rows(*args, p) yields the (case, lhs, rhs) rows checked at each prime p.  Each
+    side is a list of terms (coeff, cell, ...), a cell being a (variant, index) pair:
+    the term stands for coeff times the product of its cells' values mod p, (c,) is
+    the constant c and [] is 0.  A row passes iff its sides agree mod p; the cells
+    the rows name are all the cells they read, each read once, in one sweep.
+    fixed(*args, primes, cache) gives the prime-free rows.  setup(*bounds) turns the
+    bounds into (args, report params); by default both are the bounds."""
 
     def resolve(self, bounds):
         """(args, report params) of the bounds; one that is None or missing takes its default."""
@@ -636,7 +487,7 @@ class Suite(namedtuple("Suite", "name params rows cells fixed setup",
         primes = list(primes)
         rows = []
         if self.rows is not None:
-            for part in per_prime(partial(_planned_rows, self.cells, self.rows, args),
+            for part in per_prime(partial(_prime_rows, self.rows, args),
                                   primes, jobs, cache):
                 rows.extend(part)
         if self.fixed is not None:
@@ -646,26 +497,23 @@ class Suite(namedtuple("Suite", "name params rows cells fixed setup",
 
 
 SUITES = {s.name: s for s in (
-    Suite("key", (Param("wmax", 7, WEIGHT_GUARD),), rows=_key_rows, cells=_key_cells),
-    Suite("parity", (Param("wmax", 7, WEIGHT_GUARD),), rows=_parity_rows, cells=_parity_cells),
+    Suite("key", (Param("wmax", 7, WEIGHT_GUARD),), rows=_key_rows),
+    Suite("parity", (Param("wmax", 7, WEIGHT_GUARD),), rows=_parity_rows),
     Suite("antipode", (Param("dmax", 5, DEPTH_GUARD), Param("wmax", 8, WEIGHT_GUARD)),
-          rows=_antipode_num_rows, cells=_antipode_cells, fixed=_antipode_sym_rows),
-    Suite("prop21", (Param("kmax", 9, WEIGHT_GUARD),), rows=_prop21_rows, cells=_prop21_cells),
-    Suite("depth2", (Param("kmax", 9, WEIGHT_GUARD),), rows=_depth2_rows, cells=_depth2_cells),
-    Suite("example24", (Param("wmax", 9, WEIGHT_GUARD),), rows=_example24_rows,
-          cells=_example24_cells),
-    Suite("sumformula", (Param("kmax", 10, WEIGHT_GUARD),), rows=_sum_formula_rows,
-          cells=_sum_formula_cells),
+          rows=_antipode_num_rows, fixed=_antipode_sym_rows),
+    Suite("prop21", (Param("kmax", 9, WEIGHT_GUARD),), rows=_prop21_rows),
+    Suite("depth2", (Param("kmax", 9, WEIGHT_GUARD),), rows=_depth2_rows),
+    Suite("example24", (Param("wmax", 9, WEIGHT_GUARD),), rows=_example24_rows),
+    Suite("sumformula", (Param("kmax", 10, WEIGHT_GUARD),), rows=_sum_formula_rows),
     Suite("ppt", (Param("rmax", 6, DEPTH_GUARD), Param("recon_weight_max", None)),
-          rows=_ppt_special_rows, cells=_ppt_special_cells, fixed=_ppt_recon_rows,
-          setup=_ppt_setup),
+          rows=_ppt_special_rows, fixed=_ppt_recon_rows, setup=_ppt_setup),
     Suite("weighted1", (Param("wmax", 8, WEIGHT_GUARD), Param("dmax", 4, PERM_DEPTH_GUARD),
-                        Param("indices", None)), rows=_weighted_rows, cells=_weighted_cells,
-          setup=partial(_weighted_setup, 1)),
+                        Param("indices", None)),
+          rows=_weighted_rows, setup=partial(_weighted_setup, 1)),
     Suite("weighted2", (Param("wmax", 9, WEIGHT_GUARD), Param("dmax", 4, PERM_DEPTH_GUARD),
-                        Param("indices", None)), rows=_weighted_rows, cells=_weighted_cells,
-          setup=partial(_weighted_setup, 2)),
-    Suite("conj38", (Param("rmax", 8, WEIGHT_GUARD),), rows=_conj38_rows, cells=_conj38_cells),
+                        Param("indices", None)),
+          rows=_weighted_rows, setup=partial(_weighted_setup, 2)),
+    Suite("conj38", (Param("rmax", 8, WEIGHT_GUARD),), rows=_conj38_rows),
     Suite("lemmas", (Param("g_kmax", 10, WEIGHT_GUARD, "kmax"),
                      Param("r_wmax", 8, WEIGHT_GUARD, "wmax"),
                      Param("r_dmax", 4, DEPTH_GUARD, "dmax")), fixed=_lemma_rows),

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import fmzv.evaluator as ev
 from fmzv.cli import main
 from fmzv.evaluator import clear_memo
 
@@ -138,6 +139,20 @@ def test_discover_anchor_12(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["coefficients"] == ["-3/4", "0"]
+
+
+def test_discover_sweeps_once_per_prime(capsys, monkeypatch):
+    # without a cache the two half-range fits read the cells the full fit swept
+    swept = []
+    sweep = ev._sweep
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    monkeypatch.delenv("FMZV_CACHE", raising=False)
+    clear_memo()
+    code, out, _ = run(capsys, "discover", "--target", "1,2", "--basis", "odd",
+                       "--primes", "7..199")
+    clear_memo()
+    assert code == 0
+    assert swept == json.loads(out)["primes"]
 
 
 def test_discover_target_in_basis(capsys):
@@ -330,6 +345,35 @@ def test_cold_cache_bytes(tmp_path, capsys):
         assert code == 0
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == "44f227cca8db77406bf56fba5c2c6b2cee6934a9f343515435dde7e745cdcac6")
+
+
+# LC_ALL=C-sorted sha256 of the cache file a cold `verify --suite S --primes 5..60`
+# writes at default bounds, recorded before the suites' rows named their own cells
+COLD_CACHE_SORTED_5_60 = {
+    "key": "9e831c56222907a2128e39e9cef5ef9e29c30c457bce317accd1e617af2e3d1b",
+    "parity": "5fdcc4789748d67346ceda42c1fb13e11580bac58aff957bff06a39d17b02120",
+    "antipode": "5c09c169d645eef56790b00a5e798baae729579a43301523c134935a18c41882",
+    "prop21": "12f1d24b42184d1e0b618f73e6a28ede0624b61784326242490567620387e6c6",
+    "depth2": "0714586dd0ad05f29eb82c4d744d156ad2a8a08b15db05c88ab517bd9d19beb6",
+    "example24": "dc4104293678faccb5b30f463be0b1ad68a2af507fd3ab5f247360517eb3de9e",
+    "sumformula": "b677c85c74e58d6aec32c103ffd14e7289a513f28063d051345aa5468f418087",
+    "ppt": "37563d1659542457e20aab6166ce2b5c0e7311fa8201b6a65a167571543c58c0",
+    "weighted1": "f06f51b85e3341fd5ceb060a40da7ff1fbb4b1b0e7544e7e99ee80570e684764",
+    "weighted2": "c7017b1586b583da7e7071f1a7d3ad3bf366c7b252c44740e1d585c4b34c2fc5",
+    "conj38": "f7a22640475c8b4a17aa8c19c32903ccfea562b7f7c2a52ac36736dfb173304c",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(COLD_CACHE_SORTED_5_60))
+def test_cold_cache_sorted_lines(tmp_path, capsys, suite):
+    clear_memo()
+    path = tmp_path / "new.csv"
+    code, _, _ = run(capsys, "--cache", str(path), "verify", "--suite", suite, "--primes", "5..60")
+    clear_memo()
+    assert code == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert (hashlib.sha256(b"".join(sorted(lines))).hexdigest()
+            == COLD_CACHE_SORTED_5_60[suite])
 
 
 def test_cold_ppt_cache_lines(tmp_path, capsys):

@@ -28,7 +28,7 @@ from fmzv.identities import (
     verify_sum_formula,
     verify_weighted_perm,
 )
-from fmzv.identities import SUITES, _one_odd_compositions, _planned_rows
+from fmzv.identities import SUITES, _one_odd_compositions, _prime_rows
 from fmzv.modmath import sieve_primes
 
 PRIMES = sieve_primes(5, 60)
@@ -291,8 +291,7 @@ def test_cache_reuse_is_invisible(tmp_path):
 @pytest.mark.parametrize("name", [n for n, s in SUITES.items() if s.rows is not None])
 def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
     # one sweep per prime serves every computed cell: none falls back to a
-    # one-cell sweep, and no planned cell is left unread; without a cache a
-    # cell read twice reaches compute_cell twice, so the cells compare as sets
+    # one-cell sweep, no planned cell is left unread, and no cell is read twice
     suite = SUITES[name]
     args, _ = suite.resolve({})
     sweeps, computed = [], []
@@ -303,8 +302,9 @@ def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
         clear_memo()
         sweeps.clear()
         computed.clear()
-        _planned_rows(suite.cells, suite.rows, args, p, None)
+        _prime_rows(suite.rows, args, p, None)
         assert len(sweeps) <= 1
+        assert len(computed) == len(set(computed))
         assert set(computed) == {(*cell, p) for cell in (sweeps[0] if sweeps else ())}
     clear_memo()
 
