@@ -3,7 +3,15 @@
 Everything is plain Python ints, so no precision is ever lost; the LLL
 reduction keeps the Gram-Schmidt data in integral form (denominators d[i],
 numerators lam[i][j]) and only performs divisions that are exact.
+
+The lattices of the relation engine are sparse, identity plus a few dense
+columns, so the row operations of hnf, congruence_cut and lll_reduce run in
+place over the nonzero entries of the row they subtract, and the cut's
+residues and LLL's dot products over a row's nonzeros.
 """
+
+from itertools import compress, repeat
+from operator import add, mul, sub
 
 from .modmath import mod_inv
 
@@ -76,25 +84,43 @@ def hnf_contains(hnf_rows, vector):
     return not any(v)
 
 
+def _support(row):
+    """Column indices of a row's nonzero entries."""
+    return list(compress(range(len(row)), row))
+
+
 def congruence_cut(basis, weights, p):
     """Sublattice of the row span meeting one congruence: v . weights = 0 mod p.
 
-    basis rows must be integer vectors; returns a new HNF basis of the same
-    rank.  If every basis row already satisfies the congruence the basis is
-    returned unchanged.
+    basis rows must be integer vectors of the length of weights; returns a new
+    HNF basis of the same rank.  If every basis row already satisfies the
+    congruence the basis is returned unchanged.  Residues and the new rows are
+    computed over the nonzero entries of the rows involved only.
     """
-    residues = [dot(b, weights) % p for b in basis]
+    n = len(weights)
+    if any(len(b) != n for b in basis):
+        raise ValueError("basis rows must have the length of weights, %d" % n)
+    supports = [_support(b) for b in basis]
+    residues = [sum(b[j] * weights[j] for j in s) % p for b, s in zip(basis, supports)]
     pivot = next((j for j, s in enumerate(residues) if s), None)
     if pivot is None:
         return [list(b) for b in basis]
     inv = mod_inv(residues[pivot], p)
+    prow, pnz = basis[pivot], supports[pivot]
     out = []
     for j, b in enumerate(basis):
         if j == pivot:
             continue
+        row = list(b)
         t = residues[j] * inv % p
-        out.append([a - t * c for a, c in zip(b, basis[pivot])])
-    out.append([p * c for c in basis[pivot]])
+        if t:
+            for c in pnz:
+                row[c] -= t * prow[c]
+        out.append(row)
+    row = [0] * n
+    for c in pnz:
+        row[c] = p * prow[c]
+    out.append(row)
     return hnf(out)
 
 
@@ -105,21 +131,37 @@ def lll_reduce(rows, delta_num=99, delta_den=100):
     incremental Gram-Schmidt in all-integer form: d[0] = 1, mu[i][j] =
     lam[i][j] / d[j+1], |b*_i|^2 = d[i+1] / d[i].  Row i's data is computed
     when the reduction first reaches it (kmax), and swaps update it only up
-    to kmax.  All divisions are exact.  Dependent rows raise ValueError.
+    to kmax.  All divisions are exact.  Dependent or ragged rows raise
+    ValueError.
+
+    Rows are updated in place over the nonzero entries of the row subtracted,
+    and dot products run over the shorter of the two supports.  A row's
+    support is rebuilt when it is next read after the row was reduced.
     """
     B = [list(r) for r in rows]
     n = len(B)
     if n <= 1:
         return B
+    if any(len(b) != len(B[0]) for b in B):
+        raise ValueError("ragged rows")
 
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
+    nz = [None] * n             # nz[i]: support of B[i], None while stale
+
+    def support(i):
+        s = nz[i]
+        if s is None:
+            s = nz[i] = _support(B[i])
+        return s
 
     def gram_schmidt(i):
         # lam[i] and d[i+1] from the current rows 0..i
-        bi, li = B[i], lam[i]
+        bi, li, si = B[i], lam[i], support(i)
         for j in range(i + 1):
-            u = dot(bi, B[j])
+            bj, sj = B[j], support(j)
+            s = si if len(si) <= len(sj) else sj
+            u = sum(map(mul, map(bi.__getitem__, s), map(bj.__getitem__, s)))
             lj = lam[j]
             for t in range(j):
                 u = (d[t + 1] * u - li[t] * lj[t]) // d[t]
@@ -131,12 +173,20 @@ def lll_reduce(rows, delta_num=99, delta_den=100):
                 d[i + 1] = u
 
     def red(k, l):
-        lk, dl = lam[k], d[l + 1]
-        if 2 * abs(lk[l]) > dl:
-            q = (2 * lk[l] + dl) // (2 * dl)
-            B[k] = [a - q * b for a, b in zip(B[k], B[l])]
-            lk[l] -= q * dl
-            lk[:l] = [a - q * b for a, b in zip(lk[:l], lam[l])]
+        # B[k] -= q * B[l], called only when 2 |lam[k][l]| > d[l+1], so q != 0
+        lk, ll, dl = lam[k], lam[l], d[l + 1]
+        q = (2 * lk[l] + dl) // (2 * dl)
+        bk, bl = B[k], B[l]
+        for j in support(l):
+            bk[j] -= q * bl[j]
+        nz[k] = None
+        lk[l] -= q * dl
+        if q == 1:
+            lk[:l] = map(sub, lk[:l], ll)
+        elif q == -1:
+            lk[:l] = map(add, lk[:l], ll)
+        else:
+            lk[:l] = map(sub, lk[:l], map(mul, repeat(q, l), ll))
 
     gram_schmidt(0)
     kmax, k = 0, 1
@@ -144,11 +194,14 @@ def lll_reduce(rows, delta_num=99, delta_den=100):
         if k > kmax:
             kmax = k
             gram_schmidt(k)
-        red(k, k - 1)
-        lam_kk, dk, dk1 = lam[k][k - 1], d[k], d[k + 1]
+        lk = lam[k]
+        if 2 * abs(lk[k - 1]) > d[k]:
+            red(k, k - 1)
+        lam_kk, dk, dk1 = lk[k - 1], d[k], d[k + 1]
         if delta_den * (dk1 * d[k - 1] + lam_kk ** 2) < delta_num * dk ** 2:
             B[k], B[k - 1] = B[k - 1], B[k]
-            lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+            nz[k], nz[k - 1] = nz[k - 1], nz[k]
+            lk[:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lk[:k - 1]
             dk_new = (d[k - 1] * dk1 + lam_kk ** 2) // dk
             for i in range(k + 1, kmax + 1):
                 li = lam[i]
@@ -159,6 +212,7 @@ def lll_reduce(rows, delta_num=99, delta_den=100):
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
-                red(k, l)
+                if 2 * abs(lk[l]) > d[l + 1]:
+                    red(k, l)
             k += 1
     return B

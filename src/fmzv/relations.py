@@ -13,7 +13,7 @@ from math import gcd
 
 from .evaluator import VARIANTS, check_index, parse_signs, per_prime, signs_to_str, values_at
 from .harmonic import all_compositions
-from .lattice import congruence_cut, dot, lll_reduce
+from .lattice import congruence_cut, lll_reduce
 from .modmath import check_prime
 
 __all__ = [
@@ -136,13 +136,13 @@ def relation_lattice(matrix: ValueMatrix, height_bound=DEFAULT_HEIGHT_BOUND):
     The lattice of vectors vanishing mod every training prime is built by
     iterated congruence cuts from the identity basis, LLL-reduced, and
     filtered to max-norm <= height_bound; every survivor is then re-checked
-    against all matrix rows by direct dot products.
+    against all matrix rows by direct dot products over its nonzero entries.
     """
     n = len(matrix.columns)
     train, held = _train_split(matrix.primes)
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for p in train:
-        basis = congruence_cut(basis, matrix.row(p), p)
+    for p, row in zip(train, matrix.cells):
+        basis = congruence_cut(basis, row, p)
     if n > 1:
         basis = lll_reduce(basis)
     seen = set()
@@ -156,7 +156,9 @@ def relation_lattice(matrix: ValueMatrix, height_bound=DEFAULT_HEIGHT_BOUND):
             picked.append(v)
     out = []
     for v in sorted(picked, key=lambda u: (max(abs(x) for x in u), u)):
-        ok = all(dot(v, matrix.row(p)) % p == 0 for p in matrix.primes)
+        nz = [(j, c) for j, c in enumerate(v) if c]
+        ok = all(sum(c * row[j] for j, c in nz) % p == 0
+                 for p, row in zip(matrix.primes, matrix.cells))
         if not held:
             status = "candidate"
         else:

@@ -1,12 +1,13 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-import fmzv.lattice as lattice
 from fmzv.harmonic import all_compositions
 from fmzv.lattice import congruence_cut, dot, hnf, hnf_contains, lll_reduce
-from fmzv.modmath import sieve_primes
+from fmzv.modmath import mod_inv, sieve_primes
 from fmzv.relations import _train_split, build_matrix
 
 
@@ -43,6 +44,23 @@ def dense_hnf(rows):
             if r == len(work):
                 break
     return work[:r]
+
+
+def dense_cut(basis, weights, p):
+    """Reference cut: dense residues and rows over all n entries, then the dense HNF."""
+    residues = [dot(b, weights) % p for b in basis]
+    pivot = next((j for j, s in enumerate(residues) if s), None)
+    if pivot is None:
+        return [list(b) for b in basis]
+    inv = mod_inv(residues[pivot], p)
+    out = []
+    for j, b in enumerate(basis):
+        if j == pivot:
+            continue
+        t = residues[j] * inv % p
+        out.append([a - t * c for a, c in zip(b, basis[pivot])])
+    out.append([p * c for c in basis[pivot]])
+    return dense_hnf(out)
 
 
 def upfront_lll(rows, delta_num=99, delta_den=100):
@@ -197,6 +215,14 @@ def test_congruence_cut_basics():
 def test_congruence_cut_noop_when_satisfied():
     basis = [[5, 0], [0, 5]]
     assert congruence_cut(basis, [1, 1], 5) == [[5, 0], [0, 5]]
+    rng = random.Random(27)
+    for n in (1, 3, 8):
+        basis = [[5 * rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        w = [rng.randint(-50, 50) for _ in range(n)]
+        out = congruence_cut(basis, w, 5)
+        assert out == dense_cut(basis, w, 5) == basis
+        assert all(a is not b for a, b in zip(out, basis))
+        assert congruence_cut(basis, [0] * n, 7) == basis
 
 
 def test_lll_classic_example():
@@ -257,10 +283,11 @@ def knapsack_basis(rng, n, m, bits):
             for i in range(n)]
 
 
-def dims_cut_basis(k, variant):
-    # the basis dimension_estimate(k, variant) hands to LLL, on the primes of `dims --weight k`
+def dims_cut_basis(k, variant, primes=sieve_primes(5, 200)):
+    # the basis dimension_estimate(k, variant, primes) hands to LLL; the default primes
+    # are those of `dims --weight k`
     matrix = build_matrix([(variant, ix) for ix in all_compositions(k)],
-                          [p for p in sieve_primes(5, 200) if p > k + 2])
+                          [p for p in primes if p > k + 2])
     n = len(matrix.columns)
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
     for p in _train_split(matrix.primes)[0]:
@@ -335,18 +362,114 @@ def test_hnf_negative_pivots_match_dense_reference():
     assert hnf([[0, 0], [-2, 0], [0, 0]]) == dense_hnf([[0, 0], [-2, 0], [0, 0]]) == [[2, 0]]
 
 
-def test_congruence_cut_chains_match_dense_hnf(monkeypatch):
+def test_congruence_cut_chains_match_dense_hnf():
+    # whole chains equal the dense reference cut, which ends in dense_hnf
     rng = random.Random(24)
     primes = sieve_primes(10 ** 4, 10 ** 4 + 400)
     for n in (3, 8, 20):
         columns = [[rng.randrange(p) for _ in range(n)] for p in primes[:8]]
-        sparse = dense = [[int(i == j) for j in range(n)] for i in range(n)]
-        sparse_chain = []
+        cut = ref = [[int(i == j) for j in range(n)] for i in range(n)]
         for p, w in zip(primes, columns):
-            sparse = congruence_cut(sparse, w, p)
-            sparse_chain.append(sparse)
-        with monkeypatch.context() as mp:
-            mp.setattr(lattice, "hnf", dense_hnf)
-            for p, w, want in zip(primes, columns, sparse_chain):
-                dense = congruence_cut(dense, w, p)
-                assert dense == want
+            cut, ref = congruence_cut(cut, w, p), dense_cut(ref, w, p)
+            assert cut == ref
+    rng = random.Random(26)
+    for n in (1, 2, 5, 12, 20):
+        for primes in ((2, 3, 5, 7, 11, 13), sieve_primes(10 ** 4, 10 ** 4 + 200)[:8]):
+            cut = ref = [[int(i == j) for j in range(n)] for i in range(n)]
+            for p in primes:
+                w = [rng.randrange(p) for _ in range(n)]
+                # zero and multiple-of-p weights give rows of residue 0
+                for j in rng.sample(range(n), n // 3):
+                    w[j] = rng.choice((0, p, -2 * p))
+                cut, ref = congruence_cut(cut, w, p), dense_cut(ref, w, p)
+                assert cut == ref, (n, p)
+    basis = dims_cut_basis(6, "zeta2")
+    matrix = build_matrix([("zeta2", ix) for ix in all_compositions(6)], sieve_primes(263, 300))
+    for p, w in zip(matrix.primes, matrix.cells):
+        nxt = congruence_cut(basis, w, p)
+        assert nxt == dense_cut(basis, w, p)
+        basis = nxt
+
+
+def sparse_rows(rng, n, m, per_row, bound):
+    # n rows of m columns, each with per_row nonzero entries in [-bound, bound] at random columns
+    rows = [[0] * m for _ in range(n)]
+    for row in rows:
+        for j in rng.sample(range(m), per_row):
+            row[j] = rng.choice((-1, 1)) * rng.randint(1, bound)
+    return rows
+
+
+def assert_lll_matches_upfront(rows):
+    # equal output, or ValueError from both on dependent rows; True when independent
+    try:
+        want = upfront_lll(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            lll_reduce(rows)
+        return False
+    assert lll_reduce(rows) == want, rows
+    return True
+
+
+def test_lll_matches_upfront_reference_on_sparse_bases():
+    rng = random.Random(25)
+    independent = 0
+    for _ in range(30):
+        # a few nonzeros per row at random positions, small and large entries
+        n = rng.randint(2, 20)
+        m = n + rng.randint(0, 10)
+        rows = sparse_rows(rng, n, m, rng.randint(1, 3), rng.choice((3, 10 ** 6)))
+        independent += assert_lll_matches_upfront(rows)
+    for _ in range(20):
+        # the same, with a block of dense columns in the middle
+        n = rng.randint(2, 20)
+        m = n + rng.randint(2, 10)
+        rows = sparse_rows(rng, n, m, 2, 50)
+        mid = m // 2
+        for row in rows:
+            row[mid - 1:mid + 1] = [rng.getrandbits(80) for _ in range(2)]
+        independent += assert_lll_matches_upfront(rows)
+    for _ in range(20):
+        # rows on disjoint blocks of columns, a few of them then mixed into others
+        n = rng.randint(2, 12)
+        width = rng.randint(1, 3)
+        rows = [[0] * (n * width) for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i * width:(i + 1) * width] = [rng.randint(-10 ** 4, 10 ** 4) or 1
+                                              for _ in range(width)]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.sample(range(n), 2)
+            q = rng.randint(-4, 4)
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        independent += assert_lll_matches_upfront(rows)
+    assert independent >= 50
+
+
+def test_lll_rejects_ragged_rows():
+    for rows in ([[1], [3, 4]], [[1, 2], [3]], [[1, 0], [0, 1], [1]]):
+        with pytest.raises(ValueError):
+            lll_reduce(rows)
+
+
+# sha256 of json.dumps(lll_reduce(basis)) for the weight-8 `dims` cut bases over
+# sieve_primes(11, 260), as recorded before the row operations became sparse
+W8_LLL_SHA256 = {
+    "zeta2": "60e1ca220ad4a818968ecf4a1a11c8830fcb076072cbf83bbca0f70e01f41a13",
+    "zeta": "beb59e9bc58a665b6d755903e344df2cb5dc82447350872efbcb0f51fa94568e",
+}
+
+
+@pytest.mark.parametrize("variant", ["zeta2", "zeta"])
+def test_lll_weight8_dims_cut_bases_pinned(variant):
+    basis = dims_cut_basis(8, variant, sieve_primes(11, 260))
+    reduced = json.dumps(lll_reduce(basis)).encode()
+    assert hashlib.sha256(reduced).hexdigest() == W8_LLL_SHA256[variant]
+
+
+def test_congruence_cut_rejects_weights_of_wrong_length():
+    for w in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            congruence_cut([[1, 0], [0, 1]], w, 5)
+    with pytest.raises(ValueError):
+        congruence_cut([[1, 0], [0, 1, 0]], [1, 2], 5)

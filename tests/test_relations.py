@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,23 @@ def test_relation_lattice_weight3():
     for c in cands:
         for p in m.primes:
             assert dot(c.coefficients, m.row(p)) % p == 0
+
+
+# sha256 of json.dumps([[list(c.coefficients), c.status], ...]), candidate count and
+# verified count of relation_lattice at weight 8 over sieve_primes(11, 260)
+W8_CANDIDATES = {
+    "zeta2": ("37ef24be20a3f7c02baac93af51e1b882a7ad1e7c10a2abfef44c049d9aebcfc", 128, 107),
+    "zeta": ("41f03b8d0c1e7759179ec38abc13304ea51f109184961081bad72521683f4c2d", 126, 126),
+}
+
+
+@pytest.mark.parametrize("variant", ["zeta2", "zeta"])
+def test_relation_lattice_weight8_candidates_pinned(variant):
+    m = build_matrix([(variant, ix) for ix in all_compositions(8)], sieve_primes(11, 260))
+    cands = relation_lattice(m)
+    record = json.dumps([[list(c.coefficients), c.status] for c in cands]).encode()
+    verified = sum(c.status == "verified" for c in cands)
+    assert (hashlib.sha256(record).hexdigest(), len(cands), verified) == W8_CANDIDATES[variant]
 
 
 def test_relation_lattice_single_column_no_relation():
