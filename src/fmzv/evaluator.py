@@ -186,14 +186,62 @@ class ResidueTable:
     rows: dict[int, int] = field(default_factory=dict)
 
 
+def _parse_head(head: str):
+    """(variant, index, signs) of a cache line's head, `variant,index,signs`."""
+    variant, *middle = head.split(",")
+    if variant not in VARIANTS:
+        raise ValueError("unknown variant")
+    if middle and middle[-1] == "":
+        index = tuple(int(x) for x in middle[:-1])
+        signs = None
+    else:
+        cut = next((i for i, x in enumerate(middle) if x in ("+", "-")), None)
+        if cut is None:
+            raise ValueError("no signs field")
+        index = tuple(int(x) for x in middle[:cut])
+        signs = parse_signs(",".join(middle[cut:]))
+    if not index or any(k < 1 for k in index):
+        raise ValueError("bad index")
+    if (variant == "euler") != (signs is not None):
+        raise ValueError("signs/variant mismatch")
+    if signs is not None and len(signs) != len(index):
+        raise ValueError("signs length mismatch")
+    return variant, index, signs
+
+
+def _parse_cell(line: str, heads: dict, primes: dict):
+    """Key and residue of one cache line; raises on a malformed line.
+
+    heads maps a head already seen to its _parse_head result, primes a p
+    already seen to its prime test, so that each is checked once per load;
+    the integers and 0 <= residue < p are checked on every line.
+    """
+    head, p, residue = line.rsplit(",", 2)
+    p, residue = int(p), int(residue)
+    cell = heads.get(head)
+    if cell is None:
+        cell = heads[head] = _parse_head(head)
+    prime = primes.get(p)
+    if prime is None:
+        prime = primes[p] = p >= 5 and is_prime(p)
+    if not prime or not 0 <= residue < p:
+        raise ValueError("bad prime or residue")
+    return cell + (p,), residue
+
+
 class ResidueCache:
     """Append-only text cache, one cell per line: variant,index,signs,p,residue.
 
     The whole file is read at construction; add() appends a line immediately.
-    Only one process may write (the CLI and suites route all writes through
-    the parent process).  A last line without a newline is an append cut short
-    by a crash (its residue may be cut): it is ignored and cut off by the next add().
-    Without a path the cache lives in memory only.
+    Every line is checked when read: a distinct head (variant,index,signs) is
+    validated and a distinct prime tested once per load, and each line's
+    integers and residue range on their own; cells with one head share one
+    index tuple.  A line repeating a cell with another residue is corruption,
+    as is any other malformed line (CacheError); an identical repeat is read
+    once.  Only one process may write (the CLI and suites route all writes
+    through the parent process).  A last line without a newline is an append
+    cut short by a crash (its residue may be cut): it is ignored and cut off
+    by the next add().  Without a path the cache lives in memory only.
     """
 
     def __init__(self, path: str | None = None):
@@ -212,41 +260,23 @@ class ResidueCache:
         except UnicodeDecodeError as exc:
             raise CacheError("%s: byte %d is not ASCII: not a cache file" % (self.path, exc.start))
         self._complete = text.rfind("\n") + 1
+        cells = self._cells
+        heads, primes = {}, {}  # this load's validated heads and prime tests
         for lineno, raw in enumerate(text[:self._complete].split("\n")[:-1], start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                key, residue = self._parse_line(line)
+                key, residue = _parse_cell(line, heads, primes)
             except Exception:
                 raise CacheError("%s:%d: bad cache line: %r" % (self.path, lineno, line))
-            self._cells[key] = residue
+            if cells.setdefault(key, residue) != residue:
+                raise CacheError("%s:%d: cache line %r conflicts with an earlier line for the "
+                                 "same cell" % (self.path, lineno, line))
 
     @staticmethod
     def _parse_line(line: str):
-        parts = line.split(",")
-        variant = parts[0]
-        if variant not in VARIANTS:
-            raise ValueError("unknown variant")
-        residue = int(parts[-1])
-        p = int(parts[-2])
-        middle = parts[1:-2]
-        if middle and middle[-1] == "":
-            index = tuple(int(x) for x in middle[:-1])
-            signs = None
-        else:
-            cut = next(i for i, x in enumerate(middle) if x in ("+", "-"))
-            index = tuple(int(x) for x in middle[:cut])
-            signs = parse_signs(",".join(middle[cut:]))
-        if not index or any(k < 1 for k in index):
-            raise ValueError("bad index")
-        if (variant == "euler") != (signs is not None):
-            raise ValueError("signs/variant mismatch")
-        if signs is not None and len(signs) != len(index):
-            raise ValueError("signs length mismatch")
-        if p < 5 or not is_prime(p) or not 0 <= residue < p:
-            raise ValueError("bad prime or residue")
-        return (variant, index, signs, p), residue
+        return _parse_cell(line, {}, {})
 
     def get(self, variant, index, signs, p):
         return self._cells.get((variant, tuple(index), signs, p))

@@ -260,6 +260,15 @@ def test_corrupt_cache_is_io_error(tmp_path, capsys):
     assert "bad cache line" in err
 
 
+def test_conflicting_cache_lines_are_corrupt(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("zeta2,1,,7,3\nzeta2,2,,7,1\nzeta2,1,,7,4\n")
+    code, out, err = run(capsys, "--cache", str(path), "cache", "info")
+    assert code == 1
+    assert out == ""
+    assert "%s:3: cache line 'zeta2,1,,7,4' conflicts" % path in err
+
+
 # sha256 of `verify --suite S --primes 5..60 --format json` stdout at default
 # bounds, recorded before the suites moved into one table; every suite exits 0
 GOLDEN_5_60 = {

@@ -5,6 +5,7 @@ import pytest
 
 import fmzv.evaluator as ev
 from fmzv.evaluator import (
+    VARIANTS,
     CacheError,
     ResidueCache,
     eval_euler,
@@ -17,7 +18,7 @@ from fmzv.evaluator import (
     parse_index,
     parse_signs,
 )
-from fmzv.modmath import mod_inv, sieve_primes
+from fmzv.modmath import is_prime, mod_inv, sieve_primes
 
 
 # --- independent brute-force oracles (nested enumeration, no DP) ---
@@ -333,6 +334,175 @@ def test_cache_corrupt_interior_line_before_torn_tail(tmp_path):
     with pytest.raises(CacheError) as err:
         ResidueCache(str(path))
     assert ":1:" in str(err.value)
+
+
+def test_cache_duplicate_lines(tmp_path):
+    # an identical repeat (`cat a b > c`) loads once, in first-seen order
+    path = tmp_path / "dup.txt"
+    path.write_text("zeta2,1,,7,3\nzeta2,2,,7,1\nzeta2,1,,7,3\n")
+    assert list(ResidueCache(str(path))._cells.items()) == [
+        (("zeta2", (1,), None, 7), 3), (("zeta2", (2,), None, 7), 1)]
+
+
+@pytest.mark.parametrize("repeat", ["zeta2,1,,7,4", "zeta2,01,,7,4"])
+def test_cache_conflicting_duplicate_is_corrupt(tmp_path, repeat):
+    path = tmp_path / "dup.txt"
+    path.write_text("zeta2,1,,7,3\nzeta2,2,,7,1\n%s\n" % repeat)
+    with pytest.raises(CacheError) as err:
+        ResidueCache(str(path))
+    assert ":3:" in str(err.value) and "conflicts" in str(err.value)
+
+
+# --- the cache line parser against the one that checked every line in full ---
+
+def reference_parse_line(line: str):
+    parts = line.split(",")
+    variant = parts[0]
+    if variant not in VARIANTS:
+        raise ValueError("unknown variant")
+    residue = int(parts[-1])
+    p = int(parts[-2])
+    middle = parts[1:-2]
+    if middle and middle[-1] == "":
+        index = tuple(int(x) for x in middle[:-1])
+        signs = None
+    else:
+        cut = next(i for i, x in enumerate(middle) if x in ("+", "-"))
+        index = tuple(int(x) for x in middle[:cut])
+        signs = parse_signs(",".join(middle[cut:]))
+    if not index or any(k < 1 for k in index):
+        raise ValueError("bad index")
+    if (variant == "euler") != (signs is not None):
+        raise ValueError("signs/variant mismatch")
+    if signs is not None and len(signs) != len(index):
+        raise ValueError("signs length mismatch")
+    if p < 5 or not is_prime(p) or not 0 <= residue < p:
+        raise ValueError("bad prime or residue")
+    return (variant, index, signs, p), residue
+
+
+def _parsed(parse, line):
+    try:
+        return parse(line)
+    except Exception:
+        return None
+
+
+def _real_cache_lines(tmp_path):
+    path = tmp_path / "real.txt"
+    cache = ResidueCache(str(path))
+    cells = [("zeta", (1, 2), None), ("zeta2", (2, 1, 1), None), ("zeta2star", (1, 3), None),
+             ("zeta2star", (2,), None), ("euler", (1, 2, 1), (1, -1, -1)),
+             ("euler", (3, 1), (-1, 1)), ("euler", (2,), (-1,))]
+    for p in (7, 11, 13, 101):
+        for variant, index, signs in cells:
+            cache.add(variant, index, signs, p, ev.compute_cell(variant, index, signs, p))
+    cache.close()
+    ev.clear_memo()
+    return path.read_text().splitlines()
+
+
+_TOKENS = ["", "0", "1", "2", "4", "9", "25", "-1", "+", "-", "+1", " 3", "03", "x", "1e3",
+           "97", "4294967311", "zeta", "zeta2", "zeta2star", "euler"]
+
+
+def _mutate(line, rng):
+    for _ in range(rng.randint(1, 3)):
+        fields = line.split(",")
+        kind = rng.randrange(8)
+        i, j = rng.randrange(len(fields)), rng.randrange(len(fields))
+        c = rng.randrange(len(line) + 1)
+        if kind == 0:
+            line = line[:c] + line[c + 1:]
+            continue
+        if kind == 1:
+            line = line[:c] + rng.choice("0123456789,+- \tez") + line[c:]
+            continue
+        if kind == 2:
+            fields[i] = rng.choice(_TOKENS)
+        elif kind == 3 and len(fields) > 1:
+            del fields[i]
+        elif kind == 4:
+            fields.insert(i, fields[i])
+        elif kind == 5:
+            fields[i], fields[j] = fields[j], fields[i]
+        elif kind == 6 and fields[-1].isdigit():
+            fields[-1] = str(int(fields[-1]) + rng.choice([-1, 1, 7, 11, 13, 101]))
+        elif kind == 7 and len(fields) > 1 and fields[-2].isdigit():
+            fields[-2] = str(int(fields[-2]) + rng.choice([-2, -1, 2, 4, 6]))
+        line = ",".join(fields)
+    return line
+
+
+def test_parse_line_matches_reference_on_mutated_lines(tmp_path):
+    real = _real_cache_lines(tmp_path)
+    rng = random.Random(20211)
+    lines = [_mutate(rng.choice(real), rng) for _ in range(20000)]
+    accepted = []
+    for line in real + lines:
+        want = _parsed(reference_parse_line, line)
+        assert _parsed(ResidueCache._parse_line, line) == want, line
+        if want is not None:
+            accepted.append(line)
+    assert 2000 < len(accepted) - len(real) < 18000
+
+    # one file of every accepted line (a conflicting repeat left out) loads as
+    # the reference reads it, in the same order
+    want, kept = {}, []
+    for line in accepted:
+        key, residue = reference_parse_line(line)
+        if want.setdefault(key, residue) == residue:
+            kept.append(line)
+    path = tmp_path / "fuzz.txt"
+    path.write_text("".join(line + "\n" for line in kept))
+    assert list(ResidueCache(str(path))._cells.items()) == list(want.items())
+
+    # a rejected line after the real lines, whose heads and primes the load has
+    # already checked, is still reported at its own line number
+    rejected = [line for line in lines
+                if line.strip() and _parsed(reference_parse_line, line.strip()) is None]
+    for line in rng.sample(rejected, 300):
+        path.write_text("".join(s + "\n" for s in real + [line]))
+        with pytest.raises(CacheError) as err:
+            ResidueCache(str(path))
+        assert ":%d: bad cache line" % (len(real) + 1) in str(err.value)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    # out of range at a prime already tested
+    ("zeta2,1,,7,3\nzeta2,1,,7,7\n", 2),
+    ("zeta2,1,,7,3\nzeta2,1,,7,-1\n", 2),
+    ("zeta2,1,,7,3\nzeta2,1,,7,x\n", 2),
+    # a bad head, or a composite, on lines 3 and 5
+    ("zeta2,1,,7,3\nzeta2,2,,7,1\nzeta2,0,,7,3\nzeta2,1,,11,3\nzeta2,0,,7,3\n", 3),
+    ("zeta2,1,,7,3\nzeta2,2,,7,1\nzeta2,1,,9,3\nzeta2,1,,11,3\nzeta2,1,,9,3\n", 3),
+])
+def test_cache_load_checks_every_line(tmp_path, text, lineno):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(CacheError) as err:
+        ResidueCache(str(path))
+    assert ":%d: bad cache line" % lineno in str(err.value)
+
+
+def test_cache_load_checks_each_head_and_prime_once(tmp_path, monkeypatch):
+    heads = ["zeta,1,2,", "zeta2,3,", "zeta2star,1,1,", "euler,1,2,+,-", "euler,2,-"]
+    primes = [7, 11, 13, 101]
+    lines = ["%s,%d,%d" % (head, p, (3 * i + p) % p)
+             for p in primes for i, head in enumerate(heads)]
+    path = tmp_path / "c.txt"
+    path.write_text("".join(line + "\n" for line in lines + lines[::-1]))
+    calls = {"is_prime": 0, "_parse_head": 0}
+    for name in calls:
+        def counted(arg, real=getattr(ev, name), name=name):
+            calls[name] += 1
+            return real(arg)
+        monkeypatch.setattr(ev, name, counted)
+    cache = ResidueCache(str(path))
+    assert calls == {"is_prime": len(primes), "_parse_head": len(heads)}
+    assert len(cache) == len(primes) * len(heads)
+    # cells with one head share one index tuple
+    assert len({id(key[1]) for key in cache._cells}) == len(heads)
 
 
 def test_eval_table_parallel_matches_serial():
