@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success (all checks pass), 1 runtime or I/O failure (including
-a failing verification suite), 2 usage errors, 3 mathematical ambiguity in
-relation discovery.
+Exit codes: 0 success (all checks pass), 1 runtime or I/O failure (a failing
+suite, a bad cache, or any other error raised while computing), 2 argument
+errors only, bad cells included, 3 mathematical ambiguity in `discover`.
 """
 
 import argparse
@@ -11,7 +11,7 @@ import os
 import re
 import sys
 
-from .evaluator import CacheError, ResidueCache, eval_table, parse_index, parse_signs
+from .evaluator import CacheError, ResidueCache, check_cell, eval_table, parse_index, parse_signs
 from .harmonic import all_compositions
 from .identities import SUITES, WEIGHT_GUARD
 from .modmath import sieve_primes
@@ -53,6 +53,15 @@ def _primes_above(text, weight):
     if len(primes) < 4:
         raise UsageError("need at least 4 primes above weight + 2; widen --primes")
     return primes
+
+
+def _cell(variant, index_text, signs_text):
+    """The checked (variant, index, signs) cell given by the arguments."""
+    try:
+        signs = parse_signs(signs_text) if signs_text else None
+        return check_cell(variant, parse_index(index_text), signs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _bound(value, default, name, guard):
@@ -127,8 +136,7 @@ def _print(text):
 
 
 def _run_compute(args, cache):
-    index = parse_index(args.index)
-    signs = parse_signs(args.signs) if args.signs else None
+    _, index, signs = _cell(args.variant, args.index, args.signs)
     primes = _parse_prime_range(args.primes)
     if not primes:
         raise UsageError("no primes in range %s" % args.primes)
@@ -165,17 +173,15 @@ def _run_verify(args, cache):
 
 def _keyword_basis(keyword, weight):
     if keyword == "odd":
-        return [("zeta2", ix) for ix in all_compositions(weight)
+        return [("zeta2", ix, None) for ix in all_compositions(weight)
                 if all(x % 2 for x in ix)]
-    return [("zeta", ix) for ix in all_compositions(weight)
+    return [("zeta", ix, None) for ix in all_compositions(weight)
             if all(x % 2 and x >= 3 for x in ix)]
 
 
 def _run_discover(args, cache):
-    target_index = parse_index(args.target)
-    signs = parse_signs(args.signs) if args.signs else None
-    target = (args.variant, target_index, signs)
-    weight = args.weight if args.weight is not None else sum(target_index)
+    target = _cell(args.variant, args.target, args.signs)
+    weight = args.weight if args.weight is not None else sum(target[1])
     if weight > WEIGHT_GUARD:
         raise UsageError("weight > %d refused (cost guard)" % WEIGHT_GUARD)
     if args.basis in ("odd", "odd3"):
@@ -184,12 +190,13 @@ def _run_discover(args, cache):
         bvariant = args.basis_variant or args.variant
         if bvariant == "euler":
             raise UsageError("explicit euler basis columns are not supported")
-        basis = [(bvariant, parse_index(part))
-                 for part in args.basis.split(";") if part]
+        basis = [_cell(bvariant, part, None) for part in args.basis.split(";") if part]
     if not basis:
         raise UsageError("basis is empty for weight %d" % weight)
+    if target in basis:
+        raise UsageError("target %s already occurs in the basis" % descriptor_str(target))
 
-    primes = _primes_above(args.primes, max([sum(target_index)] + [sum(ix) for _, ix in basis]))
+    primes = _primes_above(args.primes, max(sum(ix) for _, ix, _ in [target] + basis))
     if cache is None:
         # the half-range fits read the cells the full fit swept
         cache = ResidueCache()
@@ -287,13 +294,13 @@ def main(argv=None) -> int:
         run = {"compute": _run_compute, "verify": _run_verify,
                "discover": _run_discover, "dims": _run_dims}[args.command]
         return run(args, cache)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AmbiguousRelationError as exc:
         print("ambiguous: %s" % exc, file=sys.stderr)
         return 3
-    except (OSError, CacheError) as exc:
+    except (OSError, CacheError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     finally:

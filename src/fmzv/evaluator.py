@@ -43,6 +43,7 @@ __all__ = [
     "eval_even_form",
     "eval_odd_form",
     "eval_table",
+    "check_cell",
     "value_of",
     "ResidueTable",
     "ResidueCache",
@@ -68,6 +69,25 @@ def check_index(index) -> tuple[int, ...]:
     if any(not isinstance(k, int) or k < 1 for k in index):
         raise ValueError("index entries must be positive integers, got %r" % (index,))
     return index
+
+
+def check_cell(variant, index, signs):
+    """(variant, index, signs) of a cell, with index and signs as tuples.
+
+    Raises ValueError unless the variant is known, the index entries are
+    positive integers, and signs are given exactly for euler, as a +/-1
+    vector of the index length.
+    """
+    if variant not in VARIANTS:
+        raise ValueError("unknown variant %r" % (variant,))
+    index = check_index(index)
+    if (variant == "euler") != (signs is not None):
+        raise ValueError("signs are required for euler and only for euler")
+    if signs is not None:
+        signs = tuple(signs)
+        if len(signs) != len(index) or any(e not in (1, -1) for e in signs):
+            raise ValueError("signs must be a +/-1 vector of the index length")
+    return variant, index, signs
 
 
 def index_to_str(index) -> str:
@@ -145,10 +165,7 @@ def eval_zeta2_star(index, p: int) -> int:
 
 def eval_euler(index, signs, p: int) -> int:
     """Signed level-1 sum with numerators eps_i^(m_i)."""
-    index = check_index(index)
-    signs = tuple(signs)
-    if len(signs) != len(index) or any(e not in (1, -1) for e in signs):
-        raise ValueError("signs must be a +/-1 vector matching the index depth")
+    _, index, signs = check_cell("euler", index, signs)
     check_prime(p)
     return _dp_sum(index, range(1, p), p, signs=signs)
 
@@ -189,24 +206,16 @@ class ResidueTable:
 def _parse_head(head: str):
     """(variant, index, signs) of a cache line's head, `variant,index,signs`."""
     variant, *middle = head.split(",")
-    if variant not in VARIANTS:
-        raise ValueError("unknown variant")
     if middle and middle[-1] == "":
-        index = tuple(int(x) for x in middle[:-1])
-        signs = None
+        index, signs = middle[:-1], None
     else:
         cut = next((i for i, x in enumerate(middle) if x in ("+", "-")), None)
         if cut is None:
             raise ValueError("no signs field")
-        index = tuple(int(x) for x in middle[:cut])
-        signs = parse_signs(",".join(middle[cut:]))
-    if not index or any(k < 1 for k in index):
-        raise ValueError("bad index")
-    if (variant == "euler") != (signs is not None):
-        raise ValueError("signs/variant mismatch")
-    if signs is not None and len(signs) != len(index):
-        raise ValueError("signs length mismatch")
-    return variant, index, signs
+        index, signs = middle[:cut], parse_signs(",".join(middle[cut:]))
+    if not index:
+        raise ValueError("empty index")  # the cache never stores the empty index
+    return check_cell(variant, map(int, index), signs)
 
 
 def _parse_cell(line: str, heads: dict, primes: dict):
@@ -337,18 +346,12 @@ def _sweep(cells, p) -> dict:
     """{(variant, index, signs): value mod p} for the cells, from one pass over m."""
     check_prime(p)
     strict, star = {}, {}
-    for variant, index, signs in cells:
-        index = check_index(index)
+    for cell in cells:
+        variant, index, signs = cell = check_cell(*cell)
         if variant == "zeta2star":
-            star[variant, index, signs] = index
-        elif variant in ("zeta", "zeta2"):
-            strict[variant, index, signs] = index
-        elif variant == "euler":
-            if signs is None or len(signs) != len(index) or any(e not in (1, -1) for e in signs):
-                raise ValueError("signs must be a +/-1 vector matching the index depth")
-            strict[variant, index, signs] = signs
+            star[cell] = index
         else:
-            raise ValueError("unknown variant %r" % (variant,))
+            strict[cell] = signs if variant == "euler" else index
     emax = max((k for _, index, _ in strict.keys() | star.keys() for k in index), default=0)
     # a letter is the place of its weight: m^-k at k, (-1)^m m^-k at emax + 1 + k
     for cell in strict:
@@ -467,13 +470,7 @@ def per_prime(fn, primes, jobs=1, cache=None) -> list:
 
 def eval_table(variant, index, signs=None, primes=(), cache=None, jobs=1) -> ResidueTable:
     """Evaluate one cell per prime; primes must be nonempty and ascending."""
-    if variant not in VARIANTS:
-        raise ValueError("unknown variant %r" % (variant,))
-    index = check_index(index)
-    if (variant == "euler") != (signs is not None):
-        raise ValueError("euler requires signs; other variants forbid them")
-    if signs is not None:
-        signs = tuple(signs)
+    variant, index, signs = check_cell(variant, index, signs)
     primes = list(primes)
     if not primes or any(b <= a for a, b in zip(primes, primes[1:])):
         raise ValueError("primes must be a nonempty ascending list")

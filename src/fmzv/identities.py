@@ -26,6 +26,7 @@ from .harmonic import (
     lemma_g_check,
 )
 from .modmath import crt_combine, mod_inv, rat_reconstruct
+from .relations import _train_split
 
 __all__ = [
     "Case",
@@ -344,9 +345,7 @@ def _ppt_heldout_rows(comps, consts, p):
 def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
     rows = []
     for k, pats in itertools.groupby(_one_odd_patterns(recon_weight_max), key=lambda t: t[0]):
-        usable = _filtered(primes, k)
-        split = max(1, (2 * len(usable) + 2) // 3)
-        train, held = usable[:split], usable[split:]
+        train, held = _train_split(_filtered(primes, k))
         # the training primes depend only on k, so one call serves every pattern of weight k
         consts = ppt_constants(k, train, cache, min_weight=k) if train else {}
         comps = {}

@@ -17,6 +17,8 @@ from .modmath import mod_inv
 
 __all__ = ["dot", "hnf", "hnf_contains", "congruence_cut", "lll_reduce"]
 
+_DELTA_NUM, _DELTA_DEN = 99, 100  # lll_reduce's Lovasz constant delta = 99/100
+
 
 def dot(u, v):
     if len(u) != len(v):
@@ -124,7 +126,7 @@ def congruence_cut(basis, weights, p):
     return hnf(out)
 
 
-def lll_reduce(rows, delta_num=99, delta_den=100):
+def lll_reduce(rows):
     """LLL-reduce a basis of linearly independent integer rows, exactly.
 
     Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7, with
@@ -198,7 +200,7 @@ def lll_reduce(rows, delta_num=99, delta_den=100):
         if 2 * abs(lk[k - 1]) > d[k]:
             red(k, k - 1)
         lam_kk, dk, dk1 = lk[k - 1], d[k], d[k + 1]
-        if delta_den * (dk1 * d[k - 1] + lam_kk ** 2) < delta_num * dk ** 2:
+        if _DELTA_DEN * (dk1 * d[k - 1] + lam_kk ** 2) < _DELTA_NUM * dk ** 2:
             B[k], B[k - 1] = B[k - 1], B[k]
             nz[k], nz[k - 1] = nz[k - 1], nz[k]
             lk[:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lk[:k - 1]

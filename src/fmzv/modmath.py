@@ -28,6 +28,8 @@ def is_prime(n: int) -> bool:
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
+    if n < 41 * 41:  # no prime factor <= 37, and a composite n has one <= sqrt(n) < 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .evaluator import VARIANTS, check_index, parse_signs, per_prime, signs_to_str, values_at
+from .evaluator import check_cell, parse_signs, per_prime, signs_to_str, values_at
 from .harmonic import all_compositions
 from .lattice import congruence_cut, lll_reduce
 from .modmath import check_prime
@@ -46,18 +46,9 @@ def normalize_descriptor(desc):
         variant, index, signs = desc
     else:
         raise ValueError("descriptor must be (variant, index[, signs]), got %r" % (desc,))
-    if variant not in VARIANTS:
-        raise ValueError("unknown variant %r" % (variant,))
-    index = check_index(index)
     if isinstance(signs, str):
         signs = parse_signs(signs)
-    if (variant == "euler") != (signs is not None):
-        raise ValueError("signs are required for euler and only for euler")
-    if signs is not None:
-        signs = tuple(signs)
-        if len(signs) != len(index) or any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be +/-1 of the index length")
-    return (variant, index, signs)
+    return check_cell(variant, index, signs)
 
 
 def descriptor_str(desc) -> str:

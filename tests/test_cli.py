@@ -180,6 +180,32 @@ def test_dims_weight3(capsys):
     assert doc["columns"] == 4
 
 
+def test_runtime_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(rows):
+        raise ValueError("rows are linearly dependent")
+    monkeypatch.setattr("fmzv.relations.lll_reduce", broken)
+    monkeypatch.delenv("FMZV_CACHE", raising=False)
+    code, out, err = run(capsys, "dims", "--weight", "3", "--primes", "7..199")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--variant", "euler", "--index", "1,2", "--signs", "+,x"),
+    ("compute", "--variant", "euler", "--index", "1,2", "--signs", "+"),
+    ("compute", "--variant", "zeta", "--index", "1,2", "--signs", "+,+"),
+    ("compute", "--variant", "euler", "--index", "1,2"),
+    ("discover", "--target", "2,1", "--basis", "3;1,0"),
+    ("discover", "--target", "1,2", "--basis", "3;1,2"),
+])
+def test_bad_cell_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv, "--primes", "7..60")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_dims_weight1_text(capsys):
     code, out, _ = run(capsys, "dims", "--weight", "1", "--primes", "5..60")
     assert code == 0

@@ -15,6 +15,7 @@ from fmzv.evaluator import (
     eval_zeta,
     eval_zeta2,
     eval_zeta2_star,
+    check_cell,
     parse_index,
     parse_signs,
 )
@@ -159,6 +160,50 @@ def test_index_validation():
         eval_euler((1, 2), (1,), 7)
     with pytest.raises(ValueError):
         eval_zeta((1,), 9)
+
+
+@pytest.mark.parametrize("cell, want", [
+    (("zeta", [1, 2], None), ("zeta", (1, 2), None)),
+    (("zeta2", (3,), None), ("zeta2", (3,), None)),
+    (("zeta2star", (2, 1), None), ("zeta2star", (2, 1), None)),
+    (("euler", [1, 2], [-1, 1]), ("euler", (1, 2), (-1, 1))),
+    (("zeta", (), None), ("zeta", (), None)),
+    (("euler", (), ()), ("euler", (), ())),
+    # unknown variant
+    (("zeta3", (1,), None), None),
+    (("Zeta", (1,), None), None),
+    # index entries must be positive integers
+    (("zeta", (0, 2), None), None),
+    (("zeta2", (1, -2), None), None),
+    (("zeta2star", (1.0,), None), None),
+    (("euler", ("1",), (1,)), None),
+    # signs exactly for euler
+    (("euler", (1, 2), None), None),
+    (("zeta", (1, 2), (1, 1)), None),
+    (("zeta2", (1,), (-1,)), None),
+    (("zeta2star", (1,), ()), None),
+    # a +/-1 vector of the index length
+    (("euler", (1, 2), (1,)), None),
+    (("euler", (1,), (1, -1)), None),
+    (("euler", (1, 2), (1, 0)), None),
+    (("euler", (1, 2), (1, 2)), None),
+])
+def test_check_cell(cell, want):
+    if want is None:
+        with pytest.raises(ValueError):
+            check_cell(*cell)
+    else:
+        assert check_cell(*cell) == want
+
+
+def test_signs_on_a_non_euler_cell_raise():
+    ev.clear_memo()
+    for variant in ("zeta", "zeta2", "zeta2star"):
+        with pytest.raises(ValueError):
+            ev.value_of(variant, (1, 2), (1, 1), 7)
+        with pytest.raises(ValueError):
+            ev.compute_cell(variant, (1, 2), (1, 1), 7)
+    ev.clear_memo()
 
 
 def test_serialization_round_trip():

@@ -50,6 +50,13 @@ def test_is_prime_small():
         assert is_prime(n) == (n in known)
 
 
+def test_is_prime_matches_trial_division_past_41_squared():
+    # is_prime answers n < 41^2 from trial division alone; 37^2, 41^2 and 41*43 straddle that
+    known = set(trial_division_primes(2, 20000))
+    for n in range(-5, 20001):
+        assert is_prime(n) == (n in known), n
+
+
 def test_mod_pow_examples():
     assert mod_pow(2, 6, 49) == 15
     assert mod_pow(3, 0, 5) == 1
