@@ -11,11 +11,20 @@ import os
 import re
 import sys
 
-from .evaluator import CacheError, ResidueCache, check_cell, eval_table, parse_index, parse_signs
+from .evaluator import (
+    VARIANTS,
+    CacheError,
+    ResidueCache,
+    check_cell,
+    eval_table,
+    parse_index,
+    parse_signs,
+)
 from .harmonic import all_compositions
 from .identities import SUITES, WEIGHT_GUARD
 from .modmath import sieve_primes
 from .relations import (
+    DEFAULT_HEIGHT_BOUND,
     AmbiguousRelationError,
     descriptor_str,
     dimension_estimate,
@@ -26,6 +35,7 @@ from .relations import (
 
 CACHE_ENV = "FMZV_CACHE"
 DIMS_GUARD = 7
+SIGNS_HELP = "; write --signs=-,+ when the first sign is -"
 # bound flag -> the suites that take it
 BOUND_FLAGS = {}
 for _suite in SUITES.values():
@@ -83,10 +93,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="evaluate one value at each prime of a range")
-    p.add_argument("--variant", choices=("zeta", "zeta2", "zeta2star", "euler"),
-                   default="zeta2")
+    p.add_argument("--variant", choices=VARIANTS, default="zeta2")
     p.add_argument("--index", required=True, help="comma-separated index, e.g. 1,2")
-    p.add_argument("--signs", help="euler signs, e.g. +,- (euler only)")
+    p.add_argument("--signs", help="euler signs, e.g. +,- (euler only)" + SIGNS_HELP)
     p.add_argument("--primes", default="5..200", help="inclusive range lo..hi")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
@@ -99,24 +108,24 @@ def build_parser():
 
     p = sub.add_parser("discover", help="express a value over a candidate basis")
     p.add_argument("--target", required=True, help="target index, e.g. 2,1")
-    p.add_argument("--variant", choices=("zeta", "zeta2", "zeta2star", "euler"),
-                   default="zeta2", help="variant of the target column")
-    p.add_argument("--signs", help="euler signs for the target (euler only)")
+    p.add_argument("--variant", choices=VARIANTS, default="zeta2",
+                   help="variant of the target column")
+    p.add_argument("--signs", help="euler signs for the target (euler only)" + SIGNS_HELP)
     p.add_argument("--basis", required=True,
                    help="'odd' (all-odd level-2 indices), 'odd3' (odd>=3 level-1 "
                         "indices), or explicit semicolon-separated indices")
-    p.add_argument("--basis-variant", choices=("zeta", "zeta2", "zeta2star"),
+    p.add_argument("--basis-variant", choices=tuple(v for v in VARIANTS if v != "euler"),
                    help="variant of explicit basis columns (default: target variant)")
     p.add_argument("--weight", type=int, help="weight of the keyword basis "
                                               "(default: target weight)")
     p.add_argument("--primes", default="5..200")
-    p.add_argument("--height-bound", type=int, default=10 ** 6)
+    p.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("dims", help="dimension experiment for one weight")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--primes", default="5..200")
-    p.add_argument("--height-bound", type=int, default=10 ** 6)
+    p.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p = sub.add_parser("cache", help="inspect or clear the residue cache")

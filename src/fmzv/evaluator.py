@@ -283,10 +283,6 @@ class ResidueCache:
                 raise CacheError("%s:%d: cache line %r conflicts with an earlier line for the "
                                  "same cell" % (self.path, lineno, line))
 
-    @staticmethod
-    def _parse_line(line: str):
-        return _parse_cell(line, {}, {})
-
     def get(self, variant, index, signs, p):
         return self._cells.get((variant, tuple(index), signs, p))
 

@@ -128,11 +128,6 @@ def _indices_of_weight_up_to(wmax, dmax=None):
                  if dmax is None or len(index) <= dmax)
 
 
-def _indices_at(p, wmax, dmax=None):
-    # the indices a suite checks at p: weight below p - 2
-    return [index for index in _indices_of_weight_up_to(wmax, dmax) if p > sum(index) + 2]
-
-
 def _istr(index):
     return "(" + ",".join(map(str, index)) + ")"
 
@@ -157,65 +152,76 @@ def coeff_C(index) -> int:
 # ---------------------------------------------------------------------------
 # suites
 
-def _prime_rows(rows, args, p, cache):
-    """The Cases of rows(*args, p), each distinct cell read once, in the order first named."""
-    rows = list(rows(*args, p))
-    cells = {}
-    for _, lhs, rhs in rows:
+def _prime_rows(rows, p, cache):
+    """The Cases at p of the rows of weight below p - 2.
+
+    Each distinct cell is read once, in the order first named, and each
+    distinct constant factor evaluated once.
+    """
+    rows = [row for row in rows if p > row[1] + 2]
+    factors = {}
+    for _, _, lhs, rhs in rows:
         for term in (*lhs, *rhs):
-            for cell in term[1:]:
-                cells[cell] = None
-    values = dict(zip(cells, values_at([(v, ix, None) for v, ix in cells], p, cache)))
+            for factor in term[1:]:
+                factors[factor] = None
+    values = {}
+    for factor in factors:
+        if factor[0] == "Zk":
+            values[factor] = Zk(factor[1], p)
+        elif factor[0] == "L2":
+            values[factor] = L2(p)
+    cells = [f for f in factors if f not in values]
+    values.update(zip(cells, values_at([(v, ix, None) for v, ix in cells], p, cache)))
 
     def side(terms):
         total = 0
         for coeff, *term in terms:
-            for cell in term:
-                coeff *= values[cell]
+            if type(coeff) is Fraction:  # not isinstance: Fraction is an ABC, slow to test
+                coeff = _frac_mod(coeff, p)
+            for factor in term:
+                coeff *= values[factor]
             total += coeff
         return total % p
 
     cases = []
-    for name, lhs, rhs in rows:
+    for name, _, lhs, rhs in rows:
         lhs, rhs = side(lhs), side(rhs)
         cases.append(Case(case=name, prime=p, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs))
     return cases
 
 
-def _prop21_rows(kmax, p):
-    for k in range(1, min(kmax, p - 3) + 1):
-        rhs = -2 * L2(p) if k == 1 else (2 - pow(2, k, p)) * Zk(k, p)
-        yield "k=%d" % k, [(1, ("zeta2", (k,)))], [(rhs,)]
+def _prop21_rows(kmax):
+    for k in range(1, kmax + 1):
+        rhs = (-2, ("L2",)) if k == 1 else (2 - 2 ** k, ("Zk", k))
+        yield "k=%d" % k, k, [(1, ("zeta2", (k,)))], [rhs]
 
 
-def _depth2_rows(kmax, p):
-    inv2 = mod_inv(2, p)
-    for k in range(3, min(kmax, p - 3) + 1, 2):
-        zk = Zk(k, p)
+def _depth2_rows(kmax):
+    for k in range(3, kmax + 1, 2):
         for k1 in range(1, k):
             k2 = k - k1
-            rhs = inv2 * ((-1) ** k2 * math.comb(k, k2) + pow(2, k, p) - 2) * zk
-            yield _istr((k1, k2)), [(1, ("zeta2", (k1, k2)))], [(rhs,)]
+            yield _istr((k1, k2)), k, [(1, ("zeta2", (k1, k2)))], [
+                (Fraction((-1) ** k2 * math.comb(k, k2) + 2 ** k - 2, 2), ("Zk", k))]
 
 
-def _key_rows(wmax, p):
-    for index in _indices_at(p, wmax):
-        yield _istr(index), [(1, ("zeta", index))], [
+def _key_rows(wmax):
+    for index in _indices_of_weight_up_to(wmax):
+        yield _istr(index), sum(index), [(1, ("zeta", index))], [
             ((-1) ** sum(index[i:]), ("zeta2", index[:i]), ("zeta2", index[i:][::-1]))
             for i in range(len(index) + 1)]
 
 
-def _parity_rows(wmax, p):
-    for index in _indices_at(p, wmax):
+def _parity_rows(wmax):
+    for index in _indices_of_weight_up_to(wmax):
         k, r = sum(index), len(index)
-        yield _istr(index), [(1, ("zeta2", index))], [
+        yield _istr(index), k, [(1, ("zeta2", index))], [
             ((-1) ** (i + r + k), ("zeta", index[:i][::-1]), ("zeta2star", index[i:]))
             for i in range(r + 1)]
 
 
-def _antipode_num_rows(dmax, wmax, p):
-    for index in _indices_at(p, wmax, dmax):
-        yield "num %s" % _istr(index), [
+def _antipode_num_rows(dmax, wmax):
+    for index in _indices_of_weight_up_to(wmax, dmax):
+        yield "num %s" % _istr(index), sum(index), [
             ((-1) ** j, ("zeta2", index[:j][::-1]), ("zeta2star", index[j:]))
             for j in range(len(index) + 1)], []
 
@@ -230,21 +236,21 @@ def _antipode_sym_rows(dmax, wmax, primes, cache):
     return rows
 
 
-def _example24_rows(wmax, p):
-    inv2 = mod_inv(2, p)
-    for k in range(3, min(wmax, p - 3) + 1, 2):
+def _example24_rows(wmax):
+    half = Fraction(1, 2)
+    for k in range(3, wmax + 1, 2):
         for k1 in range(1, k):
             k2 = k - k1
-            yield "i %s" % _istr((k1, k2)), [(1, ("zeta2", (k1, k2)))], [
-                (-inv2, ("zeta2", (k,))), (-inv2, ("zeta", (k2, k1)))]
-    for k in range(4, min(wmax, p - 3) + 1, 2):
+            yield "i %s" % _istr((k1, k2)), k, [(1, ("zeta2", (k1, k2)))], [
+                (-half, ("zeta2", (k,))), (-half, ("zeta", (k2, k1)))]
+    for k in range(4, wmax + 1, 2):
         for k1 in range(1, k - 1):
             for k2 in range(1, k - k1):
                 k3 = k - k1 - k2
-                yield "ii %s" % _istr((k1, k2, k3)), [(1, ("zeta2", (k1, k2, k3)))], [
-                    (inv2, ("zeta", (k1, k2, k3))), (-inv2, ("zeta2", (k1 + k2, k3))),
-                    (-inv2, ("zeta2", (k1, k2 + k3))),
-                    (inv2, ("zeta", (k1, k2)), ("zeta2", (k3,)))]
+                yield "ii %s" % _istr((k1, k2, k3)), k, [(1, ("zeta2", (k1, k2, k3)))], [
+                    (half, ("zeta", (k1, k2, k3))), (-half, ("zeta2", (k1 + k2, k3))),
+                    (-half, ("zeta2", (k1, k2 + k3))),
+                    (half, ("zeta", (k1, k2)), ("zeta2", (k3,)))]
 
 
 def _comb0(n, m):
@@ -254,18 +260,18 @@ def _comb0(n, m):
     return math.comb(n, m)
 
 
-def _sum_formula_rows(kmax, p):
-    for k in range(1, min(kmax, p - 3) + 1):
+def _sum_formula_rows(kmax):
+    for k in range(1, kmax + 1):
         # odd-entry block compositions of B(k,i) and B1(k,i), shared across r
         odd = {i: [c for c in compositions(k, i) if all(x % 2 for x in c)]
                for i in range(k % 2 or 2, k + 1, 2)}
         odd1 = {i: [c for c in cs if all(x >= 3 for x in c)] for i, cs in odd.items()}
         for r in range(1, k + 1):
             sign = (-1) ** (k + r)
-            yield "S(%d,%d)" % (k, r), [(1, ("zeta2", c)) for c in compositions(k, r)], [
+            yield "S(%d,%d)" % (k, r), k, [(1, ("zeta2", c)) for c in compositions(k, r)], [
                 (sign * _comb0((k - i) // 2, r - i), ("zeta2", c))
                 for i, cs in odd.items() if i <= r for c in cs]
-            yield "S1(%d,%d)" % (k, r), [
+            yield "S1(%d,%d)" % (k, r), k, [
                 (1, ("zeta2", c)) for c in compositions(k, r, min_part=2)], [
                 (sign * _comb0((k - 3 * i) // 2, r - i), ("zeta2", c))
                 for i, cs in odd1.items() if i <= r for c in cs]
@@ -286,16 +292,14 @@ def _one_odd_compositions(k, r, i):
     return list(rec(k, 0))
 
 
-def _ppt_special_rows(rmax, _recon_weight_max, p):
+def _ppt_special_rows(rmax, _recon_weight_max):
     for r in range(1, rmax + 1):
         k = 2 * r - 1
-        if p <= k + 2:
-            continue
         for i in range(1, r + 1):
             coeff = Fraction((-1) ** (r - 1) * math.comb(k, 2 * i - 1), 2 ** (2 * r - 2))
-            yield ("special r=%d i=%d" % (r, i),
+            yield ("special r=%d i=%d" % (r, i), k,
                    [(1, ("zeta2", (2,) * (i - 1) + (1,) + (2,) * (r - i)))],
-                   [(_frac_mod(coeff, p), ("zeta2", (k,)))])
+                   [(coeff, ("zeta2", (k,)))])
 
 
 def _one_odd_patterns(max_weight):
@@ -329,17 +333,9 @@ def ppt_constants(max_weight, primes, cache=None, min_weight=1):
     return {pat: rat_reconstruct(*crt_combine(pr)) if pr else None for pat, pr in pairs.items()}
 
 
-def _ppt_setup(rmax, recon_weight_max):
-    if recon_weight_max is None:
-        recon_weight_max = 2 * rmax + 1
+def _ppt_setup(rmax):
+    recon_weight_max = 2 * rmax + 1
     return (rmax, recon_weight_max), {"rmax": rmax, "recon_weight_max": recon_weight_max}
-
-
-def _ppt_heldout_rows(comps, consts, p):
-    for (k, r, i), cs in comps.items():
-        c = consts[k, r, i]
-        yield ("pattern k=%d r=%d i=%d heldout" % (k, r, i),
-               [(c.denominator, ("zeta2", x)) for x in cs], [(c.numerator, ("zeta2", (k,)))])
 
 
 def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
@@ -348,7 +344,7 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
         train, held = _train_split(_filtered(primes, k))
         # the training primes depend only on k, so one call serves every pattern of weight k
         consts = ppt_constants(k, train, cache, min_weight=k) if train else {}
-        comps = {}
+        held_rows = []
         for pat in pats:
             name = "pattern k=%d r=%d i=%d" % pat
             c = consts.get(pat)
@@ -357,9 +353,11 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
                                  rhs="rational constant", passed=False))
                 continue
             rows.append(Case(case=name + " c", prime=None, lhs=str(c), rhs=str(c), passed=True))
-            comps[pat] = _one_odd_compositions(*pat)
+            held_rows.append((name + " heldout", k,
+                              [(c.denominator, ("zeta2", x)) for x in _one_odd_compositions(*pat)],
+                              [(c.numerator, ("zeta2", (k,)))]))
         for p in held:
-            rows.extend(_prime_rows(_ppt_heldout_rows, (comps, consts), p, cache))
+            rows.extend(_prime_rows(held_rows, p, cache))
     return rows
 
 
@@ -385,19 +383,15 @@ def _weighted_terms(index):
             yield coeff, tuple(index[t] for t in perm)
 
 
-def _weighted_rows(level, entries, p):
-    factor = 2 if level == 1 else 1
-    zk = {}  # weight -> Zk(weight, p), computed at most once per weight
-    for index, terms, csum in entries:
+def _weighted_rows(level, indices):
+    variant, factor = ("zeta", 2) if level == 1 else ("zeta2", 1)
+    for index in indices:
         k, r = sum(index), len(index)
-        if p <= k + 2:
-            continue
-        rhs = []
-        if csum:
-            if k not in zk:
-                zk[k] = Zk(k, p)
-            rhs = [((-1) ** r * factor * csum * zk[k],)]
-        yield _istr(index), terms, rhs
+        # the sum of C over the permutations of the head
+        csum = sum(coeff_C(head + index[-1:]) for head in itertools.permutations(index[:-1]))
+        yield (_istr(index), k,
+               [(coeff, (variant, permuted)) for coeff, permuted in _weighted_terms(index)],
+               [((-1) ** r * factor * csum, ("Zk", k))] if csum else [])
 
 
 def _weighted_setup(level, wmax, dmax, indices):
@@ -411,24 +405,20 @@ def _weighted_setup(level, wmax, dmax, indices):
             raise ValueError("depth > %d rejected (cost r!)" % PERM_DEPTH_GUARD)
         if level == 2 and (index[-1] % 2 == 0 or any(x % 2 for x in index[:-1])):
             raise ValueError("level-2 weighted identity needs even entries with an odd last entry, got %r" % (index,))
-    # the terms and the sum of C over the head's permutations depend only on the index
-    variant = "zeta" if level == 1 else "zeta2"
-    entries = [(index, [(coeff, (variant, permuted)) for coeff, permuted in _weighted_terms(index)],
-                sum(coeff_C(head + index[-1:]) for head in itertools.permutations(index[:-1])))
-               for index in indices]
-    return (level, entries), {"level": level, "indices": len(indices)}
+    return (level, indices), {"level": level, "indices": len(indices)}
 
 
-def _conj38_rows(rmax, p):
-    # the lhs runs over the {1,2}-indices of depth r with a twos, zero coefficients left out
+def _conj38_rows(rmax):
+    # the lhs runs over the {1,2}-indices of depth r with a twos, of weight r + a,
+    # zero coefficients left out
     for r in range(1, rmax + 1):
-        for a in range(0, min(r, p - 3 - r) + 1):
+        for a in range(0, r + 1):
             lhs = []
             for twos in itertools.combinations(range(r), a):
                 coeff = (-1) ** sum(1 for t in twos if t % 2 == 0) * 2 ** a - 1
                 if coeff:
                     lhs.append((coeff, ("zeta2", tuple(2 if t in twos else 1 for t in range(r)))))
-            yield "r=%d a=%d" % (r, a), lhs, []
+            yield "r=%d a=%d" % (r, a), r + a, lhs, []
 
 
 def _lemma_rows(g_kmax, r_wmax, r_dmax, primes, cache):
@@ -464,13 +454,17 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
                        defaults=(None, None, None))):
     """A verification suite.
 
-    rows(*args, p) yields the (case, lhs, rhs) rows checked at each prime p.  Each
-    side is a list of terms (coeff, cell, ...), a cell being a (variant, index) pair:
-    the term stands for coeff times the product of its cells' values mod p, (c,) is
-    the constant c and [] is 0.  A row passes iff its sides agree mod p; the cells
-    the rows name are all the cells they read, each read once, in one sweep.
-    fixed(*args, primes, cache) gives the prime-free rows.  setup(*bounds) turns the
-    bounds into (args, report params); by default both are the bounds."""
+    rows(*args) yields the (case, weight, lhs, rhs) rows, built once per run and
+    checked at every prime p > weight + 2.  Each side is a list of terms
+    (coeff, factor, ...): coeff is an int or a Fraction, and a factor is a cell
+    (variant, index) or one of the constants ("Zk", k) and ("L2",).  The term
+    stands for coeff times the product of its factors' values mod p; (c,) is the
+    constant c and [] is 0.  A row passes iff its sides agree mod p; the cells the
+    rows name are all the cells they read at p, each read once, in one sweep.
+    fixed(*args, primes, cache) gives the other cases: symbolic checks, and ppt's
+    reconstruction with its held-out rows.
+    setup(*bounds) turns the bounds into (args, report params); by default both are
+    the bounds."""
 
     def resolve(self, bounds):
         """(args, report params) of the bounds; one that is None or missing takes its default."""
@@ -486,7 +480,7 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
         primes = list(primes)
         rows = []
         if self.rows is not None:
-            for part in per_prime(partial(_prime_rows, self.rows, args),
+            for part in per_prime(partial(_prime_rows, list(self.rows(*args))),
                                   primes, jobs, cache):
                 rows.extend(part)
         if self.fixed is not None:
@@ -504,7 +498,7 @@ SUITES = {s.name: s for s in (
     Suite("depth2", (Param("kmax", 9, WEIGHT_GUARD),), rows=_depth2_rows),
     Suite("example24", (Param("wmax", 9, WEIGHT_GUARD),), rows=_example24_rows),
     Suite("sumformula", (Param("kmax", 10, WEIGHT_GUARD),), rows=_sum_formula_rows),
-    Suite("ppt", (Param("rmax", 6, DEPTH_GUARD), Param("recon_weight_max", None)),
+    Suite("ppt", (Param("rmax", 6, DEPTH_GUARD),),
           rows=_ppt_special_rows, fixed=_ppt_recon_rows, setup=_ppt_setup),
     Suite("weighted1", (Param("wmax", 8, WEIGHT_GUARD), Param("dmax", 4, PERM_DEPTH_GUARD),
                         Param("indices", None)),
@@ -560,17 +554,15 @@ def verify_sum_formula(kmax=_default("sumformula", "kmax"), primes=(), cache=Non
     return SUITES["sumformula"].run({"kmax": kmax}, primes, cache, jobs)
 
 
-def verify_ppt(rmax=_default("ppt", "rmax"), primes=(), recon_weight_max=None, cache=None,
-               jobs=1) -> Report:
+def verify_ppt(rmax=_default("ppt", "rmax"), primes=(), cache=None, jobs=1) -> Report:
     """One-odd-rest-even pattern sums as rational multiples of the depth-1 value.
 
     Part one checks the displayed two-power binomial constant for the
     all-twos-and-one-1 patterns; part two reconstructs the constant for every
-    one-odd pattern (weight <= recon_weight_max, default 2 rmax + 1) from
-    training primes and re-verifies it on held-out primes.
+    one-odd pattern of weight <= 2 rmax + 1 from training primes and
+    re-verifies it on held-out primes.
     """
-    return SUITES["ppt"].run({"rmax": rmax, "recon_weight_max": recon_weight_max},
-                             primes, cache, jobs)
+    return SUITES["ppt"].run({"rmax": rmax}, primes, cache, jobs)
 
 
 def verify_weighted_perm(level, indices=None, primes=(), cache=None, jobs=1) -> Report:

@@ -25,7 +25,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for the sizes this package uses."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     if n < 41 * 41:  # no prime factor <= 37, and a composite n has one <= sqrt(n) < 41

@@ -7,7 +7,8 @@ import pytest
 
 import fmzv.evaluator as ev
 from fmzv.cli import main
-from fmzv.evaluator import clear_memo
+from fmzv.evaluator import clear_memo, eval_euler
+from fmzv.modmath import sieve_primes
 
 
 def run(capsys, *argv):
@@ -37,6 +38,15 @@ def test_compute_euler(capsys):
                        "--signs", "-", "--primes", "5..5", "--format", "csv")
     assert code == 0
     assert out == "prime,residue\n5,4\n"
+
+
+def test_compute_signs_that_start_with_minus(capsys):
+    # argparse takes a separate "-,+" for a flag; the joined form is the documented one
+    code, out, _ = run(capsys, "compute", "--variant", "euler", "--index", "1,2",
+                       "--signs=-,+", "--primes", "5..30", "--format", "csv")
+    assert code == 0
+    assert out == "prime,residue\n" + "".join(
+        "%d,%d\n" % (p, eval_euler((1, 2), (-1, 1), p)) for p in sieve_primes(5, 30))
 
 
 def test_compute_json_csv_same_data(capsys):
@@ -153,6 +163,13 @@ def test_discover_sweeps_once_per_prime(capsys, monkeypatch):
     clear_memo()
     assert code == 0
     assert swept == json.loads(out)["primes"]
+
+
+def test_discover_signs_that_start_with_minus(capsys):
+    code, out, _ = run(capsys, "discover", "--variant", "euler", "--target", "1,2",
+                       "--signs=-,+", "--basis", "odd")
+    assert code == 0
+    assert json.loads(out)["target"] == "euler(1,2;-,+)"
 
 
 def test_discover_target_in_basis(capsys):

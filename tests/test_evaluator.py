@@ -335,7 +335,7 @@ def test_cache_round_trip(tmp_path):
     # recomputation from scratch reproduces every cached cell bit-exactly
     ev.clear_memo()
     for line in lines:
-        key, residue = ResidueCache._parse_line(line)
+        key, residue = parse_line(line)
         variant, index, signs, p = key
         assert ev.compute_cell(variant, index, signs, p) == residue
 
@@ -399,6 +399,10 @@ def test_cache_conflicting_duplicate_is_corrupt(tmp_path, repeat):
 
 
 # --- the cache line parser against the one that checked every line in full ---
+
+def parse_line(line: str):
+    return ev._parse_cell(line, {}, {})
+
 
 def reference_parse_line(line: str):
     parts = line.split(",")
@@ -486,7 +490,7 @@ def test_parse_line_matches_reference_on_mutated_lines(tmp_path):
     accepted = []
     for line in real + lines:
         want = _parsed(reference_parse_line, line)
-        assert _parsed(ResidueCache._parse_line, line) == want, line
+        assert _parsed(parse_line, line) == want, line
         if want is not None:
             accepted.append(line)
     assert 2000 < len(accepted) - len(real) < 18000

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -28,8 +29,9 @@ from fmzv.identities import (
     verify_sum_formula,
     verify_weighted_perm,
 )
+from fmzv.bernoulli import L2, Zk
 from fmzv.identities import SUITES, _one_odd_compositions, _prime_rows
-from fmzv.modmath import sieve_primes
+from fmzv.modmath import mod_inv, sieve_primes
 
 PRIMES = sieve_primes(5, 60)
 
@@ -192,6 +194,17 @@ def test_weighted_calls_Zk_once_per_weight_and_prime(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_weighted1_calls_Zk_once_per_weight_and_prime_with_a_nonzero_C_sum(monkeypatch):
+    calls = []
+    zk = ids.Zk
+    monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
+    primes = sieve_primes(5, 60)
+    assert verify_weighted_perm(1, primes=primes).passed
+    weights = {sum(ix) for ix in default_weighted_indices(1)
+               if sum(coeff_C(head + ix[-1:]) for head in itertools.permutations(ix[:-1]))}
+    assert sorted(calls) == sorted((k, p) for k in weights for p in primes if p > k + 2)
+
+
 def test_weighted_builds_terms_and_C_sum_once_per_index(monkeypatch):
     # both depend only on the index, so the number of primes must not matter
     terms, cs = [], []
@@ -302,10 +315,39 @@ def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
         clear_memo()
         sweeps.clear()
         computed.clear()
-        _prime_rows(suite.rows, args, p, None)
+        _prime_rows(list(suite.rows(*args)), p, None)
         assert len(sweeps) <= 1
         assert len(computed) == len(set(computed))
         assert set(computed) == {(*cell, p) for cell in (sweeps[0] if sweeps else ())}
+    clear_memo()
+
+
+@pytest.mark.parametrize("name", [n for n, s in SUITES.items() if s.rows is not None])
+def test_rows_are_built_once_per_run(name):
+    suite = SUITES[name]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return suite.rows(*args)
+
+    assert suite._replace(rows=counting).run({}, PRIMES).passed
+    assert len(calls) == 1
+
+
+def test_prime_rows_checks_a_row_exactly_when_p_exceeds_its_weight_plus_two():
+    rows = [("w3", 3, [(1, ("Zk", 3))], [(Fraction(1, 2), ("L2",))]),
+            ("w5", 5, [(Fraction(1, 2),)], [(1, ("zeta2", (5,)))])]
+    for p in (5, 7, 11, 13):
+        cases = {c.case: c for c in _prime_rows(rows, p, None)}
+        assert sorted(cases) == [name for name, k, _, _ in rows if p > k + 2]
+        if "w3" in cases:
+            assert cases["w3"].lhs == str(Zk(3, p))
+            assert cases["w3"].rhs == str(mod_inv(2, p) * L2(p) % p)
+        if "w5" in cases:
+            assert cases["w5"].lhs == str(mod_inv(2, p))
+            assert cases["w5"].rhs == str(value_of("zeta2", (5,), None, p))
+        assert all(c.prime == p and c.passed == (c.lhs == c.rhs) for c in cases.values())
     clear_memo()
 
 
