@@ -10,9 +10,10 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
   euler      level 1 with numerator signs eps_i^(m_i), eps_i in {+1,-1}
 
 A value takes one route (`value_of`): the residue cache if one is given, else
-the table of one prime, which holds the cells planned or swept alone at it,
-else a sweep of the cell alone, which the table keeps.  The table is emptied
-when a call arrives at another prime, so no store but the cache outlives a prime.
+the table the caller passes, which `plan` returned for the cells it swept at
+that prime, else a sweep of the cell alone.  The module keeps no state: the
+cache is the only store that outlives a call, so a repeated single-cell call
+without a cache sweeps again; pass `ResidueCache()` to serve it from memory.
 
 A sweep (`plan`, `_sweep`) evaluates many cells of one prime at once: the
 requested indices and all their prefixes form a trie with one accumulator
@@ -52,7 +53,6 @@ __all__ = [
     "parse_index",
     "signs_to_str",
     "parse_signs",
-    "clear_memo",
 ]
 
 VARIANTS = ("zeta", "zeta2", "zeta2star", "euler")
@@ -310,23 +310,6 @@ class ResidueCache:
         return len(self._cells)
 
 
-# (variant, index, signs, p) -> value of the cells of one prime p: those
-# planned at it and those swept alone at it
-_TABLE: dict[tuple, int] = {}
-
-
-def _table_at(p):
-    # the table, emptied first if it holds another prime
-    if _TABLE and next(iter(_TABLE))[3] != p:
-        _TABLE.clear()
-    return _TABLE
-
-
-def clear_memo():
-    """Empty the table of the current prime."""
-    _TABLE.clear()
-
-
 def _trie(words):
     """The prefix-closed trie of the words.
 
@@ -387,38 +370,38 @@ def _sweep(cells, p) -> dict:
     return out
 
 
-def plan(cells, p: int, cache: ResidueCache | None = None):
-    """Add to the table of p, in one sweep, every (variant, index, signs) cell that
-    value_of will be asked for and that neither the table nor the cache holds."""
-    table = _table_at(p)
+def plan(cells, p: int, cache: ResidueCache | None = None) -> dict:
+    """{(variant, index, signs, p): value}, from one sweep, of every (variant, index,
+    signs) cell that value_of will be asked for at p and that the cache does not hold."""
     todo = {}
     for variant, index, signs in cells:
-        key = (variant, tuple(index), signs, p)
-        if key[1] and key not in table and (cache is None or key not in cache._cells):
+        key = (variant, tuple(index), None if signs is None else tuple(signs), p)
+        if key[1] and (cache is None or key not in cache._cells):
             todo[key[:3]] = None
-    if todo:
-        table.update(((*cell, p), v) for cell, v in _sweep(todo, p).items())
+    return {(*cell, p): v for cell, v in _sweep(todo, p).items()} if todo else {}
 
 
-def compute_cell(variant: str, index, signs, p: int) -> int:
-    """Uncached single-cell evaluation: the table's value, else a sweep of this cell,
-    which the table keeps."""
-    key = (variant, tuple(index), signs, p)
-    table = _table_at(p)
-    if key not in table:
-        (table[key],) = _sweep([key[:3]], p).values()
-    return table[key]
+def compute_cell(variant: str, index, signs, p: int, table=None) -> int:
+    """Uncached single-cell evaluation: the cell's value in table (what plan returned)
+    if it is there, else a sweep of this cell alone."""
+    key = (variant, tuple(index), None if signs is None else tuple(signs), p)
+    if table and key in table:
+        return table[key]
+    (v,) = _sweep([key[:3]], p).values()
+    return v
 
 
-def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None) -> int:
+def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None,
+             table=None) -> int:
     """Single-cell evaluation: the cache's value if given, else compute_cell's, which
     the cache then keeps."""
     index = tuple(index)
     if not index:
         return 1
+    signs = None if signs is None else tuple(signs)
     v = None if cache is None else cache.get(variant, index, signs, p)
     if v is None:
-        v = compute_cell(variant, index, signs, p)
+        v = compute_cell(variant, index, signs, p, table)
         if cache is not None:
             cache.add(variant, index, signs, p, v)
     return v
@@ -426,8 +409,8 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
 
 def values_at(columns, p: int, cache: ResidueCache | None = None) -> tuple:
     """Values of the (variant, index, signs) columns at one prime."""
-    plan(columns, p, cache)
-    return tuple(value_of(v, ix, s, p, cache) for v, ix, s in columns)
+    table = plan(columns, p, cache)
+    return tuple(value_of(v, ix, s, p, cache, table) for v, ix, s in columns)
 
 
 def _prime_task(fn, known, p):

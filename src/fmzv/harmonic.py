@@ -325,7 +325,7 @@ def evaluate_combination(comb: IndexCombination, variant: str, p: int, cache=Non
     """
     if variant == "euler":
         raise ValueError("evaluate_combination does not take the signed variant")
-    plan(((variant, index, None) for index, _ in comb.terms()), p, cache)
+    table = plan(((variant, index, None) for index, _ in comb.terms()), p, cache)
     total = 0
     for index, coeff in comb.terms():
         if coeff.denominator % p == 0:
@@ -333,5 +333,5 @@ def evaluate_combination(comb: IndexCombination, variant: str, p: int, cache=Non
                 "coefficient %s of term %r has denominator divisible by %d" % (coeff, index, p)
             )
         c = coeff.numerator * mod_inv(coeff.denominator, p) % p
-        total = (total + c * value_of(variant, index, None, p, cache)) % p
+        total = (total + c * value_of(variant, index, None, p, cache, table)) % p
     return total

@@ -324,11 +324,12 @@ def ppt_constants(max_weight, primes, cache=None, min_weight=1):
     for p in primes:
         at_p = {pat: cs for pat, cs in comps.items() if p > pat[0] + 2}
         # one sweep at p for the compositions and the depth-1 reference of every pattern
-        plan([("zeta2", c, None) for (k, _, _), cs in at_p.items() for c in ((k,), *cs)], p, cache)
+        table = plan([("zeta2", c, None) for (k, _, _), cs in at_p.items() for c in ((k,), *cs)],
+                     p, cache)
         for (k, r, i), cs in at_p.items():
-            ref = value_of("zeta2", (k,), None, p, cache)
+            ref = value_of("zeta2", (k,), None, p, cache, table)
             if ref:
-                lhs = sum(value_of("zeta2", c, None, p, cache) for c in cs)
+                lhs = sum(value_of("zeta2", c, None, p, cache, table) for c in cs)
                 pairs[k, r, i].append((lhs * mod_inv(ref, p) % p, p))
     return {pat: rat_reconstruct(*crt_combine(pr)) if pr else None for pat, pr in pairs.items()}
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 from fmzv.bernoulli import L2, Zk
 from fmzv.cli import main
 from fmzv.evaluator import (
-    clear_memo,
     eval_even_form,
     eval_odd_form,
     eval_zeta2,
@@ -182,18 +181,14 @@ def test_criterion_12_determinism(tmp_path):
     cache = str(tmp_path / "acc.csv")
     args = ("--cache", cache, "verify", "--suite", "depth2", "--kmax", "7",
             "--primes", "5..60", "--format", "json")
-    clear_memo()
     code1, out1 = _cli(*args)
-    clear_memo()
     code2, out2 = _cli(*args)
     assert code1 == code2 == 0
     assert out1 == out2
 
     pargs = ("verify", "--suite", "prop21", "--kmax", "7", "--primes", "5..60",
              "--format", "json")
-    clear_memo()
     code1, serial = _cli(*pargs)
-    clear_memo()
     code2, parallel = _cli("--jobs", "2", *pargs)
     assert code1 == code2 == 0
     assert serial == parallel

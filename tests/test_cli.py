@@ -7,7 +7,7 @@ import pytest
 
 import fmzv.evaluator as ev
 from fmzv.cli import main
-from fmzv.evaluator import clear_memo, eval_euler
+from fmzv.evaluator import eval_euler
 from fmzv.modmath import sieve_primes
 
 
@@ -157,10 +157,8 @@ def test_discover_sweeps_once_per_prime(capsys, monkeypatch):
     sweep = ev._sweep
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
     monkeypatch.delenv("FMZV_CACHE", raising=False)
-    clear_memo()
     code, out, _ = run(capsys, "discover", "--target", "1,2", "--basis", "odd",
                        "--primes", "7..199")
-    clear_memo()
     assert code == 0
     assert swept == json.loads(out)["primes"]
 
@@ -240,12 +238,10 @@ def test_cache_env_and_flag(tmp_path, monkeypatch, capsys):
     env_path = tmp_path / "env.csv"
     flag_path = tmp_path / "flag.csv"
     monkeypatch.setenv("FMZV_CACHE", str(env_path))
-    clear_memo()
     code, _, _ = run(capsys, "compute", "--index", "1,2", "--primes", "5..20")
     assert code == 0
     assert env_path.exists()
 
-    clear_memo()
     code, _, _ = run(capsys, "--cache", str(flag_path), "compute",
                      "--index", "2,1", "--primes", "5..20")
     assert code == 0
@@ -273,10 +269,8 @@ def test_warm_cache_byte_identical(tmp_path, capsys):
     path = str(tmp_path / "warm.csv")
     args = ("--cache", path, "verify", "--suite", "depth2", "--kmax", "7",
             "--primes", "5..60", "--format", "json")
-    clear_memo()
     code, first, _ = run(capsys, *args)
     assert code == 0
-    clear_memo()
     code, second, _ = run(capsys, *args)
     assert code == 0
     assert first == second
@@ -285,10 +279,8 @@ def test_warm_cache_byte_identical(tmp_path, capsys):
 def test_jobs_parallel_identical(capsys):
     args = ("verify", "--suite", "prop21", "--kmax", "6", "--primes", "5..60",
             "--format", "json")
-    clear_memo()
     code, serial, _ = run(capsys, *args)
     assert code == 0
-    clear_memo()
     code, parallel, _ = run(capsys, "--jobs", "2", *args)
     assert code == 0
     assert serial == parallel
@@ -334,7 +326,6 @@ GOLDEN_5_60 = {
 def test_verify_golden_output(capsys, suite):
     code, out, _ = run(capsys, "verify", "--suite", suite, "--primes", "5..60",
                        "--format", "json")
-    clear_memo()  # later tests count the sweeps a run makes
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_5_60[suite]
 
@@ -389,11 +380,9 @@ def test_cold_cache_bytes(tmp_path, capsys):
     # sha256 of the cache file a cold run writes, recorded before the per-prime
     # sweep: the same cells, in the same order, with or without workers
     for jobs in ("1", "2"):
-        clear_memo()
         path = tmp_path / ("new%s.csv" % jobs)
         code, _, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "verify", "--suite", "key",
                          "--wmax", "5", "--primes", "5..60")
-        clear_memo()
         assert code == 0
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == "44f227cca8db77406bf56fba5c2c6b2cee6934a9f343515435dde7e745cdcac6")
@@ -418,10 +407,8 @@ COLD_CACHE_SORTED_5_60 = {
 
 @pytest.mark.parametrize("suite", sorted(COLD_CACHE_SORTED_5_60))
 def test_cold_cache_sorted_lines(tmp_path, capsys, suite):
-    clear_memo()
     path = tmp_path / "new.csv"
     code, _, _ = run(capsys, "--cache", str(path), "verify", "--suite", suite, "--primes", "5..60")
-    clear_memo()
     assert code == 0
     lines = path.read_bytes().splitlines(keepends=True)
     assert (hashlib.sha256(b"".join(sorted(lines))).hexdigest()
@@ -433,13 +420,11 @@ def test_cold_ppt_cache_lines(tmp_path, capsys):
     # sha256 recorded before that; workers write the same bytes as one process
     data = []
     for jobs in ("1", "2"):
-        clear_memo()
         path = tmp_path / ("ppt%s.csv" % jobs)
         code, _, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "verify", "--suite", "ppt",
                          "--primes", "5..60")
         assert code == 0
         data.append(path.read_bytes())
-    clear_memo()
     assert data[0] == data[1]
     lines = data[0].splitlines(keepends=True)
     assert len(lines) == 4894

@@ -197,13 +197,11 @@ def test_check_cell(cell, want):
 
 
 def test_signs_on_a_non_euler_cell_raise():
-    ev.clear_memo()
     for variant in ("zeta", "zeta2", "zeta2star"):
         with pytest.raises(ValueError):
             ev.value_of(variant, (1, 2), (1, 1), 7)
         with pytest.raises(ValueError):
             ev.compute_cell(variant, (1, 2), (1, 1), 7)
-    ev.clear_memo()
 
 
 def test_serialization_round_trip():
@@ -235,7 +233,6 @@ def test_sweep_matches_oracles():
 
 
 def test_unplanned_cell_is_swept_alone():
-    ev.clear_memo()
     assert ev.compute_cell("zeta2star", (2, 1), None, 11) == eval_zeta2_star((2, 1), 11)
     assert ev.compute_cell("euler", (1, 2), (-1, 1), 7) == eval_euler((1, 2), (-1, 1), 7)
     assert ev.compute_cell("zeta", (), None, 7) == 1
@@ -248,38 +245,62 @@ def test_unplanned_cell_is_swept_alone():
 
 
 def test_plan_skips_known_cells_and_holds_one_prime(tmp_path, monkeypatch):
-    ev.clear_memo()
     sweeps = []
     sweep = ev._sweep
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
     cache = ResidueCache(str(tmp_path / "c.txt"))
     cache.add("zeta2", (1,), None, 7, 3)
-    ev.value_of("zeta", (1, 2), None, 7)  # swept alone, and the table keeps it
-    ev.plan([("zeta2", (1,), None), ("zeta", (1, 2), None), ("zeta2", (2, 1), None),
-             ("zeta", (), None)], 7, cache)
-    assert sweeps == [{("zeta", (1, 2), None)}, {("zeta2", (2, 1), None)}]
-    # a second plan at the same prime adds to the table
-    ev.plan([("zeta2", (2, 1), None), ("zeta2", (3,), None)], 7, cache)
-    assert sweeps[2:] == [{("zeta2", (3,), None)}]
-    assert ev._TABLE == {("zeta", (1, 2), None, 7): eval_zeta((1, 2), 7),
-                         ("zeta2", (2, 1), None, 7): eval_zeta2((2, 1), 7),
-                         ("zeta2", (3,), None, 7): eval_zeta2((3,), 7)}
-    # a call at another prime empties it
-    ev.plan([("zeta2", (1,), None)], 11, cache)
-    assert ev._TABLE == {("zeta2", (1,), None, 11): eval_zeta2((1,), 11)}
+    # the cached cell and the empty index are not swept, the others take one sweep
+    table = ev.plan([("zeta2", (1,), None), ("zeta", (1, 2), None), ("zeta2", (2, 1), None),
+                     ("zeta", (), None)], 7, cache)
+    assert sweeps == [{("zeta", (1, 2), None), ("zeta2", (2, 1), None)}]
+    assert table == {("zeta", (1, 2), None, 7): eval_zeta((1, 2), 7),
+                     ("zeta2", (2, 1), None, 7): eval_zeta2((2, 1), 7)}
+    # value_of reads a planned cell from the table, and sweeps an unplanned one alone
+    assert ev.value_of("zeta2", (2, 1), None, 7, None, table) == eval_zeta2((2, 1), 7)
+    assert len(sweeps) == 1
+    assert ev.value_of("zeta2", (3,), None, 7, None, table) == eval_zeta2((3,), 7)
+    assert sweeps[1:] == [{("zeta2", (3,), None)}]
+    # each plan is one sweep of its own cells, at its own prime
+    table = ev.plan([("zeta2", (2, 1), None), ("zeta2", (1,), None)], 11, cache)
+    assert sweeps[2:] == [{("zeta2", (2, 1), None), ("zeta2", (1,), None)}]
+    assert table == {("zeta2", (2, 1), None, 11): eval_zeta2((2, 1), 11),
+                     ("zeta2", (1,), None, 11): eval_zeta2((1,), 11)}
+    # a plan over cached cells alone makes no sweep
+    assert ev.plan([("zeta2", (1,), None), ("zeta", (), None)], 7, cache) == {}
+    assert len(sweeps) == 3
     cache.close()
-    ev.clear_memo()
 
 
-def test_table_holds_one_prime_after_a_run_over_many():
+def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
+    # each plan of a run over many primes returns its own prime's cells, and the
+    # module keeps nothing: a repeated cell without a cache is swept again
+    tables, sweeps = [], []
+    plan, sweep = ev.plan, ev._sweep
+    monkeypatch.setattr(ev, "plan", lambda *args: tables.append(plan(*args)) or tables[-1])
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(p) or sweep(cells, p))
     primes = sieve_primes(5, 120)
     eval_table("zeta2", (2, 1), primes=primes)
-    assert {key[3] for key in ev._TABLE} == {primes[-1]}
+    assert tables == [{("zeta2", (2, 1), None, p): eval_zeta2((2, 1), p)} for p in primes]
     for p in primes:
         ev.compute_cell("zeta2star", (1, 2), None, p)
-    assert {key[3] for key in ev._TABLE} == {primes[-1]}
-    ev.clear_memo()
-    assert not ev._TABLE
+        ev.compute_cell("zeta2star", (1, 2), None, p)
+    assert sweeps == primes + [p for p in primes for _ in range(2)]
+    assert [name for name, v in vars(ev).items()
+            if not name.startswith("__") and isinstance(v, (dict, list, set))] == []
+
+
+def test_signs_may_be_any_sequence():
+    want = eval_euler((1, 2), (1, -1), 7)
+    assert ev.compute_cell("euler", [1, 2], [1, -1], 7) == want
+    assert ev.value_of("euler", (1, 2), [1, -1], 7) == want
+    cache = ResidueCache()
+    assert ev.value_of("euler", (1, 2), [1, -1], 7, cache) == want
+    assert cache.get("euler", (1, 2), (1, -1), 7) == want
+    assert ev.value_of("euler", (1, 2), [1, -1], 7, cache) == want
+    table = ev.plan([("euler", [1, 2], [1, -1])], 7)
+    assert table == {("euler", (1, 2), (1, -1), 7): want}
+    assert ev.value_of("euler", [1, 2], [1, -1], 7, None, table) == want
 
 
 def test_in_memory_cache_writes_no_file(tmp_path, monkeypatch):
@@ -312,7 +333,6 @@ def test_eval_table_examples(tmp_path):
 
 
 def test_cache_round_trip(tmp_path):
-    ev.clear_memo()
     path = str(tmp_path / "cache.txt")
     cache = ResidueCache(path)
     eval_table("zeta2", (1, 2), primes=[7, 11], cache=cache)
@@ -324,7 +344,6 @@ def test_cache_round_trip(tmp_path):
     assert "euler,1,-,5,4" in lines
 
     # a fresh process-like read must serve the same values without recompute
-    ev.clear_memo()
     cache2 = ResidueCache(path)
     assert cache2.get("zeta2", (1, 2), None, 7) == 1
     t = eval_table("zeta2", (1, 2), primes=[7, 11], cache=cache2)
@@ -333,7 +352,6 @@ def test_cache_round_trip(tmp_path):
     cache2.close()
 
     # recomputation from scratch reproduces every cached cell bit-exactly
-    ev.clear_memo()
     for line in lines:
         key, residue = parse_line(line)
         variant, index, signs, p = key
@@ -447,7 +465,6 @@ def _real_cache_lines(tmp_path):
         for variant, index, signs in cells:
             cache.add(variant, index, signs, p, ev.compute_cell(variant, index, signs, p))
     cache.close()
-    ev.clear_memo()
     return path.read_text().splitlines()
 
 
@@ -557,6 +574,5 @@ def test_cache_load_checks_each_head_and_prime_once(tmp_path, monkeypatch):
 def test_eval_table_parallel_matches_serial():
     primes = sieve_primes(5, 40)
     serial = eval_table("zeta2", (2, 1), primes=primes)
-    ev.clear_memo()
     parallel = eval_table("zeta2", (2, 1), primes=primes, jobs=2)
     assert serial.rows == parallel.rows

@@ -9,7 +9,7 @@ import pytest
 
 import fmzv.evaluator as ev
 import fmzv.identities as ids
-from fmzv.evaluator import ResidueCache, clear_memo, value_of
+from fmzv.evaluator import ResidueCache, value_of
 from fmzv.harmonic import all_compositions
 from fmzv.identities import (
     Case,
@@ -280,9 +280,7 @@ def test_rows_sorted_canonically():
 
 
 def test_parallel_matches_serial():
-    clear_memo()
     serial = verify_prop21(kmax=7, primes=sieve_primes(5, 40), jobs=1)
-    clear_memo()
     parallel = verify_prop21(kmax=7, primes=sieve_primes(5, 40), jobs=2)
     assert serial.to_json() == parallel.to_json()
 
@@ -294,7 +292,6 @@ def test_cache_reuse_is_invisible(tmp_path):
     assert len(cache) > 0
     cache.close()
 
-    clear_memo()
     warm_cache = ResidueCache(path)
     warm = verify_depth2(kmax=7, primes=(11, 13), cache=warm_cache)
     warm_cache.close()
@@ -310,16 +307,15 @@ def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
     sweeps, computed = [], []
     sweep, compute = ev._sweep, ev.compute_cell
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
-    monkeypatch.setattr(ev, "compute_cell", lambda *key: computed.append(key) or compute(*key))
+    monkeypatch.setattr(ev, "compute_cell",
+                        lambda *args: computed.append(args[:4]) or compute(*args))
     for p in PRIMES:
-        clear_memo()
         sweeps.clear()
         computed.clear()
         _prime_rows(list(suite.rows(*args)), p, None)
         assert len(sweeps) <= 1
         assert len(computed) == len(set(computed))
         assert set(computed) == {(*cell, p) for cell in (sweeps[0] if sweeps else ())}
-    clear_memo()
 
 
 @pytest.mark.parametrize("name", [n for n, s in SUITES.items() if s.rows is not None])
@@ -348,7 +344,6 @@ def test_prime_rows_checks_a_row_exactly_when_p_exceeds_its_weight_plus_two():
             assert cases["w5"].lhs == str(mod_inv(2, p))
             assert cases["w5"].rhs == str(value_of("zeta2", (5,), None, p))
         assert all(c.prime == p and c.passed == (c.lhs == c.rhs) for c in cases.values())
-    clear_memo()
 
 
 def test_ppt_sweeps_once_per_prime_and_weight(monkeypatch):
@@ -357,10 +352,21 @@ def test_ppt_sweeps_once_per_prime_and_weight(monkeypatch):
     swept = []
     sweep = ev._sweep
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
-    clear_memo()
     assert verify_ppt(primes=PRIMES).passed
-    clear_memo()
     args, _ = SUITES["ppt"].resolve({})
     weights = {k for k, _, _ in ids._one_odd_patterns(args[1])}
     for p in PRIMES:
         assert swept.count(p) <= 1 + sum(1 for k in weights if p > k + 2), p
+
+
+def test_identical_runs_make_identical_sweeps(monkeypatch):
+    # no table outlives a run: the second run sweeps as the first did
+    swept = []
+    sweep = ev._sweep
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    counts = []
+    for _ in range(2):
+        swept.clear()
+        assert verify_key_identity(wmax=3, primes=[7]).passed
+        counts.append(len(swept))
+    assert counts == [1, 1]

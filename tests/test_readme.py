@@ -6,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from fmzv.evaluator import clear_memo
-
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = [(TEXT.count("\n", 0, m.start(1)), m.group(1))
@@ -24,8 +22,5 @@ def test_readme_block(lineno, block):
     assert test.examples
     report = []
     runner = doctest.DocTestRunner(optionflags=doctest.ELLIPSIS)
-    try:
-        runner.run(test, out=report.append)
-    finally:
-        clear_memo()  # later tests count the sweeps a run makes
+    runner.run(test, out=report.append)
     assert runner.failures == 0, "".join(report)
