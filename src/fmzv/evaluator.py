@@ -284,10 +284,10 @@ class ResidueCache:
                                  "same cell" % (self.path, lineno, line))
 
     def get(self, variant, index, signs, p):
-        return self._cells.get((variant, tuple(index), signs, p))
+        return self._cells.get((variant, tuple(index), None if signs is None else tuple(signs), p))
 
     def add(self, variant, index, signs, p, residue):
-        key = (variant, tuple(index), signs, p)
+        key = (variant, tuple(index), None if signs is None else tuple(signs), p)
         if key in self._cells:
             return
         self._cells[key] = residue
@@ -438,8 +438,10 @@ def per_prime(fn, primes, jobs=1, cache=None) -> list:
     import concurrent.futures
 
     out = []
+    chunks = -(-len(primes) // (4 * jobs))  # fn, maybe a suite's rows, is pickled once a chunk
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for result, cells in pool.map(partial(_prime_task, fn), [known[p] for p in primes], primes):
+        for result, cells in pool.map(partial(_prime_task, fn), [known[p] for p in primes], primes,
+                                      chunksize=chunks):
             out.append(result)
             if cache is not None:
                 for key, v in cells:

@@ -1,19 +1,18 @@
-"""Exact integer lattice tools: row HNF, membership, congruence cuts, and LLL.
+"""Exact integer lattice tools: congruence lattices in HNF, LLL, and an HNF oracle.
 
 Everything is plain Python ints, so no precision is ever lost; the LLL
 reduction keeps the Gram-Schmidt data in integral form (denominators d[i],
 numerators lam[i][j]) and only performs divisions that are exact.
 
-The lattices of the relation engine are sparse, identity plus a few dense
-columns, so the row operations of hnf, congruence_cut and lll_reduce run in
-place over the nonzero entries of the row they subtract, and the cut's
-residues and LLL's dot products over a row's nonzeros.
+The relation engine's lattices are sparse, identity plus a few dense
+columns: congruence_cut writes their HNF down in closed form, and LLL works
+over the rows' nonzeros.  hnf and hnf_contains (generic elimination and
+membership) stay as the independent route tests compare lattice spans with.
 """
 
 from itertools import compress, repeat
+from math import prod
 from operator import add, mul, sub
-
-from .modmath import mod_inv
 
 __all__ = ["dot", "hnf", "hnf_contains", "congruence_cut", "lll_reduce"]
 
@@ -27,11 +26,11 @@ def dot(u, v):
 
 
 def hnf(rows):
-    """Row-style Hermite normal form.
+    """Row-style Hermite normal form, by generic gcd elimination.
 
     Returns the nonzero rows of an upper-echelon basis with positive pivots
     and entries above each pivot reduced into [0, pivot).  The row lattice is
-    unchanged.
+    unchanged.  The package does not call it; tests compare spans with it.
     """
     work = [list(r) for r in rows if any(r)]
     if not work:
@@ -74,7 +73,7 @@ def hnf(rows):
 
 
 def hnf_contains(hnf_rows, vector):
-    """Membership of an integer vector in the row lattice given by hnf()."""
+    """Membership of an integer vector in the row lattice given by hnf() (tests only)."""
     v = list(vector)
     for row in hnf_rows:
         col = next(j for j, x in enumerate(row) if x)
@@ -91,39 +90,42 @@ def _support(row):
     return list(compress(range(len(row)), row))
 
 
-def congruence_cut(basis, weights, p):
-    """Sublattice of the row span meeting one congruence: v . weights = 0 mod p.
+def congruence_cut(rows, primes):
+    """HNF basis of {v : v . rows[t] = 0 mod primes[t] for every t}, in closed form.
 
-    basis rows must be integer vectors of the length of weights; returns a new
-    HNF basis of the same rank.  If every basis row already satisfies the
-    congruence the basis is returned unchanged.  Residues and the new rows are
-    computed over the nonzero entries of the rows involved only.
+    The HNF is unique, so it is written down (row-style HNF, Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4.2).  Let j_p be the last column
+    where p's row is nonzero mod p (without one, p is skipped).  Column c's
+    pivot D_c is the product of the primes with j_p = c.  Row c is D_c at c
+    plus, in each later column j with D_j > 1 taken in increasing order, the
+    entry in [0, D_j) that by CRT makes the row's dot product with the rows of
+    the primes at j vanish mod each, summed over c and the pivot columns only.
     """
-    n = len(weights)
-    if any(len(b) != n for b in basis):
-        raise ValueError("basis rows must have the length of weights, %d" % n)
-    supports = [_support(b) for b in basis]
-    residues = [sum(b[j] * weights[j] for j in s) % p for b, s in zip(basis, supports)]
-    pivot = next((j for j, s in enumerate(residues) if s), None)
-    if pivot is None:
-        return [list(b) for b in basis]
-    inv = mod_inv(residues[pivot], p)
-    prow, pnz = basis[pivot], supports[pivot]
-    out = []
-    for j, b in enumerate(basis):
-        if j == pivot:
-            continue
-        row = list(b)
-        t = residues[j] * inv % p
-        if t:
-            for c in pnz:
-                row[c] -= t * prow[c]
-        out.append(row)
-    row = [0] * n
-    for c in pnz:
-        row[c] = p * prow[c]
-    out.append(row)
-    return hnf(out)
+    if (not rows or len(rows) != len(primes) or len(set(primes)) != len(primes)
+            or len({len(r) for r in rows}) != 1):
+        raise ValueError("need one row, all of one length, for each of distinct primes")
+    n = len(rows[0])
+    at = {}                 # j_p -> [(p, p's row mod p)]
+    for p, row in zip(primes, rows):
+        r = [x % p for x in row]
+        j = next((j for j in range(n - 1, -1, -1) if r[j]), None)
+        if j is not None:
+            at.setdefault(j, []).append((p, r))
+    crt = {}                # j -> (D_j, [(p, r, f)]), f = -1 / r[j] mod p and 0 mod D_j / p
+    for j in sorted(at):
+        D = prod(p for p, _ in at[j])
+        crt[j] = D, [(p, r, -(D // p) * pow(r[j] * (D // p), -1, p) % D) for p, r in at[j]]
+    basis = []
+    for c in range(n):
+        row = [0] * n
+        row[c] = crt[c][0] if c in crt else 1
+        nz = [c]
+        for j, (D, eqs) in crt.items():
+            if j > c:
+                row[j] = sum(sum(row[k] * r[k] for k in nz) % p * f for p, r, f in eqs) % D
+                nz.append(j)
+        basis.append(row)
+    return basis
 
 
 def lll_reduce(rows):

@@ -1,9 +1,10 @@
 """Integer-relation discovery among residue columns across many primes.
 
 A relation is an integer vector c with sum(c_j * column_j) = 0 mod p for
-every prime checked.  Candidates come out of an iterated congruence-cut
-lattice reduced by LLL; "verified" only ever means "holds at every training
-and held-out prime we looked at", never a proof.
+every prime checked.  Candidates come out of the lattice of vectors that
+vanish mod every training prime, written down in Hermite normal form and
+reduced by LLL; "verified" only ever means "holds at every training and
+held-out prime we looked at", never a proof.
 """
 
 from dataclasses import dataclass
@@ -116,26 +117,20 @@ def _normalize_vector(v):
 
 
 def _train_split(primes):
-    split = (2 * len(primes) + 2) // 3
-    split = max(1, split)
+    split = max(1, (2 * len(primes) + 2) // 3)
     return list(primes[:split]), list(primes[split:])
 
 
 def relation_lattice(matrix: ValueMatrix, height_bound=DEFAULT_HEIGHT_BOUND):
     """Candidate relations among the matrix columns, checked on held-out primes.
 
-    The lattice of vectors vanishing mod every training prime is built by
-    iterated congruence cuts from the identity basis, LLL-reduced, and
+    The lattice of vectors vanishing mod every training prime is written
+    down in Hermite normal form by one congruence_cut, LLL-reduced, and
     filtered to max-norm <= height_bound; every survivor is then re-checked
     against all matrix rows by direct dot products over its nonzero entries.
     """
-    n = len(matrix.columns)
     train, held = _train_split(matrix.primes)
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for p, row in zip(train, matrix.cells):
-        basis = congruence_cut(basis, row, p)
-    if n > 1:
-        basis = lll_reduce(basis)
+    basis = lll_reduce(congruence_cut(matrix.cells[:len(train)], train))
     seen = set()
     picked = []
     for v in basis:

@@ -303,6 +303,22 @@ def test_signs_may_be_any_sequence():
     assert ev.value_of("euler", [1, 2], [1, -1], 7, None, table) == want
 
 
+def test_cache_round_trip_with_list_signs(tmp_path):
+    path = str(tmp_path / "cache.txt")
+    want = eval_euler((1, 2), (1, -1), 7)
+    cache = ResidueCache(path)
+    assert cache.get("euler", [1, 2], [1, -1], 7) is None
+    cache.add("euler", [1, 2], [1, -1], 7, want)
+    cache.add("euler", (1, 2), (1, -1), 7, want)
+    assert cache.get("euler", [1, 2], [1, -1], 7) == want
+    cache.close()
+    assert open(path).read() == "euler,1,2,+,-,7,%d\n" % want
+    cache2 = ResidueCache(path)
+    assert cache2.get("euler", [1, 2], [1, -1], 7) == want
+    assert cache2.get("euler", (1, 2), (1, -1), 7) == want
+    cache2.close()
+
+
 def test_in_memory_cache_writes_no_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cache = ResidueCache()

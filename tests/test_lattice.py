@@ -192,11 +192,14 @@ def test_hnf_contains_negative():
     assert hnf_contains(h, [0, 0])
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_congruence_cut_basics():
-    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     w = [1, 2, 3]
-    cut = congruence_cut(basis, w, 5)
-    assert len(cut) == 3
+    cut = congruence_cut([w], [5])
+    assert cut == [[1, 0, 3], [0, 1, 1], [0, 0, 5]]
     for v in cut:
         assert dot(v, w) % 5 == 0
     # index of the sublattice is exactly p
@@ -212,17 +215,18 @@ def test_congruence_cut_basics():
         assert dot(combo, w) % 5 == 0
 
 
-def test_congruence_cut_noop_when_satisfied():
-    basis = [[5, 0], [0, 5]]
-    assert congruence_cut(basis, [1, 1], 5) == [[5, 0], [0, 5]]
+def test_congruence_cut_row_zero_mod_p_adds_no_pivot():
+    assert congruence_cut([[0, 0]], [7]) == identity(2)
+    assert congruence_cut([[5, -10, 0]], [5]) == identity(3)
     rng = random.Random(27)
     for n in (1, 3, 8):
-        basis = [[5 * rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        w = [rng.randint(-50, 50) for _ in range(n)]
-        out = congruence_cut(basis, w, 5)
-        assert out == dense_cut(basis, w, 5) == basis
-        assert all(a is not b for a, b in zip(out, basis))
-        assert congruence_cut(basis, [0] * n, 7) == basis
+        rows = [[rng.randrange(13) for _ in range(n)] for _ in range(2)]
+        zero = [5 * rng.randint(-9, 9) for _ in range(n)]
+        assert_prefixes_match_dense_chain(rows, [11, 13])
+        want = congruence_cut(rows, [11, 13])
+        for at in range(3):
+            assert congruence_cut(rows[:at] + [zero] + rows[at:],
+                                  [11, 13][:at] + [5] + [11, 13][at:]) == want
 
 
 def test_lll_classic_example():
@@ -265,9 +269,9 @@ def test_lll_large_entries():
 def test_lll_finds_short_kernel_vector():
     # plant the relation 3*x0 - x1 = 0 mod a large modulus and recover it
     M = 10 ** 9 + 7
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     w = [2, 6, M - 1]
-    cut = congruence_cut(rows, w, M)
+    cut = congruence_cut([w], [M])
+    assert cut == [[1, 0, 2], [0, 1, 6], [0, 0, M]]
     red = lll_reduce(cut)
     short = min(red, key=lambda v: max(abs(x) for x in v))
     assert max(abs(x) for x in short) <= 3
@@ -288,11 +292,8 @@ def dims_cut_basis(k, variant, primes=sieve_primes(5, 200)):
     # are those of `dims --weight k`
     matrix = build_matrix([(variant, ix) for ix in all_compositions(k)],
                           [p for p in primes if p > k + 2])
-    n = len(matrix.columns)
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    for p in _train_split(matrix.primes)[0]:
-        basis = congruence_cut(basis, matrix.row(p), p)
-    return basis
+    train = _train_split(matrix.primes)[0]
+    return congruence_cut(matrix.cells[:len(train)], train)
 
 
 def test_lll_matches_upfront_reference_on_dense_bases():
@@ -362,33 +363,35 @@ def test_hnf_negative_pivots_match_dense_reference():
     assert hnf([[0, 0], [-2, 0], [0, 0]]) == dense_hnf([[0, 0], [-2, 0], [0, 0]]) == [[2, 0]]
 
 
+def assert_prefixes_match_dense_chain(rows, primes):
+    # the closed form on every prefix equals the dense reference cut chain, which ends
+    # in dense_hnf
+    ref = identity(len(rows[0]))
+    for t, (w, p) in enumerate(zip(rows, primes), 1):
+        ref = dense_cut(ref, w, p)
+        assert congruence_cut(rows[:t], primes[:t]) == ref, (rows[:t], primes[:t])
+
+
 def test_congruence_cut_chains_match_dense_hnf():
-    # whole chains equal the dense reference cut, which ends in dense_hnf
     rng = random.Random(24)
-    primes = sieve_primes(10 ** 4, 10 ** 4 + 400)
+    primes = sieve_primes(10 ** 4, 10 ** 4 + 400)[:8]
     for n in (3, 8, 20):
-        columns = [[rng.randrange(p) for _ in range(n)] for p in primes[:8]]
-        cut = ref = [[int(i == j) for j in range(n)] for i in range(n)]
-        for p, w in zip(primes, columns):
-            cut, ref = congruence_cut(cut, w, p), dense_cut(ref, w, p)
-            assert cut == ref
+        assert_prefixes_match_dense_chain(
+            [[rng.randrange(p) for _ in range(n)] for p in primes], primes)
     rng = random.Random(26)
     for n in (1, 2, 5, 12, 20):
         for primes in ((2, 3, 5, 7, 11, 13), sieve_primes(10 ** 4, 10 ** 4 + 200)[:8]):
-            cut = ref = [[int(i == j) for j in range(n)] for i in range(n)]
+            rows = []
             for p in primes:
                 w = [rng.randrange(p) for _ in range(n)]
                 # zero and multiple-of-p weights give rows of residue 0
                 for j in rng.sample(range(n), n // 3):
                     w[j] = rng.choice((0, p, -2 * p))
-                cut, ref = congruence_cut(cut, w, p), dense_cut(ref, w, p)
-                assert cut == ref, (n, p)
-    basis = dims_cut_basis(6, "zeta2")
-    matrix = build_matrix([("zeta2", ix) for ix in all_compositions(6)], sieve_primes(263, 300))
-    for p, w in zip(matrix.primes, matrix.cells):
-        nxt = congruence_cut(basis, w, p)
-        assert nxt == dense_cut(basis, w, p)
-        basis = nxt
+                rows.append(w)
+            assert_prefixes_match_dense_chain(rows, primes)
+    # the weight-6 dims matrix, training and held-out rows together
+    matrix = build_matrix([("zeta2", ix) for ix in all_compositions(6)], sieve_primes(11, 300))
+    assert_prefixes_match_dense_chain(matrix.cells, matrix.primes)
 
 
 def sparse_rows(rng, n, m, per_row, bound):
@@ -467,9 +470,17 @@ def test_lll_weight8_dims_cut_bases_pinned(variant):
     assert hashlib.sha256(reduced).hexdigest() == W8_LLL_SHA256[variant]
 
 
-def test_congruence_cut_rejects_weights_of_wrong_length():
-    for w in ([1], [1, 2, 3]):
-        with pytest.raises(ValueError):
-            congruence_cut([[1, 0], [0, 1]], w, 5)
-    with pytest.raises(ValueError):
-        congruence_cut([[1, 0], [0, 1, 0]], [1, 2], 5)
+def test_congruence_cut_rejects_bad_input():
+    for rows, primes in [
+        ([[1, 2], [3, 4]], [5, 5]),             # repeated prime
+        ([[1, 2], [3, 4], [1, 1]], [5, 7, 5]),
+        ([[1, 2], [0, 5]], [5, 5]),
+        ([[1, 2], [3]], [5, 7]),                # ragged rows
+        ([[1], [3, 4]], [5, 7]),
+        ([[1, 2], [3, 4]], [5]),                # row count differs from prime count
+        ([[1, 2]], [5, 7]),
+        ([], [5]),
+        ([], []),
+    ]:
+        with pytest.raises(ValueError, match="distinct primes"):
+            congruence_cut(rows, primes)

@@ -6,7 +6,7 @@ import pytest
 
 from fmzv.evaluator import eval_zeta2
 from fmzv.harmonic import all_compositions
-from fmzv.lattice import dot, hnf, hnf_contains
+from fmzv.lattice import congruence_cut, dot, hnf, hnf_contains
 from fmzv.modmath import sieve_primes
 from fmzv.relations import (
     AmbiguousRelationError,
@@ -103,13 +103,12 @@ def test_relation_lattice_duplicate_column():
 
 
 def test_relation_lattice_monotone_in_primes():
-    from fmzv.lattice import congruence_cut
-
+    # each longer prefix of primes cuts a sublattice of the shorter one's lattice
     m = build_matrix(W3, sieve_primes(7, 60))
     n = len(m.columns)
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for p in m.primes:
-        nxt = congruence_cut(basis, m.row(p), p)
+    for t in range(1, len(m.primes) + 1):
+        nxt = congruence_cut(m.cells[:t], m.primes[:t])
         old = hnf(basis)
         for row in nxt:
             assert hnf_contains(old, row)
