@@ -5,13 +5,19 @@ B_{p-k}/k mod p for k >= 2; L2(p) is the Fermat quotient (2^{p-1} - 1)/p mod p.
 
 Zk needs one Bernoulli number, which the Kummer/Glaisher power-sum congruence
 sum_{m=1}^{p-1} m^n = p B_n (mod p^2), for even n with 2 <= n <= p - 3, gives
-in O(p) multiplications mod p^2 (Ireland-Rosen, ch. 15).  The table route
+(Ireland-Rosen, ch. 15).  Pairing m with p - m halves the sum: for even n,
+(p - m)^n = m^n - n p m^{n-1} (mod p^2), so it is sum_{m=1}^{h} m^{n-1} (2m - n p)
+with h = (p - 1)/2.  The powers m^{n-1} mod p^2 are completely multiplicative
+in m, so only the primes m <= h need a modular pow; every composite m is a
+product of two earlier entries, read off a smallest-prime-factor table.  That
+is O(p) multiplications mod p^2 and about p/(2 ln p) pows.  The table route
 behind bernoulli_mod and bernoulli_poly_mod inverts a power series in O(p^2)
 and is kept as the independent oracle for it.
 """
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from .modmath import check_prime, mod_inv, mod_pow
 
@@ -64,8 +70,11 @@ def Zk(k: int, p: int) -> int:
 
     With n = p - k, B_n is 0 for odd n >= 3 (k = 2 and every even k), and for
     even n, 2 <= n <= p - 3, it is (sum_{m=1}^{p-1} m^n mod p^2) / p mod p by
-    the Kummer/Glaisher power-sum congruence: O(p) modular powers, no table.
-    bernoulli_mod(p - k, p) / k is the O(p^2) oracle for this.
+    the Kummer/Glaisher power-sum congruence.  The sum is taken as
+    sum_{m=1}^{h} m^{n-1} (2m - n p), h = (p - 1)/2, pairing m with p - m; the
+    powers m^{n-1} mod p^2 take one modular pow per prime m <= h and one
+    product of two earlier powers per composite m.  No table is kept between
+    calls.  bernoulli_mod(p - k, p) / k is the O(p^2) oracle for this.
     """
     check_prime(p)
     if k < 2:
@@ -76,7 +85,18 @@ def Zk(k: int, p: int) -> int:
     if n % 2:
         return 0
     p2 = p * p
-    s = sum(pow(m, n, p2) for m in range(1, p))
+    h = (p - 1) // 2
+    # spf[m] = smallest prime factor of a composite m <= h, 0 for a prime: each
+    # d writes its multiples from d*d on, and the smallest d writes last
+    spf = [0] * (h + 1)
+    for d in range(math.isqrt(h), 1, -1):
+        spf[d * d::d] = [d] * ((h - d * d) // d + 1)
+    e = n - 1
+    a = [0, 1] + [0] * (h - 1)  # a[m] = m^(n-1) mod p^2; 0^(n-1) = 0 as n >= 2
+    for m in range(2, h + 1):
+        q = spf[m]
+        a[m] = a[q] * a[m // q] % p2 if q else pow(m, e, p2)
+    s = 2 * sum(map(mul, a, range(h + 1))) - n * p * sum(a)
     return s % p2 // p * mod_inv(k, p) % p
 
 

@@ -14,15 +14,9 @@ from itertools import compress, repeat
 from math import prod
 from operator import add, mul, sub
 
-__all__ = ["dot", "hnf", "hnf_contains", "congruence_cut", "lll_reduce"]
+__all__ = ["hnf", "hnf_contains", "congruence_cut", "lll_reduce"]
 
 _DELTA_NUM, _DELTA_DEN = 99, 100  # lll_reduce's Lovasz constant delta = 99/100
-
-
-def dot(u, v):
-    if len(u) != len(v):
-        raise ValueError("length mismatch %d != %d" % (len(u), len(v)))
-    return sum(a * b for a, b in zip(u, v))
 
 
 def hnf(rows):

@@ -74,9 +74,6 @@ class ValueMatrix:
     primes: tuple           # ascending
     cells: tuple            # cells[t][j] = value of columns[j] mod primes[t]
 
-    def row(self, p):
-        return self.cells[self.primes.index(p)]
-
 
 @dataclass(frozen=True)
 class RelationCandidate:

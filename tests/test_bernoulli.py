@@ -22,6 +22,11 @@ def frac_mod(q, p):
     return q.numerator * mod_inv(q.denominator, p) % p
 
 
+def kummer_oracle(k, p):
+    # the power-sum congruence taken literally: one pow per m in [1, p)
+    return sum(pow(m, p - k, p * p) for m in range(1, p)) % (p * p) // p * mod_inv(k, p) % p
+
+
 def test_fraction_oracle_known_values():
     known = {
         0: Fraction(1),
@@ -139,3 +144,28 @@ def test_Zk_even_weight_vanishes():
     for p in sieve_primes(5, 200):
         for k in range(2, p - 2, 2):
             assert Zk(k, p) == 0
+
+
+def test_Zk_matches_kummer_oracle():
+    # the paired, multiplicatively filled sum against the unpaired one, every k at every prime
+    for p in sieve_primes(5, 400):
+        for k in range(2, p - 2):
+            assert Zk(k, p) == kummer_oracle(k, p)
+
+
+def test_Zk_matches_kummer_oracle_benchmark_primes():
+    # every prime the depth2 benchmark's windows reach
+    for p in sieve_primes(1000, 1450):
+        for k in (3, 5, 7, 9):
+            assert Zk(k, p) == kummer_oracle(k, p)
+
+
+def test_Zk_small_half_ranges():
+    # h = (p - 1)/2 = 2, 3, 5.  k = p - 4 is n = 4, the smallest even n and so the
+    # first k that sums powers; at p = 5 that k is 1, so the only k is 2 (n = 3, odd).
+    pinned = {5: [0], 7: [0, 1, 0], 11: [0, 5, 0, 1, 0, 10, 0]}  # Zk(k, p) for k = 2..p-3
+    for p, values in pinned.items():
+        ks = range(2, p - 2)
+        assert [Zk(k, p) for k in ks] == values
+        assert [kummer_oracle(k, p) for k in ks] == values
+        assert [frac_mod(bernoulli_fraction(p - k) / k, p) for k in ks] == values

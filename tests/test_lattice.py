@@ -6,9 +6,14 @@ from fractions import Fraction
 import pytest
 
 from fmzv.harmonic import all_compositions
-from fmzv.lattice import congruence_cut, dot, hnf, hnf_contains, lll_reduce
+from fmzv.lattice import congruence_cut, hnf, hnf_contains, lll_reduce
 from fmzv.modmath import mod_inv, sieve_primes
 from fmzv.relations import _train_split, build_matrix
+
+
+def dot(u, v):
+    assert len(u) == len(v)
+    return sum(a * b for a, b in zip(u, v))
 
 
 def dense_hnf(rows):

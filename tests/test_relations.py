@@ -6,7 +6,7 @@ import pytest
 
 from fmzv.evaluator import eval_zeta2
 from fmzv.harmonic import all_compositions
-from fmzv.lattice import congruence_cut, dot, hnf, hnf_contains
+from fmzv.lattice import congruence_cut, hnf, hnf_contains
 from fmzv.modmath import sieve_primes
 from fmzv.relations import (
     AmbiguousRelationError,
@@ -39,8 +39,9 @@ def test_normalize_descriptor():
 def test_build_matrix_weight3_row():
     m = build_matrix(W3, [7])
     assert [d[1] for d in m.columns] == [(3,), (1, 2), (2, 1), (1, 1, 1)]
-    assert m.row(7) == (1, 1, 5, eval_zeta2((1, 1, 1), 7))
-    assert m.row(7)[3] == 6
+    row = m.cells[m.primes.index(7)]
+    assert row == (1, 1, 5, eval_zeta2((1, 1, 1), 7))
+    assert row[3] == 6
 
 
 def test_build_matrix_parallel_matches_serial():
@@ -70,8 +71,8 @@ def test_relation_lattice_weight3():
     assert hnf_contains(span, [3, 4, 0, 0])
     assert hnf_contains(span, [1, 0, 4, 0])
     for c in cands:
-        for p in m.primes:
-            assert dot(c.coefficients, m.row(p)) % p == 0
+        for p, row in zip(m.primes, m.cells):
+            assert sum(a * b for a, b in zip(c.coefficients, row)) % p == 0
 
 
 # sha256 of json.dumps([[list(c.coefficients), c.status], ...]), candidate count and
