@@ -7,7 +7,7 @@ Bernoulli quotient.  The identity suites re-derive these over whole prime
 ranges; here we just look at the numbers.
 """
 
-from fmzv import L2, Zk, eval_zeta2, verify_depth2, verify_prop21
+from fmzv import L2, SUITES, Zk, eval_zeta2
 from fmzv.modmath import mod_inv, sieve_primes
 
 
@@ -41,8 +41,8 @@ def main():
 
     print("now the full suites over all primes up to 120:")
     primes = sieve_primes(5, 120)
-    for rep in (verify_prop21(kmax=9, primes=primes),
-                verify_depth2(kmax=9, primes=primes)):
+    for rep in (SUITES["prop21"].run({"kmax": 9}, primes),
+                SUITES["depth2"].run({"kmax": 9}, primes)):
         print("  suite %-8s %d cases, %d failed" % (rep.suite, rep.total, rep.failed))
         assert rep.passed
 

@@ -11,7 +11,7 @@ and prints the triangle that the binomial closed form predicts.
 
 from fractions import Fraction
 
-from fmzv import ppt_constants, verify_sum_formula
+from fmzv import SUITES, ppt_constants
 from fmzv.evaluator import eval_zeta2
 from fmzv.harmonic import compositions
 from fmzv.modmath import sieve_primes
@@ -32,7 +32,7 @@ def main():
         print("  %3d " % k + "".join("%6d" % v for v in row))
     print()
 
-    rep = verify_sum_formula(kmax=9, primes=sieve_primes(5, 120))
+    rep = SUITES["sumformula"].run({"kmax": 9}, sieve_primes(5, 120))
     print("both sum formulas against their all-odd right sides: %d cases, %d failed"
           % (rep.total, rep.failed))
     assert rep.passed

@@ -27,22 +27,7 @@ from .harmonic import (
     star_expand,
     stuffle,
 )
-from .identities import (
-    Report,
-    coeff_C,
-    ppt_constants,
-    verify_antipode,
-    verify_conj38,
-    verify_depth2,
-    verify_example24,
-    verify_key_identity,
-    verify_lemmas,
-    verify_parity,
-    verify_ppt,
-    verify_prop21,
-    verify_sum_formula,
-    verify_weighted_perm,
-)
+from .identities import SUITES, Report, coeff_C, ppt_constants
 from .modmath import (
     batch_inv,
     crt_combine,
@@ -91,20 +76,10 @@ __all__ = [
     "antipode_sum",
     "compositions",
     "all_compositions",
+    "SUITES",
     "Report",
     "coeff_C",
     "ppt_constants",
-    "verify_prop21",
-    "verify_depth2",
-    "verify_key_identity",
-    "verify_parity",
-    "verify_antipode",
-    "verify_example24",
-    "verify_sum_formula",
-    "verify_ppt",
-    "verify_weighted_perm",
-    "verify_conj38",
-    "verify_lemmas",
     "AmbiguousRelationError",
     "build_matrix",
     "relation_lattice",

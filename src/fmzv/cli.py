@@ -297,6 +297,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
+        if getattr(args, "height_bound", 1) < 1:
+            raise UsageError("--height-bound must be >= 1")
         path, cache = _open_cache(args)
         if args.command == "cache":
             return _run_cache(args, cache, path)

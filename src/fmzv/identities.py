@@ -31,20 +31,10 @@ from .relations import _train_split
 __all__ = [
     "Case",
     "Report",
+    "SUITES",
     "coeff_C",
-    "verify_prop21",
-    "verify_depth2",
-    "verify_key_identity",
-    "verify_parity",
-    "verify_antipode",
-    "verify_example24",
-    "verify_sum_formula",
-    "verify_ppt",
     "ppt_constants",
-    "verify_weighted_perm",
     "default_weighted_indices",
-    "verify_conj38",
-    "verify_lemmas",
 ]
 
 
@@ -191,12 +181,14 @@ def _prime_rows(rows, p, cache):
 
 
 def _prop21_rows(kmax):
+    """Depth-1 closed forms: weight 1 vs the Fermat quotient, weight >= 2 vs Zk."""
     for k in range(1, kmax + 1):
         rhs = (-2, ("L2",)) if k == 1 else (2 - 2 ** k, ("Zk", k))
         yield "k=%d" % k, k, [(1, ("zeta2", (k,)))], [rhs]
 
 
 def _depth2_rows(kmax):
+    """Odd-weight depth-2 closed form against the binomial expression times Zk."""
     for k in range(3, kmax + 1, 2):
         for k1 in range(1, k):
             k2 = k - k1
@@ -205,6 +197,7 @@ def _depth2_rows(kmax):
 
 
 def _key_rows(wmax):
+    """Level-1 value as the alternating prefix/reversed-suffix convolution of level-2 values."""
     for index in _indices_of_weight_up_to(wmax):
         yield _istr(index), sum(index), [(1, ("zeta", index))], [
             ((-1) ** sum(index[i:]), ("zeta2", index[:i]), ("zeta2", index[i:][::-1]))
@@ -212,6 +205,7 @@ def _key_rows(wmax):
 
 
 def _parity_rows(wmax):
+    """Level-2 value as the signed convolution of reversed level-1 prefixes and star suffixes."""
     for index in _indices_of_weight_up_to(wmax):
         k, r = sum(index), len(index)
         yield _istr(index), k, [(1, ("zeta2", index))], [
@@ -220,6 +214,7 @@ def _parity_rows(wmax):
 
 
 def _antipode_num_rows(dmax, wmax):
+    """Alternating prefix/star-suffix sums: symbolically zero, and zero mod each prime."""
     for index in _indices_of_weight_up_to(wmax, dmax):
         yield "num %s" % _istr(index), sum(index), [
             ((-1) ** j, ("zeta2", index[:j][::-1]), ("zeta2star", index[j:]))
@@ -237,6 +232,7 @@ def _antipode_sym_rows(dmax, wmax, primes, cache):
 
 
 def _example24_rows(wmax):
+    """Two closed-form rewrites: odd-weight pairs and even-weight triples."""
     half = Fraction(1, 2)
     for k in range(3, wmax + 1, 2):
         for k1 in range(1, k):
@@ -261,6 +257,7 @@ def _comb0(n, m):
 
 
 def _sum_formula_rows(kmax):
+    """Fixed-depth sum formulas against binomial-weighted all-odd block sums."""
     for k in range(1, kmax + 1):
         # odd-entry block compositions of B(k,i) and B1(k,i), shared across r
         odd = {i: [c for c in compositions(k, i) if all(x % 2 for x in c)]
@@ -293,6 +290,8 @@ def _one_odd_compositions(k, r, i):
 
 
 def _ppt_special_rows(rmax, _recon_weight_max):
+    """One-odd-rest-even pattern sums as rational multiples of the depth-1 value:
+    the displayed two-power binomial constant of the all-twos-and-one-1 patterns."""
     for r in range(1, rmax + 1):
         k = 2 * r - 1
         for i in range(1, r + 1):
@@ -340,6 +339,8 @@ def _ppt_setup(rmax):
 
 
 def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
+    """The constant of every one-odd pattern of weight <= recon_weight_max,
+    reconstructed from training primes and re-verified on held-out primes."""
     rows = []
     for k, pats in itertools.groupby(_one_odd_patterns(recon_weight_max), key=lambda t: t[0]):
         train, held = _train_split(_filtered(primes, k))
@@ -385,6 +386,7 @@ def _weighted_terms(index):
 
 
 def _weighted_rows(level, indices):
+    """Position-weighted permutation sums against C-coefficient multiples of Zk."""
     variant, factor = ("zeta", 2) if level == 1 else ("zeta2", 1)
     for index in indices:
         k, r = sum(index), len(index)
@@ -410,6 +412,7 @@ def _weighted_setup(level, wmax, dmax, indices):
 
 
 def _conj38_rows(rmax):
+    """Weighted vanishing sums over {1,2}-indices with a fixed count of twos."""
     # the lhs runs over the {1,2}-indices of depth r with a twos, of weight r + a,
     # zero coefficients left out
     for r in range(1, rmax + 1):
@@ -423,6 +426,7 @@ def _conj38_rows(rmax):
 
 
 def _lemma_rows(g_kmax, r_wmax, r_dmax, primes, cache):
+    """Symbolic checks of the two combinatorial recursions (no primes involved)."""
     rows = []
     for k in range(1, g_kmax + 1):
         for r in range(1, k + 1):
@@ -453,7 +457,7 @@ Param = namedtuple("Param", "name default guard flag", defaults=(None, None))
 
 class Suite(namedtuple("Suite", "name params rows fixed setup",
                        defaults=(None, None, None))):
-    """A verification suite.
+    """A verification suite, run as SUITES[name].run(bounds, primes, cache, jobs).
 
     rows(*args) yields the (case, weight, lhs, rhs) rows, built once per run and
     checked at every prime p > weight + 2.  Each side is a list of terms
@@ -468,7 +472,11 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
     the bounds."""
 
     def resolve(self, bounds):
-        """(args, report params) of the bounds; one that is None or missing takes its default."""
+        """(args, report params) of the bounds; one that is None or missing takes its
+        default, and one the suite does not take is a ValueError."""
+        unknown = sorted(set(bounds) - {p.name for p in self.params})
+        if unknown:
+            raise ValueError("suite %s does not take %s" % (self.name, ", ".join(unknown)))
         values = [p.default if bounds.get(p.name) is None else bounds[p.name]
                   for p in self.params]
         if self.setup is None:
@@ -476,7 +484,7 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
         return self.setup(*values)
 
     def run(self, bounds, primes=(), cache=None, jobs=1) -> Report:
-        """Report of the suite; a bound that is None or missing takes its default."""
+        """Report of the suite over the primes; bounds as in resolve."""
         args, params = self.resolve(bounds)
         primes = list(primes)
         rows = []
@@ -516,69 +524,3 @@ SUITES = {s.name: s for s in (
 
 def _default(suite, name):
     return next(p.default for p in SUITES[suite].params if p.name == name)
-
-
-def verify_prop21(kmax=_default("prop21", "kmax"), primes=(), cache=None, jobs=1) -> Report:
-    """Depth-1 closed forms: weight 1 vs the Fermat quotient, weight >= 2 vs Zk."""
-    return SUITES["prop21"].run({"kmax": kmax}, primes, cache, jobs)
-
-
-def verify_depth2(kmax=_default("depth2", "kmax"), primes=(), cache=None, jobs=1) -> Report:
-    """Odd-weight depth-2 closed form against the binomial expression times Zk."""
-    return SUITES["depth2"].run({"kmax": kmax}, primes, cache, jobs)
-
-
-def verify_key_identity(wmax=_default("key", "wmax"), primes=(), cache=None, jobs=1) -> Report:
-    """Level-1 value as the alternating prefix/reversed-suffix convolution of level-2 values."""
-    return SUITES["key"].run({"wmax": wmax}, primes, cache, jobs)
-
-
-def verify_parity(wmax=_default("parity", "wmax"), primes=(), cache=None, jobs=1) -> Report:
-    """Level-2 value as the signed convolution of reversed level-1 prefixes and star suffixes."""
-    return SUITES["parity"].run({"wmax": wmax}, primes, cache, jobs)
-
-
-def verify_antipode(dmax=_default("antipode", "dmax"), wmax=_default("antipode", "wmax"),
-                    primes=(), cache=None, jobs=1) -> Report:
-    """Alternating prefix/star-suffix sums: symbolically zero, and zero mod each prime."""
-    return SUITES["antipode"].run({"dmax": dmax, "wmax": wmax}, primes, cache, jobs)
-
-
-def verify_example24(wmax=_default("example24", "wmax"), primes=(), cache=None, jobs=1) -> Report:
-    """Two closed-form rewrites: odd-weight pairs and even-weight triples."""
-    return SUITES["example24"].run({"wmax": wmax}, primes, cache, jobs)
-
-
-def verify_sum_formula(kmax=_default("sumformula", "kmax"), primes=(), cache=None,
-                       jobs=1) -> Report:
-    """Fixed-depth sum formulas against binomial-weighted all-odd block sums."""
-    return SUITES["sumformula"].run({"kmax": kmax}, primes, cache, jobs)
-
-
-def verify_ppt(rmax=_default("ppt", "rmax"), primes=(), cache=None, jobs=1) -> Report:
-    """One-odd-rest-even pattern sums as rational multiples of the depth-1 value.
-
-    Part one checks the displayed two-power binomial constant for the
-    all-twos-and-one-1 patterns; part two reconstructs the constant for every
-    one-odd pattern of weight <= 2 rmax + 1 from training primes and
-    re-verifies it on held-out primes.
-    """
-    return SUITES["ppt"].run({"rmax": rmax}, primes, cache, jobs)
-
-
-def verify_weighted_perm(level, indices=None, primes=(), cache=None, jobs=1) -> Report:
-    """Position-weighted permutation sums against C-coefficient multiples of Zk."""
-    if level not in (1, 2):
-        raise ValueError("level must be 1 or 2")
-    return SUITES["weighted%d" % level].run({"indices": indices}, primes, cache, jobs)
-
-
-def verify_conj38(rmax=_default("conj38", "rmax"), primes=(), cache=None, jobs=1) -> Report:
-    """Weighted vanishing sums over {1,2}-indices with a fixed count of twos."""
-    return SUITES["conj38"].run({"rmax": rmax}, primes, cache, jobs)
-
-
-def verify_lemmas(g_kmax=_default("lemmas", "g_kmax"), r_wmax=_default("lemmas", "r_wmax"),
-                  r_dmax=_default("lemmas", "r_dmax")) -> Report:
-    """Symbolic checks of the two combinatorial recursions (no primes involved)."""
-    return SUITES["lemmas"].run({"g_kmax": g_kmax, "r_wmax": r_wmax, "r_dmax": r_dmax})

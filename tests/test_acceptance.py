@@ -18,20 +18,7 @@ from fmzv.evaluator import (
     eval_zeta2,
 )
 from fmzv.harmonic import all_compositions
-from fmzv.identities import (
-    default_weighted_indices,
-    ppt_constants,
-    verify_antipode,
-    verify_conj38,
-    verify_depth2,
-    verify_key_identity,
-    verify_lemmas,
-    verify_parity,
-    verify_ppt,
-    verify_prop21,
-    verify_sum_formula,
-    verify_weighted_perm,
-)
+from fmzv.identities import SUITES, default_weighted_indices, ppt_constants
 from fmzv.modmath import sieve_primes
 from fmzv.relations import dimension_estimate, express_in_basis, fib
 
@@ -58,7 +45,7 @@ def _cli(*argv):
 
 
 def test_criterion_01_depth1_closed_forms():
-    rep = verify_prop21(kmax=9, primes=P300)
+    rep = SUITES["prop21"].run({"kmax": 9}, P300)
     assert rep.passed and rep.total > 0
     assert _row(rep, "k=1", 7).lhs == "3"
     assert L2(7) == 2
@@ -69,7 +56,7 @@ def test_criterion_01_depth1_closed_forms():
 
 
 def test_criterion_02_depth2_closed_form():
-    rep = verify_depth2(kmax=9, primes=P300)
+    rep = SUITES["depth2"].run({"kmax": 9}, P300)
     assert rep.passed and rep.total > 0
     assert _row(rep, "(1,2)", 7).lhs == "1"
     assert _row(rep, "(2,1)", 7).lhs == "5"
@@ -77,15 +64,15 @@ def test_criterion_02_depth2_closed_form():
 
 
 def test_criterion_03_key_and_parity():
-    rep = verify_key_identity(wmax=7, primes=P200)
+    rep = SUITES["key"].run({"wmax": 7}, P200)
     assert rep.passed and rep.total > 0
-    rep2 = verify_parity(wmax=7, primes=P200)
+    rep2 = SUITES["parity"].run({"wmax": 7}, P200)
     assert rep2.passed and rep2.total > 0
     _done(3, "key and parity identities, weight <= 7, primes <= 200")
 
 
 def test_criterion_04_antipode():
-    rep = verify_antipode(dmax=5, wmax=8, primes=P100)
+    rep = SUITES["antipode"].run({"dmax": 5, "wmax": 8}, P100)
     assert rep.passed
     assert any(c.prime is None for c in rep.cases)
     assert any(c.prime is not None for c in rep.cases)
@@ -106,20 +93,20 @@ def test_criterion_05_even_odd_rewrites():
 
 
 def test_criterion_06_symbolic_lemmas():
-    rep = verify_lemmas(g_kmax=10, r_wmax=8, r_dmax=4)
+    rep = SUITES["lemmas"].run({"g_kmax": 10, "r_wmax": 8, "r_dmax": 4})
     assert rep.passed and rep.total > 0
     _done(6, "both symbolic recursions, g for k <= 10 and R for depth <= 4")
 
 
 def test_criterion_07_sum_formulas():
-    rep = verify_sum_formula(kmax=10, primes=P200)
+    rep = SUITES["sumformula"].run({"kmax": 10}, P200)
     assert rep.passed and rep.total > 0
     assert _row(rep, "S(3,2)", 7).lhs == "6"
     _done(7, "fixed-depth sum formulas, 1 <= r <= k <= 10, primes <= 200")
 
 
 def test_criterion_08_ppt_and_constant_stability():
-    rep = verify_ppt(rmax=6, primes=P200)
+    rep = SUITES["ppt"].run({"rmax": 6}, P200)
     assert rep.passed and rep.total > 0
     low = ppt_constants(9, P200)
     high = ppt_constants(9, sieve_primes(201, 400))
@@ -130,13 +117,13 @@ def test_criterion_08_ppt_and_constant_stability():
 
 
 def test_criterion_09_weighted_permutation_sums():
-    rep1 = verify_weighted_perm(1, indices=default_weighted_indices(1, wmax=8, dmax=4),
-                                primes=P200)
+    rep1 = SUITES["weighted1"].run({"indices": default_weighted_indices(1, wmax=8, dmax=4)},
+                                   P200)
     assert rep1.passed and rep1.total > 0
     r = _row(rep1, "(1,2)", 7)
     assert r.lhs == r.rhs == "1"
-    rep2 = verify_weighted_perm(2, indices=default_weighted_indices(2, wmax=9, dmax=4),
-                                primes=P200)
+    rep2 = SUITES["weighted2"].run({"indices": default_weighted_indices(2, wmax=9, dmax=4)},
+                                   P200)
     assert rep2.passed and rep2.total > 0
     r = _row(rep2, "(2,1)", 7)
     assert r.lhs == r.rhs == "3"
@@ -144,7 +131,7 @@ def test_criterion_09_weighted_permutation_sums():
 
 
 def test_criterion_10_conjecture_vanishing():
-    rep = verify_conj38(rmax=8, primes=P200)
+    rep = SUITES["conj38"].run({"rmax": 8}, P200)
     assert rep.passed and rep.total > 0
     r = _row(rep, "r=2 a=1", 7)
     assert r.lhs == "0"

@@ -359,6 +359,20 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
     assert "--jobs" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("discover", "--target", "2,1", "--basis", "odd", "--height-bound", "-1"),
+    ("discover", "--target", "2,1", "--basis", "odd", "--height-bound", "0"),
+    ("dims", "--weight", "3", "--height-bound", "0"),
+    ("dims", "--weight", "3", "--height-bound", "-1"),
+])
+def test_height_bound_below_one_is_usage_error(capsys, argv):
+    # no nonzero integer vector has height below 1
+    code, out, err = run(capsys, *argv, "--primes", "7..100")
+    assert code == 2
+    assert out == ""
+    assert "--height-bound" in err
+
+
 def test_torn_cache_line_is_recovered(tmp_path, capsys):
     path = tmp_path / "torn.csv"
     path.write_text("zeta2,1,,7,3\nzeta2,2,,7,")

@@ -17,17 +17,6 @@ from fmzv.identities import (
     coeff_C,
     default_weighted_indices,
     ppt_constants,
-    verify_antipode,
-    verify_conj38,
-    verify_depth2,
-    verify_example24,
-    verify_key_identity,
-    verify_lemmas,
-    verify_parity,
-    verify_ppt,
-    verify_prop21,
-    verify_sum_formula,
-    verify_weighted_perm,
 )
 from fmzv.bernoulli import L2, Zk
 from fmzv.identities import SUITES, _one_odd_compositions, _prime_rows
@@ -69,7 +58,7 @@ def test_coeff_C_reversal_sign():
 
 
 def test_prop21_passes_and_anchor():
-    rep = verify_prop21(kmax=9, primes=PRIMES)
+    rep = SUITES["prop21"].run({"kmax": 9}, PRIMES)
     assert rep.passed
     r = get_row(rep, "k=1", 7)
     assert r.lhs == r.rhs == "3"
@@ -78,25 +67,25 @@ def test_prop21_passes_and_anchor():
 
 
 def test_depth2_passes_and_anchors():
-    rep = verify_depth2(kmax=9, primes=PRIMES)
+    rep = SUITES["depth2"].run({"kmax": 9}, PRIMES)
     assert rep.passed
     assert get_row(rep, "(1,2)", 7).lhs == "1"
     assert get_row(rep, "(2,1)", 7).lhs == "5"
 
 
 def test_key_identity_passes_and_anchor():
-    rep = verify_key_identity(wmax=6, primes=sieve_primes(5, 40))
+    rep = SUITES["key"].run({"wmax": 6}, sieve_primes(5, 40))
     assert rep.passed
     assert get_row(rep, "(1,2)", 7).lhs == "3"
 
 
 def test_parity_passes():
-    rep = verify_parity(wmax=6, primes=sieve_primes(5, 40))
+    rep = SUITES["parity"].run({"wmax": 6}, sieve_primes(5, 40))
     assert rep.passed
 
 
 def test_antipode_passes():
-    rep = verify_antipode(dmax=4, wmax=7, primes=sieve_primes(5, 30))
+    rep = SUITES["antipode"].run({"dmax": 4, "wmax": 7}, sieve_primes(5, 30))
     assert rep.passed
     sym = [c for c in rep.cases if c.prime is None]
     num = [c for c in rep.cases if c.prime is not None]
@@ -105,13 +94,13 @@ def test_antipode_passes():
 
 
 def test_example24_passes():
-    rep = verify_example24(wmax=8, primes=sieve_primes(5, 40))
+    rep = SUITES["example24"].run({"wmax": 8}, sieve_primes(5, 40))
     assert rep.passed
     assert get_row(rep, "i (1,2)", 7).lhs == "1"
 
 
 def test_sum_formula_passes_and_anchor():
-    rep = verify_sum_formula(kmax=8, primes=sieve_primes(5, 40))
+    rep = SUITES["sumformula"].run({"kmax": 8}, sieve_primes(5, 40))
     assert rep.passed
     assert get_row(rep, "S(3,2)", 7).lhs == "6"
     # depth == weight forces the all-ones index
@@ -135,7 +124,7 @@ def test_one_odd_compositions_enumerator():
 
 
 def test_ppt_special_anchor():
-    rep = verify_ppt(rmax=4, primes=sieve_primes(5, 100))
+    rep = SUITES["ppt"].run({"rmax": 4}, sieve_primes(5, 100))
     assert rep.passed
     r = get_row(rep, "special r=2 i=1", 7)
     assert r.lhs == r.rhs == "1"
@@ -170,16 +159,16 @@ def test_ppt_constants_min_weight_keeps_the_heavier_patterns():
 
 
 def test_weighted_level1_passes_and_anchor():
-    rep = verify_weighted_perm(1, indices=default_weighted_indices(1, wmax=6, dmax=3),
-                               primes=sieve_primes(5, 40))
+    rep = SUITES["weighted1"].run({"indices": default_weighted_indices(1, wmax=6, dmax=3)},
+                                  sieve_primes(5, 40))
     assert rep.passed
     r = get_row(rep, "(1,2)", 7)
     assert r.lhs == r.rhs == "1"
 
 
 def test_weighted_level2_passes_and_anchor():
-    rep = verify_weighted_perm(2, indices=default_weighted_indices(2, wmax=7, dmax=3),
-                               primes=sieve_primes(5, 40))
+    rep = SUITES["weighted2"].run({"indices": default_weighted_indices(2, wmax=7, dmax=3)},
+                                  sieve_primes(5, 40))
     assert rep.passed
     r = get_row(rep, "(2,1)", 7)
     assert r.lhs == r.rhs == "3"
@@ -189,7 +178,7 @@ def test_weighted_calls_Zk_once_per_weight_and_prime(monkeypatch):
     calls = []
     zk = ids.Zk
     monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
-    rep = verify_weighted_perm(1, primes=sieve_primes(5, 60))
+    rep = SUITES["weighted1"].run({}, sieve_primes(5, 60))
     assert rep.passed
     assert calls and len(calls) == len(set(calls))
 
@@ -199,7 +188,7 @@ def test_weighted1_calls_Zk_once_per_weight_and_prime_with_a_nonzero_C_sum(monke
     zk = ids.Zk
     monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
     primes = sieve_primes(5, 60)
-    assert verify_weighted_perm(1, primes=primes).passed
+    assert SUITES["weighted1"].run({}, primes).passed
     weights = {sum(ix) for ix in default_weighted_indices(1)
                if sum(coeff_C(head + ix[-1:]) for head in itertools.permutations(ix[:-1]))}
     assert sorted(calls) == sorted((k, p) for k in weights for p in primes if p > k + 2)
@@ -212,7 +201,7 @@ def test_weighted_builds_terms_and_C_sum_once_per_index(monkeypatch):
     monkeypatch.setattr(ids, "_weighted_terms", lambda ix: terms.append(ix) or weighted_terms(ix))
     monkeypatch.setattr(ids, "coeff_C", lambda ix: cs.append(ix) or coeff(ix))
     indices = default_weighted_indices(1)
-    rep = verify_weighted_perm(1, primes=sieve_primes(5, 60))
+    rep = SUITES["weighted1"].run({}, sieve_primes(5, 60))
     assert rep.passed
     assert sorted(terms) == sorted(indices)
     assert len(cs) == sum(math.factorial(len(ix) - 1) for ix in indices)
@@ -220,29 +209,34 @@ def test_weighted_builds_terms_and_C_sum_once_per_index(monkeypatch):
 
 def test_weighted_level2_hypothesis_rejected():
     with pytest.raises(ValueError):
-        verify_weighted_perm(2, indices=[(1, 3)], primes=(7,))
+        SUITES["weighted2"].run({"indices": [(1, 3)]}, (7,))
     with pytest.raises(ValueError):
-        verify_weighted_perm(2, indices=[(2, 2)], primes=(7,))
-    with pytest.raises(ValueError):
-        verify_weighted_perm(3, primes=(7,))
+        SUITES["weighted2"].run({"indices": [(2, 2)]}, (7,))
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_unknown_bound_is_rejected(name):
+    # a misspelt bound would otherwise run the suite at its default
+    with pytest.raises(ValueError, match="suite %s does not take wmx" % name):
+        SUITES[name].run({"wmx": 3}, [7])
 
 
 def test_conj38_passes_and_anchor():
-    rep = verify_conj38(rmax=6, primes=sieve_primes(5, 40))
+    rep = SUITES["conj38"].run({"rmax": 6}, sieve_primes(5, 40))
     assert rep.passed
     r = get_row(rep, "r=2 a=1", 7)
     assert r.lhs == "0" and r.rhs == "0"
 
 
 def test_lemmas_report():
-    rep = verify_lemmas(g_kmax=8, r_wmax=6, r_dmax=3)
+    rep = SUITES["lemmas"].run({"g_kmax": 8, "r_wmax": 6, "r_dmax": 3})
     assert rep.passed
     assert any(c.case.startswith("g ") for c in rep.cases)
     assert any(c.case.startswith("R ") for c in rep.cases)
 
 
 def test_report_serialization_consistency():
-    rep = verify_prop21(kmax=5, primes=(7, 11))
+    rep = SUITES["prop21"].run({"kmax": 5}, (7, 11))
     doc = json.loads(rep.to_json())
     assert doc["suite"] == "prop21"
     assert doc["summary"] == {"total": rep.total, "passed": rep.total, "failed": 0}
@@ -274,26 +268,26 @@ def test_report_failure_accounting():
 
 
 def test_rows_sorted_canonically():
-    rep = verify_depth2(kmax=7, primes=(11, 7, 13))
+    rep = SUITES["depth2"].run({"kmax": 7}, (11, 7, 13))
     keys = [(c.case, -1 if c.prime is None else c.prime) for c in rep.cases]
     assert keys == sorted(keys)
 
 
 def test_parallel_matches_serial():
-    serial = verify_prop21(kmax=7, primes=sieve_primes(5, 40), jobs=1)
-    parallel = verify_prop21(kmax=7, primes=sieve_primes(5, 40), jobs=2)
+    serial = SUITES["prop21"].run({"kmax": 7}, sieve_primes(5, 40), jobs=1)
+    parallel = SUITES["prop21"].run({"kmax": 7}, sieve_primes(5, 40), jobs=2)
     assert serial.to_json() == parallel.to_json()
 
 
 def test_cache_reuse_is_invisible(tmp_path):
     path = tmp_path / "cells.csv"
     cache = ResidueCache(path)
-    cold = verify_depth2(kmax=7, primes=(11, 13), cache=cache)
+    cold = SUITES["depth2"].run({"kmax": 7}, (11, 13), cache)
     assert len(cache) > 0
     cache.close()
 
     warm_cache = ResidueCache(path)
-    warm = verify_depth2(kmax=7, primes=(11, 13), cache=warm_cache)
+    warm = SUITES["depth2"].run({"kmax": 7}, (11, 13), warm_cache)
     warm_cache.close()
     assert cold.to_json() == warm.to_json()
 
@@ -352,7 +346,7 @@ def test_ppt_sweeps_once_per_prime_and_weight(monkeypatch):
     swept = []
     sweep = ev._sweep
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
-    assert verify_ppt(primes=PRIMES).passed
+    assert SUITES["ppt"].run({}, PRIMES).passed
     args, _ = SUITES["ppt"].resolve({})
     weights = {k for k, _, _ in ids._one_odd_patterns(args[1])}
     for p in PRIMES:
@@ -367,6 +361,6 @@ def test_identical_runs_make_identical_sweeps(monkeypatch):
     counts = []
     for _ in range(2):
         swept.clear()
-        assert verify_key_identity(wmax=3, primes=[7]).passed
+        assert SUITES["key"].run({"wmax": 3}, [7]).passed
         counts.append(len(swept))
     assert counts == [1, 1]
