@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (all checks pass), 1 runtime or I/O failure (a failing
 suite, a bad cache, or any other error raised while computing), 2 argument
-errors only, bad cells included, 3 mathematical ambiguity in `discover`.
+errors only, bad cells included, 3 a dependent basis in `discover`.
 """
 
 import argparse
@@ -26,10 +26,12 @@ from .modmath import sieve_primes
 from .relations import (
     DEFAULT_HEIGHT_BOUND,
     AmbiguousRelationError,
+    ValueMatrix,
+    _fit,
+    build_matrix,
     descriptor_str,
     dimension_estimate,
     dseq,
-    express_in_basis,
     fib,
 )
 
@@ -112,7 +114,7 @@ def build_parser():
                    help="variant of the target column")
     p.add_argument("--signs", help="euler signs for the target (euler only)" + SIGNS_HELP)
     p.add_argument("--basis", required=True,
-                   help="'odd' (all-odd level-2 indices), 'odd3' (odd>=3 level-1 "
+                   help="'odd' (all-odd level-2 indices), 'odd3' (odd>=3 level-2 "
                         "indices), or explicit semicolon-separated indices")
     p.add_argument("--basis-variant", choices=tuple(v for v in VARIANTS if v != "euler"),
                    help="variant of explicit basis columns (default: target variant)")
@@ -181,11 +183,9 @@ def _run_verify(args, cache):
 
 
 def _keyword_basis(keyword, weight):
-    if keyword == "odd":
-        return [("zeta2", ix, None) for ix in all_compositions(weight)
-                if all(x % 2 for x in ix)]
-    return [("zeta", ix, None) for ix in all_compositions(weight)
-            if all(x % 2 and x >= 3 for x in ix)]
+    least = 1 if keyword == "odd" else 3
+    return [("zeta2", ix, None) for ix in all_compositions(weight)
+            if all(x % 2 and x >= least for x in ix)]
 
 
 def _run_discover(args, cache):
@@ -206,17 +206,12 @@ def _run_discover(args, cache):
         raise UsageError("target %s already occurs in the basis" % descriptor_str(target))
 
     primes = _primes_above(args.primes, max(sum(ix) for _, ix, _ in [target] + basis))
-    if cache is None:
-        # the half-range fits read the cells the full fit swept
-        cache = ResidueCache()
-
-    def run(ps):
-        return express_in_basis(target, basis, ps, height_bound=args.height_bound,
-                                cache=cache, jobs=args.jobs)
-
-    coeffs = run(primes)
     half_a, half_b = primes[0::2], primes[1::2]
-    ca, cb = run(half_a), run(half_b)
+    # one matrix; the stability check refits it on each half of its rows
+    m = build_matrix([target] + basis, primes, cache=cache, jobs=args.jobs)
+    coeffs, ca, cb = [_fit(ValueMatrix(m.columns, m.primes[rows], m.cells[rows]),
+                           target, basis, args.height_bound)
+                      for rows in (slice(None), slice(0, None, 2), slice(1, None, 2))]
     if coeffs is None or ca is None or cb is None:
         stability = "unknown"
     else:

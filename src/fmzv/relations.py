@@ -4,7 +4,9 @@ A relation is an integer vector c with sum(c_j * column_j) = 0 mod p for
 every prime checked.  Candidates come out of the lattice of vectors that
 vanish mod every training prime, written down in Hermite normal form and
 reduced by LLL; "verified" only ever means "holds at every training and
-held-out prime we looked at", never a proof.
+held-out prime we looked at", never a proof.  A basis expression is a fit
+of one value matrix; a stability check fits slices of its rows (prime sets)
+without building the matrix again.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ DEFAULT_HEIGHT_BOUND = 10 ** 6
 
 
 class AmbiguousRelationError(Exception):
-    """Two independent verified relations hit the target: the basis is dependent."""
+    """A verified relation among the basis columns alone: the basis is dependent."""
 
 
 def normalize_descriptor(desc):
@@ -58,14 +60,6 @@ def descriptor_str(desc) -> str:
     if signs is None:
         return "%s(%s)" % (variant, body)
     return "%s(%s;%s)" % (variant, body, signs_to_str(signs))
-
-
-def _canonical_perm(descriptors):
-    """Column order: by (weight, depth, index, variant, signs), stable."""
-    def key(item):
-        _, (variant, index, signs) = item
-        return (sum(index), len(index), index, variant, signs or ())
-    return [i for i, _ in sorted(enumerate(descriptors), key=key)]
 
 
 @dataclass(frozen=True)
@@ -96,8 +90,8 @@ def build_matrix(descriptors, primes, cache=None, jobs=1) -> ValueMatrix:
     if primes[0] <= wmax + 2:
         raise ValueError("smallest prime %d must exceed max weight + 2 = %d"
                          % (primes[0], wmax + 2))
-    order = _canonical_perm(descs)
-    columns = tuple(descs[i] for i in order)
+    # canonical column order: by (weight, depth, index, variant, signs), stable
+    columns = tuple(sorted(descs, key=lambda d: (sum(d[1]), len(d[1]), d[1], d[0], d[2] or ())))
     cells = tuple(per_prime(partial(values_at, columns), primes, jobs, cache))
     return ValueMatrix(columns=columns, primes=tuple(primes), cells=cells)
 
@@ -153,34 +147,35 @@ def relation_lattice(matrix: ValueMatrix, height_bound=DEFAULT_HEIGHT_BOUND):
     return out
 
 
+def _fit(matrix: ValueMatrix, target, basis, height_bound):
+    """express_in_basis on a matrix whose columns are the target and the basis."""
+    rels = [c.coefficients for c in relation_lattice(matrix, height_bound)
+            if c.status == "verified"]
+    if not rels:
+        return None
+    t = matrix.columns.index(target)
+    if len(rels) > 1 or not rels[0][t]:
+        raise AmbiguousRelationError("the basis for %s has a verified relation among its "
+                                     "columns alone" % descriptor_str(target))
+    return [Fraction(-rels[0][matrix.columns.index(b)], rels[0][t]) for b in basis]
+
+
 def express_in_basis(target, basis, primes, height_bound=DEFAULT_HEIGHT_BOUND,
                      cache=None, jobs=1):
     """Rational coefficients writing the target column over the basis columns.
 
     Returns a list of Fraction aligned with the basis argument, or None when
-    no verified relation involving the target survives the height bound.
-    Raises AmbiguousRelationError when two independent verified relations hit
-    the target (the basis set is then itself dependent).
+    no verified relation survives the height bound.  Raises
+    AmbiguousRelationError when there is a verified relation among the basis
+    columns alone, seen as a second verified relation or as one the target
+    is not in.
     """
     target = normalize_descriptor(target)
     basis = [normalize_descriptor(b) for b in basis]
     if target in basis:
         raise ValueError("target %s already occurs in the basis" % descriptor_str(target))
-    descs = [target] + basis
-    matrix = build_matrix(descs, primes, cache=cache, jobs=jobs)
-    perm = _canonical_perm(descs)
-    col_of = {orig: j for j, orig in enumerate(perm)}
-    tcol = col_of[0]
-    hits = [c for c in relation_lattice(matrix, height_bound)
-            if c.status == "verified" and c.coefficients[tcol] != 0]
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise AmbiguousRelationError(
-            "%d independent relations involve %s" % (len(hits), descriptor_str(target)))
-    coeffs = hits[0].coefficients
-    ct = coeffs[tcol]
-    return [Fraction(-coeffs[col_of[i + 1]], ct) for i in range(len(basis))]
+    matrix = build_matrix([target] + basis, primes, cache=cache, jobs=jobs)
+    return _fit(matrix, target, basis, height_bound)
 
 
 def dimension_estimate(k, variant="zeta2", primes=(), height_bound=DEFAULT_HEIGHT_BOUND,

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import fmzv.evaluator as ev
+import fmzv.relations as rel
 from fmzv.cli import main
 from fmzv.evaluator import eval_euler
 from fmzv.modmath import sieve_primes
@@ -152,7 +153,7 @@ def test_discover_anchor_12(capsys):
 
 
 def test_discover_sweeps_once_per_prime(capsys, monkeypatch):
-    # without a cache the two half-range fits read the cells the full fit swept
+    # the two half-range fits slice the rows of the full fit's matrix
     swept = []
     sweep = ev._sweep
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
@@ -161,6 +162,31 @@ def test_discover_sweeps_once_per_prime(capsys, monkeypatch):
                        "--primes", "7..199")
     assert code == 0
     assert swept == json.loads(out)["primes"]
+
+
+def test_discover_builds_one_matrix(capsys, monkeypatch):
+    # one per_prime call, so --jobs N starts one pool, and its output is the serial one
+    calls = []
+    per_prime = rel.per_prime
+    monkeypatch.setattr(rel, "per_prime", lambda *a: calls.append(a) or per_prime(*a))
+    monkeypatch.delenv("FMZV_CACHE", raising=False)
+    argv = ("discover", "--target", "2,1,2", "--basis", "odd", "--primes", "11..120")
+    code, serial, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    code, pooled, _ = run(capsys, "--jobs", "2", *argv)
+    assert code == 0 and len(calls) == 2
+    assert pooled == serial
+
+
+def test_discover_odd3_basis_is_level_two(capsys):
+    # zeta(2,3) = -2 B_{p-5} and zeta2(5) = -6 B_{p-5} mod p; the level-one zeta(5) is 0
+    code, out, _ = run(capsys, "discover", "--variant", "zeta", "--target", "2,3",
+                       "--basis", "odd3", "--primes", "11..300")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["basis"] == ["zeta2(5)"]
+    assert doc["coefficients"] == ["1/3"]
+    assert doc["status"] == "expressed" and doc["stability"] == "stable"
 
 
 def test_discover_signs_that_start_with_minus(capsys):
@@ -182,6 +208,13 @@ def test_discover_ambiguous_basis(capsys):
                        "--primes", "7..120")
     assert code == 3
     assert "ambiguous" in err
+
+
+def test_discover_repeated_basis_column_is_ambiguous(capsys):
+    code, out, err = run(capsys, "discover", "--target", "2,1", "--basis", "3;3",
+                         "--primes", "7..200")
+    assert code == 3
+    assert out == "" and "ambiguous" in err
 
 
 def test_dims_weight3(capsys):

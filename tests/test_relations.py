@@ -141,6 +141,13 @@ def test_express_ambiguous_on_dependent_basis():
                          sieve_primes(7, 120))
 
 
+def test_express_ambiguous_on_basis_relation_without_target():
+    # a repeated column is a verified relation among the basis columns alone
+    with pytest.raises(AmbiguousRelationError):
+        express_in_basis(("zeta2", (2, 1)), [("zeta2", (3,)), ("zeta2", (3,))],
+                         sieve_primes(7, 200))
+
+
 def test_express_stable_across_prime_sets():
     a = express_in_basis(("zeta2", (2, 1)), [("zeta2", (3,))], sieve_primes(7, 80))
     b = express_in_basis(("zeta2", (2, 1)), [("zeta2", (3,))], sieve_primes(81, 200))
