@@ -6,7 +6,7 @@ non-strict star companion, and the sign-twisted Euler sum.  Everything is an
 exact residue mod p.
 """
 
-from fmzv import eval_euler, eval_table, eval_zeta, eval_zeta2, eval_zeta2_star
+from fmzv import build_matrix, eval_euler, eval_zeta, eval_zeta2, eval_zeta2_star
 from fmzv.modmath import sieve_primes
 
 
@@ -55,8 +55,8 @@ def main():
     print()
 
     print("== bulk evaluation across a prime range ==")
-    table = eval_table("zeta2", (2, 1), primes=sieve_primes(5, 60))
-    print("zeta2(2,1):", " ".join("%d:%d" % (p, table.rows[p]) for p in sorted(table.rows)))
+    m = build_matrix([("zeta2", (2, 1))], sieve_primes(5, 60))
+    print("zeta2(2,1):", " ".join("%d:%d" % (p, v) for p, (v,) in zip(m.primes, m.cells)))
 
 
 if __name__ == "__main__":

@@ -9,11 +9,9 @@ __version__ = "0.1.0"
 from .bernoulli import L2, Zk, bernoulli_mod, bernoulli_poly_mod
 from .evaluator import (
     ResidueCache,
-    ResidueTable,
     eval_euler,
     eval_even_form,
     eval_odd_form,
-    eval_table,
     eval_zeta,
     eval_zeta2,
     eval_zeta2_star,
@@ -66,9 +64,7 @@ __all__ = [
     "eval_euler",
     "eval_even_form",
     "eval_odd_form",
-    "eval_table",
     "value_of",
-    "ResidueTable",
     "ResidueCache",
     "IndexCombination",
     "stuffle",

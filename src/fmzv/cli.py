@@ -16,7 +16,6 @@ from .evaluator import (
     CacheError,
     ResidueCache,
     check_cell,
-    eval_table,
     parse_index,
     parse_signs,
 )
@@ -147,13 +146,12 @@ def _print(text):
 
 
 def _run_compute(args, cache):
-    _, index, signs = _cell(args.variant, args.index, args.signs)
+    _, index, signs = cell = _cell(args.variant, args.index, args.signs)
     primes = _parse_prime_range(args.primes)
     if not primes:
         raise UsageError("no primes in range %s" % args.primes)
-    table = eval_table(args.variant, index, signs=signs, primes=primes,
-                       cache=cache, jobs=args.jobs)
-    pairs = [(p, table.rows[p]) for p in primes]
+    m = build_matrix([cell], primes, cache=cache, jobs=args.jobs)
+    pairs = [(p, v) for p, (v,) in zip(m.primes, m.cells)]
     if args.format == "json":
         _print(json.dumps({"variant": args.variant,
                            "index": list(index),
@@ -206,6 +204,9 @@ def _run_discover(args, cache):
         raise UsageError("target %s already occurs in the basis" % descriptor_str(target))
 
     primes = _primes_above(args.primes, max(sum(ix) for _, ix, _ in [target] + basis))
+    if len(primes) < 6:
+        raise UsageError("discover needs at least 6 primes above weight + 2, so that each half "
+                         "keeps a held-out prime; widen --primes")
     half_a, half_b = primes[0::2], primes[1::2]
     # one matrix; the stability check refits it on each half of its rows
     m = build_matrix([target] + basis, primes, cache=cache, jobs=args.jobs)

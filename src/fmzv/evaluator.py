@@ -29,7 +29,6 @@ production path calls them.
 """
 
 import os
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
@@ -43,10 +42,8 @@ __all__ = [
     "eval_euler",
     "eval_even_form",
     "eval_odd_form",
-    "eval_table",
     "check_cell",
     "value_of",
-    "ResidueTable",
     "ResidueCache",
     "CacheError",
     "index_to_str",
@@ -194,14 +191,6 @@ def eval_odd_form(index, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # cache + batch driver
-
-@dataclass
-class ResidueTable:
-    variant: str
-    index: tuple[int, ...]
-    signs: tuple[int, ...] | None
-    rows: dict[int, int] = field(default_factory=dict)
-
 
 def _parse_head(head: str):
     """(variant, index, signs) of a cache line's head, `variant,index,signs`."""
@@ -448,15 +437,3 @@ def per_prime(fn, primes, jobs=1, cache=None) -> list:
                     cache.add(*key, v)
     return out
 
-
-def eval_table(variant, index, signs=None, primes=(), cache=None, jobs=1) -> ResidueTable:
-    """Evaluate one cell per prime; primes must be nonempty and ascending."""
-    variant, index, signs = check_cell(variant, index, signs)
-    primes = list(primes)
-    if not primes or any(b <= a for a, b in zip(primes, primes[1:])):
-        raise ValueError("primes must be a nonempty ascending list")
-    for p in primes:
-        check_prime(p)
-    values = per_prime(partial(values_at, ((variant, index, signs),)), primes, jobs, cache)
-    return ResidueTable(variant=variant, index=index, signs=signs,
-                        rows={p: v for p, (v,) in zip(primes, values)})

@@ -223,10 +223,10 @@ def compositions(k: int, r: int, min_part: int = 1):
             yield (first,) + rest
 
 
-def all_compositions(k: int, min_part: int = 1):
-    """All compositions of k of every depth, entries >= min_part."""
-    for r in range(1, k // min_part + 1):
-        yield from compositions(k, r, min_part)
+def all_compositions(k: int):
+    """All compositions of k of every depth."""
+    for r in range(1, k + 1):
+        yield from compositions(k, r)
 
 
 def gen_g(k: int, r: int, a: int) -> IndexCombination:

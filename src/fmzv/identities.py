@@ -25,7 +25,7 @@ from .harmonic import (
     lemma_R_check,
     lemma_g_check,
 )
-from .modmath import crt_combine, mod_inv, rat_reconstruct
+from .modmath import check_prime, crt_combine, mod_inv, rat_reconstruct
 from .relations import _train_split
 
 __all__ = [
@@ -484,9 +484,10 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
         return self.setup(*values)
 
     def run(self, bounds, primes=(), cache=None, jobs=1) -> Report:
-        """Report of the suite over the primes; bounds as in resolve."""
+        """Report of the suite over the primes, sorted and de-duplicated, each a
+        prime >= 5 (ValueError otherwise); bounds as in resolve."""
+        primes = sorted(set(map(check_prime, primes)))
         args, params = self.resolve(bounds)
-        primes = list(primes)
         rows = []
         if self.rows is not None:
             for part in per_prime(partial(_prime_rows, list(self.rows(*args))),

@@ -6,7 +6,8 @@ vanish mod every training prime, written down in Hermite normal form and
 reduced by LLL; "verified" only ever means "holds at every training and
 held-out prime we looked at", never a proof.  A basis expression is a fit
 of one value matrix; a stability check fits slices of its rows (prime sets)
-without building the matrix again.
+without building the matrix again.  build_matrix is also the one way to
+evaluate cells over primes outside a suite, `fmzv compute` included.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .evaluator import check_cell, parse_signs, per_prime, signs_to_str, values_at
+from .evaluator import check_cell, per_prime, signs_to_str, values_at
 from .harmonic import all_compositions
 from .lattice import congruence_cut, lll_reduce
 from .modmath import check_prime
@@ -49,8 +50,6 @@ def normalize_descriptor(desc):
         variant, index, signs = desc
     else:
         raise ValueError("descriptor must be (variant, index[, signs]), got %r" % (desc,))
-    if isinstance(signs, str):
-        signs = parse_signs(signs)
     return check_cell(variant, index, signs)
 
 
@@ -78,18 +77,18 @@ class RelationCandidate:
 
 
 def build_matrix(descriptors, primes, cache=None, jobs=1) -> ValueMatrix:
+    """The descriptors' values at every prime: the API for values over primes.
+
+    The primes are sorted and de-duplicated, and any prime >= 5 will do: the
+    p > weight + 2 floor is relation_lattice's.  Each prime is one sweep of
+    all the columns, through the cache if one is given.
+    """
     descs = [normalize_descriptor(d) for d in descriptors]
     if not descs:
         raise ValueError("need at least one descriptor")
-    primes = sorted(set(primes))
+    primes = sorted(set(map(check_prime, primes)))
     if not primes:
         raise ValueError("need at least one prime")
-    for p in primes:
-        check_prime(p)
-    wmax = max(sum(ix) for _, ix, _ in descs)
-    if primes[0] <= wmax + 2:
-        raise ValueError("smallest prime %d must exceed max weight + 2 = %d"
-                         % (primes[0], wmax + 2))
     # canonical column order: by (weight, depth, index, variant, signs), stable
     columns = tuple(sorted(descs, key=lambda d: (sum(d[1]), len(d[1]), d[1], d[0], d[2] or ())))
     cells = tuple(per_prime(partial(values_at, columns), primes, jobs, cache))
@@ -119,7 +118,12 @@ def relation_lattice(matrix: ValueMatrix, height_bound=DEFAULT_HEIGHT_BOUND):
     down in Hermite normal form by one congruence_cut, LLL-reduced, and
     filtered to max-norm <= height_bound; every survivor is then re-checked
     against all matrix rows by direct dot products over its nonzero entries.
+    Every prime must exceed the largest column weight + 2.
     """
+    wmax = max(sum(ix) for _, ix, _ in matrix.columns)
+    if matrix.primes[0] <= wmax + 2:
+        raise ValueError("smallest prime %d must exceed max weight + 2 = %d"
+                         % (matrix.primes[0], wmax + 2))
     train, held = _train_split(matrix.primes)
     basis = lll_reduce(congruence_cut(matrix.cells[:len(train)], train))
     seen = set()

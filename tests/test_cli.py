@@ -196,6 +196,20 @@ def test_discover_signs_that_start_with_minus(capsys):
     assert json.loads(out)["target"] == "euler(1,2;-,+)"
 
 
+def test_discover_needs_six_primes_and_dims_four(capsys):
+    # each half of the primes keeps a held-out prime only from 3 primes on
+    argv = ("discover", "--target", "2,1", "--basis", "odd", "--primes")
+    code, out, err = run(capsys, *argv, "7..17")
+    assert code == 2 and out == ""
+    assert "discover needs at least 6 primes above weight + 2" in err
+    code, out, _ = run(capsys, *argv, "7..23")
+    assert code == 0
+    assert json.loads(out)["primes"] == [7, 11, 13, 17, 19, 23]
+    # dims keeps its floor of 4 primes
+    code, _, _ = run(capsys, "dims", "--weight", "3", "--primes", "7..17")
+    assert code == 0
+
+
 def test_discover_target_in_basis(capsys):
     code, _, err = run(capsys, "discover", "--target", "3", "--basis", "odd",
                        "--weight", "3", "--primes", "7..199")

@@ -11,7 +11,6 @@ from fmzv.evaluator import (
     eval_euler,
     eval_even_form,
     eval_odd_form,
-    eval_table,
     eval_zeta,
     eval_zeta2,
     eval_zeta2_star,
@@ -20,6 +19,13 @@ from fmzv.evaluator import (
     parse_signs,
 )
 from fmzv.modmath import is_prime, mod_inv, sieve_primes
+from fmzv.relations import build_matrix
+
+
+def column(variant, index, signs=None, primes=(), cache=None, jobs=1):
+    """{p: value} of one cell over the primes, from build_matrix."""
+    m = build_matrix([(variant, index, signs)], primes, cache=cache, jobs=jobs)
+    return {p: v for p, (v,) in zip(m.primes, m.cells)}
 
 
 # --- independent brute-force oracles (nested enumeration, no DP) ---
@@ -219,7 +225,7 @@ ORACLES = {"zeta": eval_zeta, "zeta2": eval_zeta2, "zeta2star": eval_zeta2_star}
 
 def test_sweep_matches_oracles():
     # every composition of weight <= 6, every euler sign vector; the small primes
-    # have p <= weight + 2, which compute and eval_table can ask for
+    # have p <= weight + 2, which compute and build_matrix can ask for
     cells = []
     for index in all_indices(6):
         cells += [(variant, index, None) for variant in ORACLES]
@@ -280,7 +286,7 @@ def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
     monkeypatch.setattr(ev, "plan", lambda *args: tables.append(plan(*args)) or tables[-1])
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(p) or sweep(cells, p))
     primes = sieve_primes(5, 120)
-    eval_table("zeta2", (2, 1), primes=primes)
+    column("zeta2", (2, 1), primes=primes)
     assert tables == [{("zeta2", (2, 1), None, p): eval_zeta2((2, 1), p)} for p in primes]
     for p in primes:
         ev.compute_cell("zeta2star", (1, 2), None, p)
@@ -322,37 +328,34 @@ def test_cache_round_trip_with_list_signs(tmp_path):
 def test_in_memory_cache_writes_no_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cache = ResidueCache()
-    eval_table("zeta2", (1, 2), primes=[7, 11], cache=cache)
+    column("zeta2", (1, 2), primes=[7, 11], cache=cache)
     assert cache.get("zeta2", (1, 2), None, 11) == eval_zeta2((1, 2), 11)
     assert len(cache) == 2
     cache.close()
     assert list(tmp_path.iterdir()) == []
 
 
-# --- eval_table and the cache ---
+# --- one column over primes and the cache ---
 
-def test_eval_table_examples(tmp_path):
-    t = eval_table("zeta2", (1,), primes=[5, 7])
-    assert t.rows == {5: 4, 7: 3}
-    t = eval_table("zeta", (1,), primes=[5, 7, 11])
-    assert t.rows == {5: 0, 7: 0, 11: 0}
-    t = eval_table("zeta2", (3,), primes=[7])
-    assert t.rows == {7: 1}
+def test_column_examples(tmp_path):
+    assert column("zeta2", (1,), primes=[5, 7]) == {5: 4, 7: 3}
+    assert column("zeta", (1,), primes=[5, 7, 11]) == {5: 0, 7: 0, 11: 0}
+    assert column("zeta2", (3,), primes=[7]) == {7: 1}
+    # the primes are sorted and de-duplicated
+    assert column("zeta2", (1,), primes=[7, 5, 7]) == {5: 4, 7: 3}
     with pytest.raises(ValueError):
-        eval_table("zeta2", (1,), primes=[])
+        column("zeta2", (1,), primes=[])
     with pytest.raises(ValueError):
-        eval_table("zeta2", (1,), primes=[7, 5])
+        column("zeta2", (1,), signs=(1,), primes=[5])
     with pytest.raises(ValueError):
-        eval_table("zeta2", (1,), signs=(1,), primes=[5])
-    with pytest.raises(ValueError):
-        eval_table("euler", (1,), primes=[5])
+        column("euler", (1,), primes=[5])
 
 
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "cache.txt")
     cache = ResidueCache(path)
-    eval_table("zeta2", (1, 2), primes=[7, 11], cache=cache)
-    eval_table("euler", (1,), signs=(-1,), primes=[5], cache=cache)
+    column("zeta2", (1, 2), primes=[7, 11], cache=cache)
+    column("euler", (1,), signs=(-1,), primes=[5], cache=cache)
     cache.close()
 
     lines = open(path).read().splitlines()
@@ -362,8 +365,8 @@ def test_cache_round_trip(tmp_path):
     # a fresh process-like read must serve the same values without recompute
     cache2 = ResidueCache(path)
     assert cache2.get("zeta2", (1, 2), None, 7) == 1
-    t = eval_table("zeta2", (1, 2), primes=[7, 11], cache=cache2)
-    assert t.rows == {7: 1, 11: eval_zeta2((1, 2), 11)}
+    want = {7: 1, 11: eval_zeta2((1, 2), 11)}
+    assert column("zeta2", (1, 2), primes=[7, 11], cache=cache2) == want
     assert len(cache2) == len(lines)
     cache2.close()
 
@@ -587,8 +590,6 @@ def test_cache_load_checks_each_head_and_prime_once(tmp_path, monkeypatch):
     assert len({id(key[1]) for key in cache._cells}) == len(heads)
 
 
-def test_eval_table_parallel_matches_serial():
+def test_column_parallel_matches_serial():
     primes = sieve_primes(5, 40)
-    serial = eval_table("zeta2", (2, 1), primes=primes)
-    parallel = eval_table("zeta2", (2, 1), primes=primes, jobs=2)
-    assert serial.rows == parallel.rows
+    assert column("zeta2", (2, 1), primes=primes, jobs=2) == column("zeta2", (2, 1), primes=primes)

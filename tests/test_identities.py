@@ -221,6 +221,18 @@ def test_unknown_bound_is_rejected(name):
         SUITES[name].run({"wmx": 3}, [7])
 
 
+def test_run_sorts_and_deduplicates_its_primes():
+    want = SUITES["prop21"].run({"kmax": 3}, [7, 11]).to_json()
+    assert SUITES["prop21"].run({"kmax": 3}, [11, 7, 7]).to_json() == want
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_run_rejects_a_non_prime(name):
+    # the check comes first, so the prime-free lemmas suite makes it too
+    with pytest.raises(ValueError, match="p must be a prime >= 5, got 4"):
+        SUITES[name].run({}, [4])
+
+
 def test_conj38_passes_and_anchor():
     rep = SUITES["conj38"].run({"rmax": 6}, sieve_primes(5, 40))
     assert rep.passed

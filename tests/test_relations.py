@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from fmzv.evaluator import eval_zeta2
+from fmzv.evaluator import eval_euler, eval_zeta, eval_zeta2, eval_zeta2_star
 from fmzv.harmonic import all_compositions
 from fmzv.lattice import congruence_cut, hnf, hnf_contains
 from fmzv.modmath import sieve_primes
@@ -25,7 +27,9 @@ W3 = [("zeta2", ix) for ix in all_compositions(3)]
 
 def test_normalize_descriptor():
     assert normalize_descriptor(("zeta2", (1, 2))) == ("zeta2", (1, 2), None)
-    assert normalize_descriptor(("euler", (2,), "-")) == ("euler", (2,), (-1,))
+    assert normalize_descriptor(("euler", (2,), (-1,))) == ("euler", (2,), (-1,))
+    with pytest.raises(ValueError):
+        normalize_descriptor(("euler", (2,), "-"))  # signs are a +/-1 vector, not a string
     with pytest.raises(ValueError):
         normalize_descriptor(("zeta2", (1, 2), (1, 1)))
     with pytest.raises(ValueError):
@@ -59,7 +63,31 @@ def test_build_matrix_single_cell_and_errors():
     with pytest.raises(ValueError):
         build_matrix([("zeta2", (3,))], [])
     with pytest.raises(ValueError):
-        build_matrix([("zeta2", (5,))], [7])  # needs p > weight + 2
+        build_matrix([("zeta2", (3,))], [7, 9])
+
+
+def test_build_matrix_below_the_floor_matches_the_oracles():
+    # build_matrix evaluates at any prime; p > weight + 2 is the relation engine's rule
+    oracles = {("zeta", (2, 3), None): partial(eval_zeta, (2, 3)),
+               ("zeta2", (5,), None): partial(eval_zeta2, (5,)),
+               ("zeta2star", (1, 4), None): partial(eval_zeta2_star, (1, 4)),
+               ("euler", (3, 2), (-1, 1)): partial(eval_euler, (3, 2), (-1, 1))}
+    m = build_matrix(oracles, [7, 5])
+    assert m.primes == (5, 7)
+    assert m.cells == tuple(tuple(oracles[d](p) for d in m.columns) for p in m.primes)
+
+
+def test_relation_engine_enforces_the_floor():
+    msg = re.escape("smallest prime 7 must exceed max weight + 2 = 7")
+    m = build_matrix([("zeta2", (5,)), ("zeta2", (1, 1))], sieve_primes(7, 60))
+    with pytest.raises(ValueError, match=msg):
+        relation_lattice(m)
+    with pytest.raises(ValueError, match=msg):
+        express_in_basis(("zeta2", (1, 4)), [("zeta2", (5,))], sieve_primes(7, 60))
+    with pytest.raises(ValueError, match=msg):
+        dimension_estimate(5, primes=sieve_primes(7, 60))
+    # a matrix whose primes all clear the floor fits
+    relation_lattice(build_matrix(m.columns, sieve_primes(11, 60)))
 
 
 def test_relation_lattice_weight3():
