@@ -15,13 +15,19 @@ that prime, else a sweep of the cell alone.  The module keeps no state: the
 cache is the only store that outlives a call, so a repeated single-cell call
 without a cache sweeps again; pass `ResidueCache()` to serve it from memory.
 
-A sweep (`plan`, `_sweep`) evaluates many cells of one prime at once: the
-requested indices and all their prefixes form a trie with one accumulator
-per node, T_node(m) = T_node(m-1) + T_parent(m-1) * m^(-k) for the node's
-last entry k, and one pass over m = 1..p-1 advances every node.  zeta and
-euler share a trie keyed by (k, sign); zeta2 is that trie read at
-m = (p-1)/2; zeta2star has its own trie, updated parent-first so that a
-node reads its parent at m itself.
+A sweep (`plan`, `_sweep`) evaluates many cells of one prime at once.  The
+requested indices and all their prefixes form a trie whose node sums obey
+T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the
+node's last entry k, times (-1)^m for a - sign.  The sweep walks the trie
+depth first, column by column, over blocks of at most _BLOCK values of m,
+carrying each node's sum from one block to the next: an inner node is one
+prefix-sum column of T_node over the block, reduced mod p only if another
+column is summed from it, and a leaf is one dot product of its parent's
+column with w.  The inverses of 1..p-1 come from the recurrence
+1/i = -(p // i) / (p % i).  zeta and euler share a trie; zeta2 is that trie
+read at m = (p-1)/2, where a leaf read at both ends splits its dot product;
+zeta2star has its own trie, whose nodes read their parent at m itself, one
+place later in its column.
 
 `eval_*` and `_dp_sum` evaluate one cell on their own with the streaming DP
 and are kept as the independent oracle route the tests compare against; no
@@ -30,7 +36,8 @@ production path calls them.
 
 import os
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
+from operator import mul
 
 from .modmath import batch_inv, check_prime, is_prime
 
@@ -299,63 +306,78 @@ class ResidueCache:
         return len(self._cells)
 
 
-def _trie(words):
-    """The prefix-closed trie of the words.
-
-    pos maps every prefix to its node, the root () being node 0; steps lists
-    (node, parent node, last letter) for every other node, parents first.
-    """
-    nodes = sorted({w[:d] for w in words for d in range(len(w) + 1)}, key=lambda w: (len(w), w))
-    pos = {w: i for i, w in enumerate(nodes)}
-    return pos, [(i, pos[w[:-1]], w[-1]) for i, w in enumerate(nodes) if w]
+def _inverses(n, p) -> list:
+    """[0, 1, 1/2, ..., 1/n] mod p for 1 <= n < p, from 1/i = -(p // i) / (p % i)."""
+    inv = [0, 1]
+    for i in range(2, n + 1):
+        inv.append((p - p // i) * inv[p % i] % p)
+    return inv
 
 
 def _sweep(cells, p) -> dict:
-    """{(variant, index, signs): value mod p} for the cells, from one pass over m."""
+    """{(variant, index, signs): value mod p} for the cells, from one walk of their tries
+    per block of m."""
     check_prime(p)
-    strict, star = {}, {}
-    for cell in cells:
-        variant, index, signs = cell = check_cell(*cell)
-        if variant == "zeta2star":
-            star[cell] = index
-        else:
-            strict[cell] = signs if variant == "euler" else index
-    emax = max((k for _, index, _ in strict.keys() | star.keys() for k in index), default=0)
-    # a letter is the place of its weight: m^-k at k, (-1)^m m^-k at emax + 1 + k
-    for cell in strict:
-        if cell[0] == "euler":
-            strict[cell] = tuple(k if e > 0 else emax + 1 + k for k, e in zip(cell[1], cell[2]))
-    signed = any(cell[0] == "euler" and -1 in cell[2] for cell in strict)
-    pos1, steps1 = _trie(strict.values())
-    pos2, steps2 = _trie(star.values())
-    # strict sums: deepest first, so that a node reads its parent at m - 1
-    steps1.reverse()
-    acc1 = [1] + [0] * len(steps1)
-    acc2 = [1] + [0] * len(steps2)
     half = (p - 1) // 2
-    top = p - 1 if any(cell[0] != "zeta2" for cell in strict) else half
-    out = {}
-    for m, im in enumerate(batch_inv(list(range(1, top + 1)), p), 1):
-        weights = [1, im]
+    # a node is [letter, last m read at or below it, children by letter, cells read at
+    # (p-1)/2 before that last m, running sum]; letter k weighs m by m^-k, -k by (-1)^m m^-k
+    strict, star = [0, 0, {}, [], 1], [0, 0, {}, [], 1]
+    level2, out, finals = ("zeta2", "zeta2star"), {}, []
+    # cells read at p-1 go first, so that a node made for a read at (p-1)/2 has none below
+    cells = sorted((check_cell(*cell) for cell in cells), key=lambda c: c[0] in level2)
+    for cell in cells:
+        variant, index, signs = cell
+        node = star if variant == "zeta2star" else strict
+        end = half if variant in level2 else p - 1
+        for e in index if signs is None else map(mul, index, signs):
+            node = node[2].get(e) or node[2].setdefault(e, [e, end, {}, [], 0])
+        # a read before the node's last m is taken during the walk, any other after it
+        (node[3] if end < node[1] else finals).append((cell, node))
+    top = max((node[1] for _, node in finals), default=0)
+    emax = max((max(index) for _, index, _ in cells if index), default=0)
+    signed = any(-1 in signs for _, _, signs in cells if signs)
+    inv = _inverses(top, p)
+    for m0 in range(1, top + 1, _BLOCK):
+        m1 = min(m0 + _BLOCK, top + 1)
+        powers = [inv[m0:m1]]
         for _ in range(emax - 1):
-            weights.append(weights[-1] * im % p)
-        if signed:
-            weights += weights if m % 2 == 0 else [p - w for w in weights]
-        for i, j, e in steps1:
-            acc1[i] = (acc1[i] + acc1[j] * weights[e]) % p
-        if m <= half:
-            # non-strict sums: parents first, so that a node reads its parent at m
-            for i, j, e in steps2:
-                acc2[i] = (acc2[i] + acc2[j] * weights[e]) % p
-        if m == half:
-            for cell, w in strict.items():
-                if cell[0] == "zeta2":
-                    out[cell] = acc1[pos1[w]]
-    for cell, w in strict.items():
-        if cell[0] != "zeta2":
-            out[cell] = acc1[pos1[w]]
-    for cell, w in star.items():
-        out[cell] = acc2[pos2[w]]
+            powers.append([x * y % p for x, y in zip(powers[-1], powers[0])])
+        # weights[e][i] is letter e's weight at m = m0 + i
+        weights = [None] + powers + [[p - x if (m0 + i) & 1 else x for i, x in enumerate(w)]
+                                     for w in (reversed(powers) if signed else ())]
+        at_half, h = m0 <= half < m1, half - m0 + 1
+        for root, shift in ((strict, 0), (star, 1)):
+            # column c of a node holds its sums at m0 - 1 .. m1 - 1; a strict child reads
+            # its parent at m - 1, c[i], a star child at m, c[i + 1]
+            stack = [(root, [1] * (m1 - m0 + 1))]
+            while stack:
+                node, col = stack.pop()
+                for kid in node[2].values():
+                    e, limit, kids, halves, carry = kid
+                    if limit < m0:
+                        continue
+                    # a node whose last m is (p-1)/2, inside the block, stops there
+                    w = weights[e] if limit >= m1 - 1 else islice(weights[e], h)
+                    src = islice(col, 1, None) if shift else col
+                    if kids:
+                        # a column is reduced mod p only if another column is summed from it
+                        c = accumulate(map(mul, src, w), initial=carry)
+                        c = [x % p for x in c] if any(k[2] for k in kids.values()) else list(c)
+                        kid[4] = c[-1] % p
+                        if at_half:
+                            for cell, _ in halves:
+                                out[cell] = c[h] % p
+                        stack.append((kid, c))
+                    elif halves and at_half:
+                        # a leaf read at both ends: its dot product splits at (p-1)/2
+                        s = carry + sum(map(mul, col, islice(w, h)))
+                        for cell, _ in halves:
+                            out[cell] = s % p
+                        kid[4] = (s + sum(map(mul, islice(col, h, None), islice(w, h, None)))) % p
+                    else:
+                        kid[4] = (carry + sum(map(mul, src, w))) % p
+    for cell, node in finals:
+        out[cell] = node[4]
     return out
 
 

@@ -111,6 +111,14 @@ def _train_split(primes):
     return list(primes[:split]), list(primes[split:])
 
 
+def _above_floor(columns, primes) -> list:
+    """The primes sorted and distinct, each a prime above the largest column weight + 2."""
+    primes, floor = sorted(set(map(check_prime, primes))), max(sum(d[1]) for d in columns) + 2
+    if primes and primes[0] <= floor:
+        raise ValueError("smallest prime %d must exceed max weight + 2 = %d" % (primes[0], floor))
+    return primes
+
+
 def relation_lattice(matrix: ValueMatrix, height_bound=DEFAULT_HEIGHT_BOUND):
     """Candidate relations among the matrix columns, checked on held-out primes.
 
@@ -120,10 +128,7 @@ def relation_lattice(matrix: ValueMatrix, height_bound=DEFAULT_HEIGHT_BOUND):
     against all matrix rows by direct dot products over its nonzero entries.
     Every prime must exceed the largest column weight + 2.
     """
-    wmax = max(sum(ix) for _, ix, _ in matrix.columns)
-    if matrix.primes[0] <= wmax + 2:
-        raise ValueError("smallest prime %d must exceed max weight + 2 = %d"
-                         % (matrix.primes[0], wmax + 2))
+    _above_floor(matrix.columns, matrix.primes)
     train, held = _train_split(matrix.primes)
     basis = lll_reduce(congruence_cut(matrix.cells[:len(train)], train))
     seen = set()
@@ -178,6 +183,7 @@ def express_in_basis(target, basis, primes, height_bound=DEFAULT_HEIGHT_BOUND,
     basis = [normalize_descriptor(b) for b in basis]
     if target in basis:
         raise ValueError("target %s already occurs in the basis" % descriptor_str(target))
+    primes = _above_floor([target] + basis, primes)
     matrix = build_matrix([target] + basis, primes, cache=cache, jobs=jobs)
     return _fit(matrix, target, basis, height_bound)
 
@@ -188,7 +194,7 @@ def dimension_estimate(k, variant="zeta2", primes=(), height_bound=DEFAULT_HEIGH
     if k < 1:
         raise ValueError("weight must be >= 1")
     descs = [(variant, ix) for ix in all_compositions(k)]
-    matrix = build_matrix(descs, primes, cache=cache, jobs=jobs)
+    matrix = build_matrix(descs, _above_floor(descs, primes), cache=cache, jobs=jobs)
     rels = relation_lattice(matrix, height_bound)
     m = sum(1 for c in rels if c.status == "verified")
     return m, 2 ** (k - 1) - m

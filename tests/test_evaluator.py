@@ -238,6 +238,52 @@ def test_sweep_matches_oracles():
             assert v == want, (variant, index, signs, p)
 
 
+def oracle(cell, p):
+    variant, index, signs = cell
+    return eval_euler(index, signs, p) if signs else ORACLES[variant](index, p)
+
+
+# one sweep of strict and star cells: a node both inner and read ((1, 2)), a leaf read at
+# both ends ((2, 3) as zeta and zeta2), all-plus euler on a zeta node, mixed signs
+MIXED = [("zeta", (1, 2), None), ("zeta2", (1, 2), None), ("euler", (1, 2), (1, 1)),
+         ("zeta", (1, 2, 3), None), ("zeta2", (1, 2, 1, 1), None),
+         ("zeta", (2, 3), None), ("zeta2", (2, 3), None), ("zeta2", (3, 1), None),
+         ("euler", (3, 1, 2), (-1, 1, -1)), ("euler", (2, 1), (1, -1)), ("euler", (1,), (-1,)),
+         ("euler", (1, 2), (-1, -1)), ("zeta2star", (1, 2), None), ("zeta2star", (1, 2, 1), None),
+         ("zeta2star", (3,), None), ("zeta", (), None), ("zeta2", (), None)]
+
+
+@pytest.mark.parametrize("p, block", [
+    (8209, 4096), (10007, 4096),
+    # blocks that start at an even m, and (p-1)/2 inside a block, at its end, or at its start
+    (8209, 4095), (101, 6), (103, 7), (103, 50), (103, 51), (103, 1),
+])
+def test_sweep_over_blocks_matches_oracles(monkeypatch, p, block):
+    want = {cell: oracle(cell, p) for cell in MIXED}
+    monkeypatch.setattr(ev, "_BLOCK", block)
+    assert ev._sweep(MIXED, p) == want
+
+
+def test_sweep_at_depth_30():
+    index = (1, 2) * 14 + (3, 1)
+    cells = [("zeta", index, None), ("zeta2", index, None), ("zeta2star", index, None),
+             ("euler", index, (1, -1) * 15), ("zeta2", index[:29], None)]
+    assert ev._sweep(cells, 8209) == {cell: oracle(cell, 8209) for cell in cells}
+
+
+def test_sweep_of_the_depth2_cells_at_large_primes():
+    # the cells verify --suite depth2 --kmax 9 sweeps at each prime
+    cells = [("zeta2", (a, k - a), None) for k in (3, 5, 7, 9) for a in range(1, k)]
+    for p in sieve_primes(1000, 1400)[::9]:
+        assert ev._sweep(cells, p) == {cell: oracle(cell, p) for cell in cells}
+
+
+def test_inverse_table():
+    for p in sieve_primes(5, 2000):
+        assert ev._inverses(p - 1, p) == [0] + [pow(i, -1, p) for i in range(1, p)]
+        assert ev._inverses((p - 1) // 2, p) == [0] + [pow(i, -1, p) for i in range(1, (p + 1) // 2)]
+
+
 def test_unplanned_cell_is_swept_alone():
     assert ev.compute_cell("zeta2star", (2, 1), None, 11) == eval_zeta2_star((2, 1), 11)
     assert ev.compute_cell("euler", (1, 2), (-1, 1), 7) == eval_euler((1, 2), (-1, 1), 7)

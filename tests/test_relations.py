@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+import fmzv.evaluator as ev
 from fmzv.evaluator import eval_euler, eval_zeta, eval_zeta2, eval_zeta2_star
 from fmzv.harmonic import all_compositions
 from fmzv.lattice import congruence_cut, hnf, hnf_contains
@@ -88,6 +89,24 @@ def test_relation_engine_enforces_the_floor():
         dimension_estimate(5, primes=sieve_primes(7, 60))
     # a matrix whose primes all clear the floor fits
     relation_lattice(build_matrix(m.columns, sieve_primes(11, 60)))
+
+
+def test_the_floor_is_checked_before_any_sweep(monkeypatch):
+    # a prime range below the floor, or a non-prime in it, raises before any value is swept
+    sweeps = []
+    sweep = ev._sweep
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(p) or sweep(cells, p))
+    msg = re.escape("smallest prime 7 must exceed max weight + 2 = 7")
+    with pytest.raises(ValueError, match=msg):
+        express_in_basis(("zeta2", (1, 4)), [("zeta2", (5,))], sieve_primes(7, 60))
+    with pytest.raises(ValueError, match=msg):
+        dimension_estimate(5, primes=reversed(sieve_primes(7, 60)))
+    with pytest.raises(ValueError, match="must be a prime"):
+        express_in_basis(("zeta2", (1, 2)), [("zeta2", (3,))], [11, 13, 15])
+    assert sweeps == []
+    # primes given as an iterator are read once, then swept
+    assert dimension_estimate(3, primes=iter(sieve_primes(7, 100))) == (2, 2)
+    assert sweeps == sieve_primes(7, 100)
 
 
 def test_relation_lattice_weight3():
