@@ -41,7 +41,7 @@ def main():
     print("one-odd constants: zeta2(index with a single odd entry) / zeta2(weight),")
     print("reconstructed from residues at primes up to 200:")
     primes = sieve_primes(5, 200)
-    consts = ppt_constants(9, primes)
+    consts = {pat: c for k in (3, 5, 7, 9) for pat, c in ppt_constants(k, primes).items()}
     for (k, r, i), c in sorted(consts.items()):
         print("  weight %d, depth %d, odd slot %d: %s" % (k, r, i, c))
     print()

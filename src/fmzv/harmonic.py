@@ -24,6 +24,7 @@ __all__ = [
     "gen_g",
     "gen_g1",
     "lemma_g_check",
+    "R_terms",
     "gen_R",
     "lemma_R_check",
     "evaluate_combination",
@@ -261,35 +262,28 @@ def _lemma_g_side(k, r, a, restricted: bool) -> bool:
     return lhs == rhs
 
 
-def lemma_g_check(k: int, r: int, a: int, form: str = "both") -> bool:
-    """Exact symbolic check of the two even-count recursion identities.
+def lemma_g_check(k: int, r: int, a: int) -> bool:
+    """Exact symbolic check of the even-count recursion identity for g (entries >= 1)
+    and for g1 (entries >= 2)."""
+    return _lemma_g_side(k, r, a, restricted=False) and _lemma_g_side(k, r, a, restricted=True)
 
-    form: "g" (entries >= 1), "g1" (entries >= 2), or "both".
-    """
-    if form not in ("g", "g1", "both"):
-        raise ValueError("form must be g, g1, or both")
-    ok = True
-    if form in ("g", "both"):
-        ok = ok and _lemma_g_side(k, r, a, restricted=False)
-    if form in ("g1", "both"):
-        ok = ok and _lemma_g_side(k, r, a, restricted=True)
-    return ok
+
+def R_terms(index):
+    """The (coefficient, permuted index) terms of gen_R, one per permutation, unmerged:
+    the coefficient is r+1-2*(landing position of the last entry), zero ones left out."""
+    r = len(index)
+    for perm in permutations(range(r)):
+        coeff = r + 1 - 2 * (perm.index(r - 1) + 1)
+        if coeff:
+            yield coeff, tuple(index[i] for i in perm)
 
 
 def gen_R(index) -> IndexCombination:
-    """Signed permutation sum with weight r+1-2*(landing position of the last entry)."""
+    """Signed permutation sum: the terms of R_terms(index), merged."""
     index = tuple(index)
-    r = len(index)
-    if r < 1:
+    if not index:
         raise ValueError("gen_R needs depth >= 1")
-    terms = {}
-    for perm in permutations(range(r)):
-        permuted = tuple(index[i] for i in perm)
-        pos = perm.index(r - 1) + 1  # 1-based landing position of k_r
-        coeff = r + 1 - 2 * pos
-        if coeff:
-            terms[permuted] = terms.get(permuted, 0) + coeff
-    return IndexCombination(terms)
+    return IndexCombination((permuted, coeff) for coeff, permuted in R_terms(index))
 
 
 def lemma_R_check(index) -> bool:

@@ -19,6 +19,7 @@ from functools import lru_cache, partial
 from .bernoulli import L2, Zk
 from .evaluator import per_prime, plan, value_of, values_at
 from .harmonic import (
+    R_terms,
     all_compositions,
     antipode_sum,
     compositions,
@@ -102,10 +103,6 @@ class Report:
         lines.append("suite %s: %d cases, %d passed, %d failed"
                      % (self.suite, self.total, self.total - self.failed, self.failed))
         return "\n".join(lines) + "\n"
-
-
-def _filtered(primes, weight):
-    return [p for p in primes if p > weight + 2]
 
 
 def _frac_mod(q: Fraction, p: int) -> int:
@@ -301,35 +298,31 @@ def _ppt_special_rows(rmax, _recon_weight_max):
                    [(coeff, ("zeta2", (k,)))])
 
 
-def _one_odd_patterns(max_weight):
-    pats = []
-    for k in range(3, max_weight + 1, 2):
-        for r in range(1, (k + 1) // 2 + 1):
-            for i in range(1, r + 1):
-                pats.append((k, r, i))
-    return pats
+def ppt_constants(k, primes, cache=None):
+    """Reconstructed rational c with (one-odd pattern sum) = c * zeta2(k), for each
+    pattern (k, r, i) of the odd weight k.
 
-
-def ppt_constants(max_weight, primes, cache=None, min_weight=1):
-    """Reconstructed rational c with (one-odd pattern sum) = c * (depth-1 value).
-
-    Covers the patterns of weight min_weight..max_weight.  Uses every prime
-    where the depth-1 reference value is nonzero; returns a dict
-    (k, r, i) -> Fraction or None when reconstruction fails.
+    Uses every prime p > k + 2 where the reference zeta2(k) is nonzero, sweeping
+    the reference and every composition at p once (and not at all when the cache
+    holds a zero reference); returns a dict (k, r, i) -> Fraction, or None when
+    reconstruction fails.
     """
-    comps = {pat: _one_odd_compositions(*pat)
-             for pat in _one_odd_patterns(max_weight) if pat[0] >= min_weight}
+    if k % 2 == 0:
+        raise ValueError("one-odd patterns have odd weight, got %d" % k)
+    comps = {(k, r, i): _one_odd_compositions(k, r, i)
+             for r in range(1, (k + 1) // 2 + 1) for i in range(1, r + 1)}
+    cells = [("zeta2", (k,), None)] + [("zeta2", c, None) for cs in comps.values() for c in cs]
     pairs = {pat: [] for pat in comps}
     for p in primes:
-        at_p = {pat: cs for pat, cs in comps.items() if p > pat[0] + 2}
-        # one sweep at p for the compositions and the depth-1 reference of every pattern
-        table = plan([("zeta2", c, None) for (k, _, _), cs in at_p.items() for c in ((k,), *cs)],
-                     p, cache)
-        for (k, r, i), cs in at_p.items():
-            ref = value_of("zeta2", (k,), None, p, cache, table)
-            if ref:
+        if p <= k + 2 or cache is not None and cache.get("zeta2", (k,), None, p) == 0:
+            continue
+        table = plan(cells, p, cache)
+        ref = value_of("zeta2", (k,), None, p, cache, table)
+        if ref:
+            inv = mod_inv(ref, p)
+            for pat, cs in comps.items():
                 lhs = sum(value_of("zeta2", c, None, p, cache, table) for c in cs)
-                pairs[k, r, i].append((lhs * mod_inv(ref, p) % p, p))
+                pairs[pat].append((lhs * inv % p, p))
     return {pat: rat_reconstruct(*crt_combine(pr)) if pr else None for pat, pr in pairs.items()}
 
 
@@ -342,14 +335,11 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
     """The constant of every one-odd pattern of weight <= recon_weight_max,
     reconstructed from training primes and re-verified on held-out primes."""
     rows = []
-    for k, pats in itertools.groupby(_one_odd_patterns(recon_weight_max), key=lambda t: t[0]):
-        train, held = _train_split(_filtered(primes, k))
-        # the training primes depend only on k, so one call serves every pattern of weight k
-        consts = ppt_constants(k, train, cache, min_weight=k) if train else {}
+    for k in range(3, recon_weight_max + 1, 2):
+        train, held = _train_split([p for p in primes if p > k + 2])
         held_rows = []
-        for pat in pats:
+        for pat, c in ppt_constants(k, train, cache).items():
             name = "pattern k=%d r=%d i=%d" % pat
-            c = consts.get(pat)
             if c is None:
                 rows.append(Case(case=name, prime=None, lhs="reconstruction failed",
                                  rhs="rational constant", passed=False))
@@ -376,15 +366,6 @@ def default_weighted_indices(level, wmax=None, dmax=None):
             if level == 1 or index[-1] % 2 == 1 and all(x % 2 == 0 for x in index[:-1])]
 
 
-def _weighted_terms(index):
-    # (coefficient, permuted index) of the position-weighted sum, zero coefficients left out
-    r = len(index)
-    for perm in itertools.permutations(range(r)):
-        coeff = r + 1 - 2 * (perm.index(r - 1) + 1)
-        if coeff:
-            yield coeff, tuple(index[t] for t in perm)
-
-
 def _weighted_rows(level, indices):
     """Position-weighted permutation sums against C-coefficient multiples of Zk."""
     variant, factor = ("zeta", 2) if level == 1 else ("zeta2", 1)
@@ -393,7 +374,7 @@ def _weighted_rows(level, indices):
         # the sum of C over the permutations of the head
         csum = sum(coeff_C(head + index[-1:]) for head in itertools.permutations(index[:-1]))
         yield (_istr(index), k,
-               [(coeff, (variant, permuted)) for coeff, permuted in _weighted_terms(index)],
+               [(coeff, (variant, permuted)) for coeff, permuted in R_terms(index)],
                [((-1) ** r * factor * csum, ("Zk", k))] if csum else [])
 
 

@@ -108,8 +108,8 @@ def test_criterion_07_sum_formulas():
 def test_criterion_08_ppt_and_constant_stability():
     rep = SUITES["ppt"].run({"rmax": 6}, P200)
     assert rep.passed and rep.total > 0
-    low = ppt_constants(9, P200)
-    high = ppt_constants(9, sieve_primes(201, 400))
+    low, high = ({pat: c for k in range(3, 10, 2) for pat, c in ppt_constants(k, primes).items()}
+                 for primes in (P200, sieve_primes(201, 400)))
     assert low == high
     assert all(v is not None for v in low.values())
     assert low[(3, 2, 1)] == Fraction(-3, 4)

@@ -135,8 +135,8 @@ def test_gen_g_examples():
 def test_lemma_g_examples():
     assert lemma_g_check(5, 2, 0)
     assert lemma_g_check(4, 1, 0)
-    assert lemma_g_check(7, 2, 1, form="g")
-    assert lemma_g_check(9, 3, 1, form="g1")
+    assert lemma_g_check(7, 2, 1)
+    assert lemma_g_check(9, 3, 1)
 
 
 def test_lemma_g_full_range():

@@ -130,9 +130,13 @@ def test_ppt_special_anchor():
     assert r.lhs == r.rhs == "1"
 
 
+def _ppt_constants_up_to(wmax, primes):
+    return {pat: c for k in range(3, wmax + 1, 2) for pat, c in ppt_constants(k, primes).items()}
+
+
 def test_ppt_constants_match_special_closed_form():
     primes = sieve_primes(5, 120)
-    consts = ppt_constants(7, primes)
+    consts = _ppt_constants_up_to(7, primes)
     for r in range(2, 5):
         k = 2 * r - 1
         for i in range(1, r + 1):
@@ -145,17 +149,24 @@ def test_ppt_constants_match_special_closed_form():
 def test_ppt_constants_stable_across_prime_sets():
     a = sieve_primes(5, 150)
     b = sieve_primes(151, 350)
-    ca = ppt_constants(7, a)
-    cb = ppt_constants(7, b)
+    ca = _ppt_constants_up_to(7, a)
+    cb = _ppt_constants_up_to(7, b)
     assert ca == cb
     assert all(v is not None for v in ca.values())
 
 
-def test_ppt_constants_min_weight_keeps_the_heavier_patterns():
-    primes = sieve_primes(5, 120)
-    full = ppt_constants(7, primes)
-    assert ppt_constants(7, primes, min_weight=5) == {pat: c for pat, c in full.items()
-                                                      if pat[0] >= 5}
+def test_ppt_constants_covers_one_weight_above_its_prime_floor():
+    primes = sieve_primes(11, 120)
+    for k in (3, 5, 7):
+        consts = ppt_constants(k, primes)
+        assert set(consts) == {(k, r, i) for r in range(1, (k + 1) // 2 + 1)
+                               for i in range(1, r + 1)}
+        assert all(c is not None for c in consts.values())
+        # a prime p <= k + 2 is not used
+        assert ppt_constants(k, [5, 7] + primes) == consts
+        assert ppt_constants(k, [p for p in (5, 7) if p <= k + 2]) == dict.fromkeys(consts)
+    with pytest.raises(ValueError):
+        ppt_constants(6, primes)
 
 
 def test_weighted_level1_passes_and_anchor():
@@ -197,8 +208,8 @@ def test_weighted1_calls_Zk_once_per_weight_and_prime_with_a_nonzero_C_sum(monke
 def test_weighted_builds_terms_and_C_sum_once_per_index(monkeypatch):
     # both depend only on the index, so the number of primes must not matter
     terms, cs = [], []
-    weighted_terms, coeff = ids._weighted_terms, ids.coeff_C
-    monkeypatch.setattr(ids, "_weighted_terms", lambda ix: terms.append(ix) or weighted_terms(ix))
+    r_terms, coeff = ids.R_terms, ids.coeff_C
+    monkeypatch.setattr(ids, "R_terms", lambda ix: terms.append(ix) or r_terms(ix))
     monkeypatch.setattr(ids, "coeff_C", lambda ix: cs.append(ix) or coeff(ix))
     indices = default_weighted_indices(1)
     rep = SUITES["weighted1"].run({}, sieve_primes(5, 60))
@@ -360,9 +371,29 @@ def test_ppt_sweeps_once_per_prime_and_weight(monkeypatch):
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
     assert SUITES["ppt"].run({}, PRIMES).passed
     args, _ = SUITES["ppt"].resolve({})
-    weights = {k for k, _, _ in ids._one_odd_patterns(args[1])}
+    weights = range(3, args[1] + 1, 2)
     for p in PRIMES:
         assert swept.count(p) <= 1 + sum(1 for k in weights if p > k + 2), p
+
+
+def test_warm_ppt_run_makes_no_sweep(tmp_path, monkeypatch):
+    # a prime where the depth-1 reference vanishes is skipped, not swept, once the
+    # cache holds that zero
+    primes = sieve_primes(7, 211)
+    path = tmp_path / "cells.csv"
+    cache = ResidueCache(path)
+    cold = SUITES["ppt"].run({}, primes, cache)
+    cache.close()
+    assert any(v == 0 and key[0] == "zeta2" and len(key[1]) == 1
+               for key, v in ResidueCache(path)._cells.items())
+    swept = []
+    sweep = ev._sweep
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    warm_cache = ResidueCache(path)
+    warm = SUITES["ppt"].run({}, primes, warm_cache)
+    warm_cache.close()
+    assert swept == []
+    assert warm.to_json() == cold.to_json()
 
 
 def test_identical_runs_make_identical_sweeps(monkeypatch):
