@@ -59,10 +59,13 @@ def _parse_prime_range(text):
     return sieve_primes(lo, hi)
 
 
-def _primes_above(text, weight):
+def _primes_above(text, weight, least, command):
+    """The primes of the range text above weight + 2, at least `least` of them."""
     primes = [p for p in _parse_prime_range(text) if p > weight + 2]
-    if len(primes) < 4:
-        raise UsageError("need at least 4 primes above weight + 2; widen --primes")
+    if len(primes) < least:
+        raise UsageError("%s needs at least %d prime%s above weight + 2, got %d in %s; "
+                         "widen --primes" % (command, least, "" if least == 1 else "s",
+                                             len(primes), text))
     return primes
 
 
@@ -75,13 +78,13 @@ def _cell(variant, index_text, signs_text):
         raise UsageError(str(exc))
 
 
-def _bound(value, default, name, guard):
-    v = default if value is None else value
-    if v < 1:
+def _bound(value, name, guard=None):
+    """The value, checked to be >= 1 and, if a guard is given, <= guard."""
+    if value < 1:
         raise UsageError("%s must be >= 1" % name)
-    if v > guard:
+    if guard is not None and value > guard:
         raise UsageError("%s > %d refused (cost guard); lower the bound" % (name, guard))
-    return v
+    return value
 
 
 def build_parser():
@@ -134,22 +137,14 @@ def build_parser():
     return parser
 
 
-def _open_cache(args):
-    path = args.cache or os.environ.get(CACHE_ENV)
-    if not path:
-        return None, None
-    return path, ResidueCache(path)
-
-
 def _print(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _run_compute(args, cache):
     _, index, signs = cell = _cell(args.variant, args.index, args.signs)
-    primes = _parse_prime_range(args.primes)
-    if not primes:
-        raise UsageError("no primes in range %s" % args.primes)
+    # every prime of a range is at least 5, so weight 0 drops none
+    primes = _primes_above(args.primes, 0, 1, "compute")
     m = build_matrix([cell], primes, cache=cache, jobs=args.jobs)
     pairs = [(p, v) for p, (v,) in zip(m.primes, m.cells)]
     if args.format == "json":
@@ -174,7 +169,9 @@ def _run_verify(args, cache):
     unknown = [f for f in BOUND_FLAGS if getattr(args, f) is not None and f not in flags]
     if unknown:
         raise UsageError("suite %s does not take --%s" % (suite.name, ", --".join(unknown)))
-    bounds = {p.name: _bound(getattr(args, f), p.default, f, p.guard) for f, p in flags.items()}
+    given = {f: getattr(args, f) for f in flags}
+    bounds = {p.name: _bound(p.default if given[f] is None else given[f], f, p.guard)
+              for f, p in flags.items()}
     rep = suite.run(bounds, primes, cache, args.jobs)
     _print(getattr(rep, "to_" + args.format)())
     return 0 if rep.passed else 1
@@ -188,9 +185,8 @@ def _keyword_basis(keyword, weight):
 
 def _run_discover(args, cache):
     target = _cell(args.variant, args.target, args.signs)
-    weight = args.weight if args.weight is not None else sum(target[1])
-    if weight > WEIGHT_GUARD:
-        raise UsageError("weight > %d refused (cost guard)" % WEIGHT_GUARD)
+    weight = _bound(sum(target[1]) if args.weight is None else args.weight, "weight",
+                    WEIGHT_GUARD)
     if args.basis in ("odd", "odd3"):
         basis = _keyword_basis(args.basis, weight)
     else:
@@ -203,10 +199,9 @@ def _run_discover(args, cache):
     if target in basis:
         raise UsageError("target %s already occurs in the basis" % descriptor_str(target))
 
-    primes = _primes_above(args.primes, max(sum(ix) for _, ix, _ in [target] + basis))
-    if len(primes) < 6:
-        raise UsageError("discover needs at least 6 primes above weight + 2, so that each half "
-                         "keeps a held-out prime; widen --primes")
+    # a fit re-checks on the last third of its primes, so each half needs 3
+    primes = _primes_above(args.primes, max(sum(ix) for _, ix, _ in [target] + basis), 6,
+                           "discover")
     half_a, half_b = primes[0::2], primes[1::2]
     # one matrix; the stability check refits it on each half of its rows
     m = build_matrix([target] + basis, primes, cache=cache, jobs=args.jobs)
@@ -233,54 +228,40 @@ def _run_discover(args, cache):
 
 
 def _run_dims(args, cache):
-    k = args.weight
-    if k < 1:
-        raise UsageError("weight must be >= 1")
-    if k > DIMS_GUARD:
-        raise UsageError("weight > %d refused (cost guard)" % DIMS_GUARD)
-    primes = _primes_above(args.primes, k)
-    m2, dim2 = dimension_estimate(k, variant="zeta2", primes=primes,
-                                  height_bound=args.height_bound,
-                                  cache=cache, jobs=args.jobs)
-    m1, dim1 = dimension_estimate(k, variant="zeta", primes=primes,
-                                  height_bound=args.height_bound,
-                                  cache=cache, jobs=args.jobs)
-    want2 = fib(k)
-    want1 = dseq(k - 3) if k >= 3 else 0
-    rows = [("2", m2, dim2, want2), ("1", m1, dim1, want1)]
+    k = _bound(args.weight, "weight", DIMS_GUARD)
+    primes = _primes_above(args.primes, k, 4, "dims")
+    wants = {"zeta2": fib(k), "zeta": dseq(k - 3) if k >= 3 else 0}
+    rows = [(level, *dimension_estimate(k, variant=variant, primes=primes,
+                                        height_bound=args.height_bound,
+                                        cache=cache, jobs=args.jobs), wants[variant])
+            for level, variant in (("2", "zeta2"), ("1", "zeta"))]
     if args.format == "json":
-        _print(json.dumps({
-            "weight": k,
-            "level2": {"relations": m2, "estimated_dim": dim2,
-                       "conjectured_dim": want2, "agree": dim2 == want2},
-            "level1": {"relations": m1, "estimated_dim": dim1,
-                       "conjectured_dim": want1, "agree": dim1 == want1},
-            "columns": 2 ** (k - 1),
-            "primes": primes,
-        }, indent=2))
+        doc = {"weight": k}
+        for lv, m, d, w in rows:
+            doc["level" + lv] = {"relations": m, "estimated_dim": d,
+                                 "conjectured_dim": w, "agree": d == w}
+        doc.update(columns=2 ** (k - 1), primes=primes)
+        _print(json.dumps(doc, indent=2))
     elif args.format == "csv":
         out = ["level,relations,estimated_dim,conjectured_dim,agree"]
         out += ["%s,%d,%d,%d,%s" % (lv, m, d, w, "true" if d == w else "false")
                 for lv, m, d, w in rows]
         _print("\n".join(out))
     else:
-        out = []
-        for lv, m, d, w in rows:
-            out.append("level %s weight %d: %d relations among %d columns, "
-                       "estimated dim %d, conjectured %d (%s)"
-                       % (lv, k, m, 2 ** (k - 1), d, w,
-                          "agree" if d == w else "DISAGREE"))
-        _print("\n".join(out))
+        _print("\n".join("level %s weight %d: %d relations among %d columns, "
+                         "estimated dim %d, conjectured %d (%s)"
+                         % (lv, k, m, 2 ** (k - 1), d, w, "agree" if d == w else "DISAGREE")
+                         for lv, m, d, w in rows))
     return 0
 
 
-def _run_cache(args, cache, path):
+def _run_cache(action, path):
+    """info loads the cache to count its cells; clear removes the file unread."""
     if path is None:
         raise UsageError("no cache path configured (use --cache or %s)" % CACHE_ENV)
-    if args.action == "info":
-        _print("%s: %d cells" % (path, len(cache)))
+    if action == "info":
+        _print("%s: %d cells" % (path, len(ResidueCache(path))))
         return 0
-    cache.close()
     if os.path.exists(path):
         os.remove(path)
     _print("%s: cleared" % path)
@@ -291,13 +272,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cache = None
     try:
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-        if getattr(args, "height_bound", 1) < 1:
-            raise UsageError("--height-bound must be >= 1")
-        path, cache = _open_cache(args)
+        _bound(args.jobs, "--jobs")
+        _bound(getattr(args, "height_bound", 1), "--height-bound")
+        path = args.cache or os.environ.get(CACHE_ENV) or None
         if args.command == "cache":
-            return _run_cache(args, cache, path)
+            return _run_cache(args.action, path)
+        cache = ResidueCache(path) if path else None
         run = {"compute": _run_compute, "verify": _run_verify,
                "discover": _run_discover, "dims": _run_dims}[args.command]
         return run(args, cache)

@@ -254,15 +254,25 @@ def test_runtime_value_error_is_not_a_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("compute", "--variant", "euler", "--index", "1,2", "--signs", "+,x"),
-    ("compute", "--variant", "euler", "--index", "1,2", "--signs", "+"),
-    ("compute", "--variant", "zeta", "--index", "1,2", "--signs", "+,+"),
-    ("compute", "--variant", "euler", "--index", "1,2"),
-    ("discover", "--target", "2,1", "--basis", "3;1,0"),
-    ("discover", "--target", "1,2", "--basis", "3;1,2"),
+    ("compute", "--variant", "euler", "--index", "1,2", "--signs", "+,x", "--primes", "7..60"),
+    ("compute", "--variant", "euler", "--index", "1,2", "--signs", "+", "--primes", "7..60"),
+    ("compute", "--variant", "zeta", "--index", "1,2", "--signs", "+,+", "--primes", "7..60"),
+    ("compute", "--variant", "euler", "--index", "1,2", "--primes", "7..60"),
+    ("discover", "--target", "2,1", "--basis", "3;1,0", "--primes", "7..60"),
+    ("discover", "--target", "1,2", "--basis", "3;1,2", "--primes", "7..60"),
+    # the other argument checks: prime windows, bounds and bases
+    ("compute", "--index", "1", "--primes", "x"),
+    ("compute", "--index", "1", "--primes", "24..28"),
+    ("verify", "--suite", "key", "--wmax", "0"),
+    ("discover", "--target", "2,1", "--basis", "odd", "--weight", "13"),
+    ("discover", "--target", "2,1", "--basis", "odd", "--weight", "0"),
+    ("discover", "--target", "2,1", "--variant", "euler", "--signs", "+,+", "--basis", "3"),
+    ("discover", "--target", "2,1", "--basis", ";"),
+    ("dims", "--weight", "0"),
+    ("dims", "--weight", "3", "--primes", "7..13"),
 ])
 def test_bad_cell_arguments_are_usage_errors(capsys, argv):
-    code, out, err = run(capsys, *argv, "--primes", "7..60")
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error:" in err
@@ -273,6 +283,20 @@ def test_dims_weight1_text(capsys):
     assert code == 0
     assert "estimated dim 1, conjectured 1 (agree)" in out
     assert "estimated dim 0, conjectured 0 (agree)" in out
+
+
+def test_dims_csv_and_text_output(capsys):
+    # recorded before the two levels ran as one loop
+    argv = ("dims", "--weight", "7", "--primes", "11..260", "--format")
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == 0
+    assert out == ("level,relations,estimated_dim,conjectured_dim,agree\n"
+                   "2,51,13,13,true\n"
+                   "1,63,1,1,true\n")
+    code, out, _ = run(capsys, *argv, "text")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "3e4d1b88f6911fec7588cbaf4b65c9a000cc966c125e656370e3ab6a2eaa02c7")
 
 
 def test_dims_guard(capsys):
@@ -304,6 +328,20 @@ def test_cache_env_and_flag(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "--cache", str(flag_path), "cache", "clear")
     assert code == 0
     assert not flag_path.exists()
+
+
+@pytest.mark.parametrize("data", [
+    b"zeta2,1,,7,3\nzeta2,1,,7,4\n",  # one cell with two residues
+    b"zeta2,1,,7,3\n\xff\n",  # not ASCII
+], ids=["conflicting", "non-ascii"])
+def test_cache_clear_removes_a_cache_that_does_not_load(tmp_path, capsys, data):
+    # clear never reads the file, so a corrupt cache can still be cleared
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "--cache", str(path), "cache", "clear")
+    assert code == 0
+    assert out == "%s: cleared\n" % path and err == ""
+    assert not path.exists()
 
 
 def test_cache_without_path_is_usage_error(capsys, monkeypatch):

@@ -39,6 +39,8 @@ def test_coeff_C_examples():
     # depth 2: (-1)^{k1} * C(k, k1)
     assert coeff_C((1, 3)) == -4
     assert coeff_C((2, 2)) == 6
+    with pytest.raises(ValueError, match="depth >= 1"):
+        coeff_C(())
 
 
 def test_coeff_C_matches_prefix_enumeration():
@@ -134,6 +136,15 @@ def _ppt_constants_up_to(wmax, primes):
     return {pat: c for k in range(3, wmax + 1, 2) for pat, c in ppt_constants(k, primes).items()}
 
 
+def test_ppt_reconstruction_failure_fails_the_suite():
+    # above 7, 5..13 leaves the training primes 11 and 13: too small a modulus for every
+    # weight-5 constant
+    rep = SUITES["ppt"].run({"rmax": 2}, sieve_primes(5, 13))
+    row = get_row(rep, "pattern k=5 r=3 i=3", None)
+    assert (row.lhs, row.rhs, row.passed) == ("reconstruction failed", "rational constant", False)
+    assert not rep.passed
+
+
 def test_ppt_constants_match_special_closed_form():
     primes = sieve_primes(5, 120)
     consts = _ppt_constants_up_to(7, primes)
@@ -216,6 +227,14 @@ def test_weighted_builds_terms_and_C_sum_once_per_index(monkeypatch):
     assert rep.passed
     assert sorted(terms) == sorted(indices)
     assert len(cs) == sum(math.factorial(len(ix) - 1) for ix in indices)
+
+
+@pytest.mark.parametrize("name", ["weighted1", "weighted2"])
+@pytest.mark.parametrize("index, message", [((), "empty index"),
+                                            ((2, 2, 2, 2, 1), "depth > 4 rejected")])
+def test_weighted_rejects_an_empty_or_too_deep_index(name, index, message):
+    with pytest.raises(ValueError, match=message):
+        SUITES[name].run({"indices": [index]}, (7,))
 
 
 def test_weighted_level2_hypothesis_rejected():

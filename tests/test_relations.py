@@ -144,6 +144,14 @@ def test_relation_lattice_single_column_no_relation():
     assert relation_lattice(m) == []
 
 
+def test_relation_lattice_without_held_out_primes_only_proposes():
+    # two primes leave none to re-check on, so nothing is verified or refuted
+    m = build_matrix([("zeta2", (3,)), ("zeta2", (1, 2))], [7, 11])
+    cands = relation_lattice(m)
+    assert cands
+    assert all(c.status == "candidate" and c.verified_on == () for c in cands)
+
+
 def test_relation_lattice_duplicate_column():
     m = build_matrix([("zeta2", (3,)), ("zeta2", (3,))], sieve_primes(7, 60))
     cands = relation_lattice(m)
