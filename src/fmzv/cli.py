@@ -7,6 +7,7 @@ errors only, bad cells included, 3 a dependent basis in `discover`.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -20,13 +21,14 @@ from .evaluator import (
     parse_signs,
 )
 from .harmonic import all_compositions
-from .identities import SUITES, WEIGHT_GUARD
+from .identities import SUITES, WEIGHT_GUARD, render_table
 from .modmath import sieve_primes
 from .relations import (
     DEFAULT_HEIGHT_BOUND,
     AmbiguousRelationError,
     ValueMatrix,
     _fit,
+    _train_split,
     build_matrix,
     descriptor_str,
     dimension_estimate,
@@ -152,13 +154,9 @@ def _run_compute(args, cache):
                            "index": list(index),
                            "signs": None if signs is None else list(signs),
                            "rows": [[p, v] for p, v in pairs]}, indent=2))
-    elif args.format == "csv":
-        _print("prime,residue\n" + "".join("%d,%d\n" % pv for pv in pairs))
     else:
-        width = max(len(str(primes[-1])), len("prime"))
-        lines = ["prime".ljust(width) + "  residue"]
-        lines += [str(p).ljust(width) + "  %d" % v for p, v in pairs]
-        _print("\n".join(lines))
+        _print(render_table(("prime", "residue"), [(str(p), str(v)) for p, v in pairs],
+                            args.format))
     return 0
 
 
@@ -205,9 +203,17 @@ def _run_discover(args, cache):
     half_a, half_b = primes[0::2], primes[1::2]
     # one matrix; the stability check refits it on each half of its rows
     m = build_matrix([target] + basis, primes, cache=cache, jobs=args.jobs)
-    coeffs, ca, cb = [_fit(ValueMatrix(m.columns, m.primes[rows], m.cells[rows]),
-                           target, basis, args.height_bound)
-                      for rows in (slice(None), slice(0, None, 2), slice(1, None, 2))]
+    fits = []
+    for name, rows in (("all primes", slice(None)), ("half a", slice(0, None, 2)),
+                       ("half b", slice(1, None, 2))):
+        sub = ValueMatrix(m.columns, m.primes[rows], m.cells[rows])
+        fits.append(_fit(sub, target, basis, args.height_bound))
+        if fits[-1] is None:  # say why stability will read "unknown"
+            train = _train_split(sub.primes)[0]
+            print("note: the fit on %s (primes %s) found no verified relation; it trained on "
+                  "%d primes, %.1f bits" % (name, ",".join(map(str, sub.primes)), len(train),
+                                            sum(map(math.log2, train))), file=sys.stderr)
+    coeffs, ca, cb = fits
     if coeffs is None or ca is None or cb is None:
         stability = "unknown"
     else:
@@ -243,10 +249,9 @@ def _run_dims(args, cache):
         doc.update(columns=2 ** (k - 1), primes=primes)
         _print(json.dumps(doc, indent=2))
     elif args.format == "csv":
-        out = ["level,relations,estimated_dim,conjectured_dim,agree"]
-        out += ["%s,%d,%d,%d,%s" % (lv, m, d, w, "true" if d == w else "false")
-                for lv, m, d, w in rows]
-        _print("\n".join(out))
+        _print(render_table(("level", "relations", "estimated_dim", "conjectured_dim", "agree"),
+                            [(lv, str(m), str(d), str(w), "true" if d == w else "false")
+                             for lv, m, d, w in rows], "csv"))
     else:
         _print("\n".join("level %s weight %d: %d relations among %d columns, "
                          "estimated dim %d, conjectured %d (%s)"

@@ -9,7 +9,7 @@ exact verifications, not congruences.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from .evaluator import plan, value_of
 from .modmath import mod_inv
@@ -35,24 +35,34 @@ def _sort_key(index):
     return (sum(index), len(index), index)
 
 
+def _merge(data, terms):
+    """Add each (index, coeff) of terms into the sparse sum data, in place, dropping an
+    index whose coefficient reaches 0; returns data."""
+    for index, coeff in terms:
+        c = data.get(index, 0) + coeff
+        if c:
+            data[index] = c
+        else:
+            data.pop(index, None)
+    return data
+
+
 class IndexCombination:
     """Finitely supported map index -> Fraction, with + , scalar *, and stuffle *."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for index, coeff in terms.items() if isinstance(terms, dict) else terms:
-                coeff = Fraction(coeff)
-                if coeff:
-                    index = tuple(index)
-                    c = data.get(index, 0) + coeff
-                    if c:
-                        data[index] = c
-                    else:
-                        data.pop(index, None)
-        self._terms = data
+        if isinstance(terms, dict):
+            terms = terms.items()
+        self._terms = _merge({}, ((tuple(index), Fraction(c)) for index, c in terms or ()))
+
+    @classmethod
+    def _of(cls, data):
+        # the combination whose terms are the dict data, taken uncopied and unchecked
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
 
     @classmethod
     def term(cls, index, coeff=1):
@@ -88,21 +98,10 @@ class IndexCombination:
         return hash(tuple(self.terms()))
 
     def __add__(self, other):
-        data = dict(self._terms)
-        for index, coeff in other._terms.items():
-            c = data.get(index, 0) + coeff
-            if c:
-                data[index] = c
-            else:
-                data.pop(index, None)
-        out = IndexCombination()
-        out._terms = data
-        return out
+        return IndexCombination._of(_merge(dict(self._terms), other._terms.items()))
 
     def __neg__(self):
-        out = IndexCombination()
-        out._terms = {i: -c for i, c in self._terms.items()}
-        return out
+        return IndexCombination._of({i: -c for i, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -113,9 +112,7 @@ class IndexCombination:
         scalar = Fraction(other)
         if not scalar:
             return IndexCombination()
-        out = IndexCombination()
-        out._terms = {i: c * scalar for i, c in self._terms.items()}
-        return out
+        return IndexCombination._of({i: c * scalar for i, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -148,9 +145,7 @@ def _stuffle_words(u, v):
         (v[0], u, v[1:]),
         (u[0] + v[0], u[1:], v[1:]),
     ):
-        for w, c in _stuffle_words(urest, vrest):
-            key = (head,) + w
-            out[key] = out.get(key, 0) + c
+        _merge(out, (((head,) + w, c) for w, c in _stuffle_words(urest, vrest)))
     return tuple(sorted(out.items()))
 
 
@@ -160,15 +155,8 @@ def stuffle(a: IndexCombination, b: IndexCombination) -> IndexCombination:
     for u, cu in a._terms.items():
         for v, cv in b._terms.items():
             cc = cu * cv
-            for w, mult in _stuffle_words(u, v):
-                c = data.get(w, 0) + cc * mult
-                if c:
-                    data[w] = c
-                else:
-                    data.pop(w, None)
-    out = IndexCombination()
-    out._terms = data
-    return out
+            _merge(data, [(w, cc * mult) for w, mult in _stuffle_words(u, v)])
+    return IndexCombination._of(data)
 
 
 def star_expand(index) -> IndexCombination:
@@ -180,19 +168,10 @@ def star_expand(index) -> IndexCombination:
     r = len(index)
     if r == 0:
         return IndexCombination.unit()
-    terms = {}
-    # choose the subset of the r-1 adjacent gaps that stay "strict"
-    for gaps in _subsets(range(1, r)):
-        bounds = [0] + list(gaps) + [r]
-        merged = tuple(sum(index[a:b]) for a, b in zip(bounds, bounds[1:]))
-        terms[merged] = terms.get(merged, 0) + 1
-    return IndexCombination(terms)
-
-
-def _subsets(items):
-    items = list(items)
-    for n in range(len(items) + 1):
-        yield from combinations(items, n)
+    # one term per subset of the r-1 adjacent gaps that stay "strict"
+    subsets = chain.from_iterable(combinations(range(1, r), n) for n in range(r))
+    return IndexCombination((tuple(sum(index[a:b]) for a, b in zip((0, *gaps), (*gaps, r))), 1)
+                            for gaps in subsets)
 
 
 def antipode_sum(index) -> IndexCombination:
@@ -243,11 +222,8 @@ def gen_g1(k: int, r: int, a: int) -> IndexCombination:
 def _gen_g_min(k, r, a, min_part):
     if not (1 <= r <= k and 0 <= a <= r):
         raise ValueError("need 1 <= r <= k and 0 <= a <= r, got k=%r r=%r a=%r" % (k, r, a))
-    terms = {}
-    for comp in compositions(k, r, min_part):
-        if sum(1 for x in comp if x % 2 == 0) == a:
-            terms[comp] = 1
-    return IndexCombination(terms)
+    return IndexCombination((comp, 1) for comp in compositions(k, r, min_part)
+                            if sum(1 for x in comp if x % 2 == 0) == a)
 
 
 def _lemma_g_side(k, r, a, restricted: bool) -> bool:

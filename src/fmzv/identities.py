@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .bernoulli import L2, Zk
-from .evaluator import per_prime, plan, value_of, values_at
+from .evaluator import check_index, per_prime, plan, value_of, values_at
 from .harmonic import (
     R_terms,
     all_compositions,
@@ -36,6 +36,7 @@ __all__ = [
     "coeff_C",
     "ppt_constants",
     "default_weighted_indices",
+    "render_table",
 ]
 
 
@@ -82,27 +83,32 @@ class Report:
         }
         return json.dumps(doc, indent=2)
 
+    def _table(self, fmt, yes, no):
+        return render_table(("case", "prime", "lhs", "rhs", "pass"),
+                            [(c.case, "" if c.prime is None else str(c.prime), c.lhs, c.rhs,
+                              yes if c.passed else no) for c in self.cases], fmt)
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["case", "prime", "lhs", "rhs", "pass"])
-        for c in self.cases:
-            writer.writerow([c.case, "" if c.prime is None else c.prime, c.lhs, c.rhs,
-                             "true" if c.passed else "false"])
-        return buf.getvalue()
+        return self._table("csv", "true", "false")
 
     def to_text(self) -> str:
-        headers = ("case", "prime", "lhs", "rhs", "pass")
-        rows = [(c.case, "" if c.prime is None else str(c.prime), c.lhs, c.rhs,
-                 "pass" if c.passed else "FAIL") for c in self.cases]
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(headers)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-        for r in rows:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
-        lines.append("suite %s: %d cases, %d passed, %d failed"
-                     % (self.suite, self.total, self.total - self.failed, self.failed))
-        return "\n".join(lines) + "\n"
+        return self._table("text", "pass", "FAIL") + (
+            "suite %s: %d cases, %d passed, %d failed\n"
+            % (self.suite, self.total, self.total - self.failed, self.failed))
+
+
+def render_table(headers, rows, fmt) -> str:
+    """The rows, a list of tuples of strings, under the headers: as csv when fmt is
+    "csv", else as text columns two spaces apart, each line right-stripped."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(rows)
+        return buf.getvalue()
+    # one %-format per line pads every column at once, about twice as fast as ljust
+    line = "  ".join("%%-%ds" % max(map(len, column)) for column in zip(headers, *rows))
+    return "\n".join([(line % row).rstrip() for row in (headers, *rows)]) + "\n"
 
 
 def _frac_mod(q: Fraction, p: int) -> int:
@@ -381,7 +387,7 @@ def _weighted_rows(level, indices):
 def _weighted_setup(level, wmax, dmax, indices):
     if indices is None:
         indices = default_weighted_indices(level, wmax, dmax)
-    indices = [tuple(ix) for ix in indices]
+    indices = [check_index(ix) for ix in indices]
     for index in indices:
         if not index:
             raise ValueError("empty index not allowed")
@@ -408,19 +414,12 @@ def _conj38_rows(rmax):
 
 def _lemma_rows(g_kmax, r_wmax, r_dmax, primes, cache):
     """Symbolic checks of the two combinatorial recursions (no primes involved)."""
-    rows = []
-    for k in range(1, g_kmax + 1):
-        for r in range(1, k + 1):
-            for a in range(0, r + 1):
-                ok = lemma_g_check(k, r, a)
-                rows.append(Case(case="g k=%d r=%d a=%d" % (k, r, a), prime=None,
-                                 lhs="0" if ok else "nonzero", rhs="0", passed=ok))
-    for index in _indices_of_weight_up_to(r_wmax, r_dmax):
-        if len(index) >= 2:
-            ok = lemma_R_check(index)
-            rows.append(Case(case="R %s" % _istr(index), prime=None,
-                             lhs="0" if ok else "nonzero", rhs="0", passed=ok))
-    return rows
+    checks = [("g k=%d r=%d a=%d" % (k, r, a), lemma_g_check(k, r, a))
+              for k in range(1, g_kmax + 1) for r in range(1, k + 1) for a in range(0, r + 1)]
+    checks += [("R %s" % _istr(index), lemma_R_check(index))
+               for index in _indices_of_weight_up_to(r_wmax, r_dmax) if len(index) >= 2]
+    return [Case(case=name, prime=None, lhs="0" if ok else "nonzero", rhs="0", passed=ok)
+            for name, ok in checks]
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,9 @@ def rat_reconstruct(R: int, M: int) -> Fraction | None:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
+    # r1 = s*M + t1*R, so a common factor of t1 and M would divide r1 as well:
+    # gcd(r1, t1) == 1 makes t1 invertible mod M
     if t1 == 0 or abs(t1) > bound or math.gcd(r1, abs(t1)) != 1:
-        return None
-    if math.gcd(abs(t1), M) != 1:
         return None
     n, d = (r1, t1) if t1 > 0 else (-r1, -t1)
     return Fraction(n, d)

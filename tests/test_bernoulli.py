@@ -118,6 +118,18 @@ def test_L2_examples():
         assert L2(p) == (2 ** (p - 1) - 1) // p % p
 
 
+@pytest.mark.parametrize("n, p", [(-1, 7), (6, 7), (10, 11)])
+def test_bernoulli_poly_needs_n_in_range(n, p):
+    with pytest.raises(ValueError, match="0 <= n <= p - 2"):
+        bernoulli_poly_mod(n, 3, p)
+
+
+@pytest.mark.parametrize("M, n", [(0, 2), (-3, 2), (5, -1)])
+def test_power_sum_oracle_rejects_bad_arguments(M, n):
+    with pytest.raises(ValueError, match="M >= 1 and n >= 0"):
+        power_sum_oracle(M, n, 7)
+
+
 def test_power_sum_full_range():
     # sum over all of [1, p) of m^n is -1 if (p-1) | n (n > 0), else 0
     for p in (5, 7, 11, 13):

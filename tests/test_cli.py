@@ -144,6 +144,30 @@ def test_discover_anchor_21(capsys):
     assert doc["stability"] == "stable"
 
 
+def test_discover_says_why_stability_is_unknown(capsys):
+    # half b trains on 11 and 17 only: about 7.5 bits for three coefficients.  The
+    # note goes to stderr; stdout is the sha256 recorded before the note was added
+    code, out, err = run(capsys, "discover", "--target", "2,1", "--basis", "odd",
+                         "--primes", "7..23")
+    assert code == 0
+    assert json.loads(out)["stability"] == "unknown"
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "8041df2a21ef9554b55ec61cb7b74576984b8f73a4c4566802cedbfcce447c4f")
+    assert err == ("note: the fit on half b (primes 11,17,23) found no verified relation; "
+                   "it trained on 2 primes, 7.5 bits\n")
+    # a stable result writes nothing to stderr; a height bound no relation meets
+    # fails all three fits, one line each
+    assert run(capsys, "discover", "--target", "2,1", "--basis", "odd",
+               "--primes", "7..37")[2] == ""
+    code, out, err = run(capsys, "discover", "--target", "2,1", "--basis", "odd",
+                         "--primes", "7..40", "--height-bound", "1")
+    assert code == 0
+    assert json.loads(out)["status"] == "no_relation"
+    assert [line.split(" (")[0] for line in err.splitlines()] == [
+        "note: the fit on all primes", "note: the fit on half a", "note: the fit on half b"]
+    assert "trained on 3 primes, 12.1 bits" in err
+
+
 def test_discover_anchor_12(capsys):
     code, out, _ = run(capsys, "discover", "--target", "1,2", "--basis", "odd",
                        "--primes", "7..199")
@@ -413,6 +437,26 @@ def test_verify_golden_output(capsys, suite):
                        "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_5_60[suite]
+
+
+# sha256 of csv and text reports recorded before every table went through one
+# writer: symbolic rows without a prime beside per-prime rows, symbolic rows
+# alone, and per-prime rows
+TABLE_PINS = [
+    (("verify", "--suite", "antipode", "--dmax", "3", "--wmax", "6", "--primes", "5..60",
+      "--format", "csv"), "b1b5207d2659d66d72e74a82a005d734ef0793306fc472f0004dc9664860fe11"),
+    (("verify", "--suite", "lemmas"),
+     "1904153abdc7bfcaf336be5d43f7d578bf08508505a7084eafbb1e61f4039e71"),
+    (("verify", "--suite", "key", "--wmax", "4", "--primes", "5..60", "--format", "csv"),
+     "c26ab539beed72adfae91fd30755b257ce686a854914472e86946401fe619c2f"),
+]
+
+
+@pytest.mark.parametrize("argv, want", TABLE_PINS)
+def test_table_output_pins(capsys, argv, want):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_zero_case_suite_fails(capsys):

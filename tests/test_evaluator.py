@@ -214,6 +214,7 @@ def test_serialization_round_trip():
     assert parse_index("1,2,3") == (1, 2, 3)
     assert parse_index("") == ()
     assert parse_signs("+,-,+") == (1, -1, 1)
+    assert parse_signs("") == ()
     with pytest.raises(ValueError):
         parse_signs("+,x")
 
@@ -421,6 +422,14 @@ def test_cache_round_trip(tmp_path):
         key, residue = parse_line(line)
         variant, index, signs, p = key
         assert ev.compute_cell(variant, index, signs, p) == residue
+
+
+def test_cache_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("zeta2,1,2,,7,1\n\n   \nzeta2,1,2,,11,%d\n" % eval_zeta2((1, 2), 11))
+    cache = ResidueCache(str(path))
+    assert len(cache) == 2
+    assert cache.get("zeta2", (1, 2), None, 7) == 1
 
 
 def test_cache_not_ascii(tmp_path):

@@ -194,3 +194,36 @@ def test_evaluate_combination_denominator_error():
     assert "1/7" in str(err.value)
     with pytest.raises(ValueError):
         evaluate_combination(comb, "euler", 11)
+
+
+def test_combination_equality_hash_and_truth():
+    a = T((1, 2)) - T((3,))
+    assert (a == 3) is False and a != 3
+    assert a and not IndexCombination.zero()
+    b = IndexCombination({(3,): -1, (1, 2): 1})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, T((3,))}) == 2
+
+
+def test_combination_str_of_a_minus_one_coefficient():
+    assert str(T((1, 2)) - T((3,))) == "-[3] + [1,2]"
+    assert str(-T((2, 1))) == "-[2,1]"
+
+
+def test_combination_product_is_the_stuffle():
+    a = T((1, 2)) + Fraction(1, 3) * T((2,))
+    b = T((3,)) - T((1, 1))
+    assert a * b == stuffle(a, b)
+    assert a * IndexCombination.unit() == a
+
+
+def test_merge_drops_cancelled_terms():
+    # terms that cancel leave no index behind, whichever route built them
+    assert IndexCombination([((1,), 1), ((1,), -1)]).terms() == []
+    assert (T((1,)) + T((2,)) - T((1,))).terms() == [((2,), Fraction(1))]
+    assert (stuffle(T((1,)), T((2,))) - stuffle(T((2,)), T((1,)))).is_zero()
+
+
+def test_gen_R_needs_depth_one():
+    with pytest.raises(ValueError, match="depth >= 1"):
+        gen_R(())

@@ -237,6 +237,23 @@ def test_weighted_rejects_an_empty_or_too_deep_index(name, index, message):
         SUITES[name].run({"indices": [index]}, (7,))
 
 
+@pytest.mark.parametrize("primes", [(), (7, 11)])
+@pytest.mark.parametrize("index", [(0, 1), (1.5, 1), (2, -1)])
+def test_weighted_rejects_an_index_entry_that_is_not_a_positive_integer(primes, index):
+    # checked before any row is built: with no primes the run used to return 0
+    # cases, and over primes it failed in Zk or with a TypeError
+    with pytest.raises(ValueError, match="index entries must be positive integers"):
+        SUITES["weighted1"].run({"indices": [index]}, primes)
+
+
+def test_render_table():
+    rows = [("1,2", ""), ("333", "x")]
+    assert ids.render_table(("a", "bb"), rows, "csv") == 'a,bb\n"1,2",\n333,x\n'
+    assert ids.render_table(("a", "bb"), rows, "text") == "a    bb\n1,2\n333  x\n"
+    assert ids.render_table(("a", "bb"), [], "text") == "a  bb\n"
+    assert ids.render_table(("a", "bb"), [], "csv") == "a,bb\n"
+
+
 def test_weighted_level2_hypothesis_rejected():
     with pytest.raises(ValueError):
         SUITES["weighted2"].run({"indices": [(1, 3)]}, (7,))

@@ -158,6 +158,13 @@ def test_hnf_small_example():
     assert hnf([]) == []
 
 
+def test_hnf_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged"):
+        hnf([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        hnf([[0, 0], [1], [2, 3]])  # a zero row is dropped before the check
+
+
 def test_hnf_pivot_normalization():
     out = hnf([[-3, 1], [0, 5]])
     for row in out:

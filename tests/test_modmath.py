@@ -151,3 +151,23 @@ def test_rat_reconstruct_none_when_no_small_rational():
     ]
     assert hits == []
     assert rat_reconstruct(R, M) is None
+
+
+@pytest.mark.parametrize("M", [1, 0, -5])
+def test_rat_reconstruct_needs_modulus_two(M):
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        rat_reconstruct(3, M)
+
+
+def test_rat_reconstruct_denominator_is_always_prime_to_the_modulus():
+    # r = s*M + t*R along the Euclid run, so a factor of t and M divides r too: the
+    # gcd(r, t) == 1 test already gives gcd(t, M) == 1, over any modulus (composite
+    # and even ones included), and every answer is a genuine reconstruction
+    for M in range(2, 400):
+        bound = math.isqrt(M // 2)
+        for R in range(M):
+            q = rat_reconstruct(R, M)
+            if q is not None:
+                assert math.gcd(q.denominator, M) == 1
+                assert abs(q.numerator) <= bound and q.denominator <= bound
+                assert (q.numerator - R * q.denominator) % M == 0

@@ -37,6 +37,9 @@ def test_normalize_descriptor():
         normalize_descriptor(("euler", (1, 2)))
     with pytest.raises(ValueError):
         normalize_descriptor(("nope", (1,)))
+    for desc in [("zeta2",), ("euler", (1,), (1,), None)]:
+        with pytest.raises(ValueError, match="descriptor must be"):
+            normalize_descriptor(desc)
     assert descriptor_str(("euler", (1, 2), (1, -1))) == "euler(1,2;+,-)"
     assert descriptor_str(("zeta", (3,))) == "zeta(3)"
 
