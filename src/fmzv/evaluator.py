@@ -18,7 +18,8 @@ without a cache sweeps again; pass `ResidueCache()` to serve it from memory.
 A sweep (`plan`, `_sweep`) evaluates many cells of one prime at once.  The
 requested indices and all their prefixes form a trie whose node sums obey
 T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the
-node's last entry k, times (-1)^m for a - sign.  The sweep walks the trie
+node's last entry k, times (-1)^m for a - sign; as m^(p-1) = 1 mod p, an entry
+k >= p enters the trie as its residue in 1..p-1.  The sweep walks the trie
 depth first, column by column, over blocks of at most _BLOCK values of m,
 carrying each node's sum from one block to the next: an inner node is one
 prefix-sum column of T_node over the block, reduced mod p only if another
@@ -325,16 +326,18 @@ def _sweep(cells, p) -> dict:
     level2, out, finals = ("zeta2", "zeta2star"), {}, []
     # cells read at p-1 go first, so that a node made for a read at (p-1)/2 has none below
     cells = sorted((check_cell(*cell) for cell in cells), key=lambda c: c[0] in level2)
+    emax = max((max(index) for _, index, _ in cells if index), default=0)
     for cell in cells:
         variant, index, signs = cell
+        if emax >= p:  # m^(p-1) = 1 mod p: letter k weighs m as its residue in 1..p-1 does
+            index = [(k - 1) % (p - 1) + 1 for k in index]
         node = star if variant == "zeta2star" else strict
         end = half if variant in level2 else p - 1
         for e in index if signs is None else map(mul, index, signs):
             node = node[2].get(e) or node[2].setdefault(e, [e, end, {}, [], 0])
         # a read before the node's last m is taken during the walk, any other after it
         (node[3] if end < node[1] else finals).append((cell, node))
-    top = max((node[1] for _, node in finals), default=0)
-    emax = max((max(index) for _, index, _ in cells if index), default=0)
+    top, emax = max((node[1] for _, node in finals), default=0), min(emax, p - 1)
     signed = any(-1 in signs for _, _, signs in cells if signs)
     inv = _inverses(top, p)
     for m0 in range(1, top + 1, _BLOCK):
@@ -433,14 +436,16 @@ def _prime_task(fn, known, p):
 
 
 def per_prime(fn, primes, jobs=1, cache=None) -> list:
-    """[fn(p, cache) for p in primes]; with jobs > 1 the primes go to a worker pool.
+    """[fn(p, cache) for p in primes]; the primes go to a pool of min(jobs, primes, CPUs)
+    workers when that is above 1.
 
     A worker starts from an in-memory cache of the parent's cache cells at its prime
     and sends back the cells it added, in the order it read them; the parent, the
     only writer, adds them to its cache.
     """
     primes = list(primes)
-    if jobs <= 1 or len(primes) < 2:
+    jobs = min(jobs, len(primes), os.cpu_count() or 1)  # a pool forks all its workers at once
+    if jobs <= 1:
         return [fn(p, cache) for p in primes]
     known = {p: {} for p in primes}
     for key, v in (cache._cells if cache is not None else {}).items():

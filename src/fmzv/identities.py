@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -43,21 +42,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # report plumbing
 
-@dataclass
-class Case:
-    case: str
-    prime: int | None
-    lhs: str
-    rhs: str
-    passed: bool
+# One row of a report: the case's name, its prime (None for a symbolic check), the
+# two sides as strings, and whether they agree.
+Case = namedtuple("Case", "case prime lhs rhs passed")
 
 
-@dataclass
-class Report:
-    suite: str
-    params: dict
-    cases: list[Case] = field(default_factory=list)
-
+# A suite's run: the suite's name, its params dict, and its Cases.
+class Report(namedtuple("Report", "suite params cases", defaults=((),))):
     @property
     def total(self):
         return len(self.cases)
@@ -179,7 +170,7 @@ def _prime_rows(rows, p, cache):
     cases = []
     for name, _, lhs, rhs in rows:
         lhs, rhs = side(lhs), side(rhs)
-        cases.append(Case(case=name, prime=p, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs))
+        cases.append(Case(name, p, str(lhs), str(rhs), lhs == rhs))
     return cases
 
 

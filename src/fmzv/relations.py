@@ -10,7 +10,7 @@ without building the matrix again.  build_matrix is also the one way to
 evaluate cells over primes outside a suite, `fmzv compute` included.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -61,19 +61,14 @@ def descriptor_str(desc) -> str:
     return "%s(%s;%s)" % (variant, body, signs_to_str(signs))
 
 
-@dataclass(frozen=True)
-class ValueMatrix:
-    columns: tuple          # canonical-order descriptor triples
-    primes: tuple           # ascending
-    cells: tuple            # cells[t][j] = value of columns[j] mod primes[t]
+# columns: canonical-order descriptor triples; primes: ascending;
+# cells[t][j]: the value of columns[j] mod primes[t]
+ValueMatrix = namedtuple("ValueMatrix", "columns primes cells")
 
-
-@dataclass(frozen=True)
-class RelationCandidate:
-    coefficients: tuple     # over the matrix columns; nonzero, gcd 1, first nonzero > 0
-    height: int
-    verified_on: tuple      # held-out primes the congruence was re-checked on
-    status: str             # "verified" | "refuted" | "candidate"
+# coefficients: over the matrix columns, nonzero, gcd 1, first nonzero > 0;
+# height: the largest |coefficient|; verified_on: the held-out primes the congruence
+# was re-checked on; status: "verified" | "refuted" | "candidate"
+RelationCandidate = namedtuple("RelationCandidate", "coefficients height verified_on status")
 
 
 def build_matrix(descriptors, primes, cache=None, jobs=1) -> ValueMatrix:

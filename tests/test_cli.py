@@ -2,9 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import fmzv
 import fmzv.evaluator as ev
 import fmzv.relations as rel
 from fmzv.cli import main
@@ -573,3 +578,32 @@ def test_cold_ppt_cache_lines(tmp_path, capsys):
     assert len(lines) == 4894
     assert (hashlib.sha256(b"".join(sorted(lines))).hexdigest()
             == "37563d1659542457e20aab6166ce2b5c0e7311fa8201b6a65a167571543c58c0")
+
+
+SRC = os.path.dirname(os.path.dirname(fmzv.__file__))
+
+
+def test_compute_of_a_huge_index_entry_costs_what_its_residue_does(capsys, tmp_path):
+    # m^(p-1) = 1 mod p, so 10**12 weighs m as 4 does at p = 5 and at p = 7, and the sweep
+    # makes at most p - 1 power columns, whatever the entries
+    code, want, _ = run(capsys, "compute", "--index", "4", "--primes", "5..7")
+    assert code == 0
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    env = {k: v for k, v in os.environ.items() if k != "FMZV_CACHE"}
+    env["PYTHONPATH"] = SRC
+    done = subprocess.run([sys.executable, "-m", "fmzv.cli", "compute", "--index",
+                           "1000000000000", "--primes", "5..7"], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, preexec_fn=cap_memory, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses alone brings inspect, ast, dis and tokenize into every run
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fmzv.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, SRC], capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

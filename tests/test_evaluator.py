@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -263,6 +264,19 @@ def test_sweep_over_blocks_matches_oracles(monkeypatch, p, block):
     want = {cell: oracle(cell, p) for cell in MIXED}
     monkeypatch.setattr(ev, "_BLOCK", block)
     assert ev._sweep(MIXED, p) == want
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_sweep_of_entries_from_p_minus_1_up_matches_oracles(p):
+    # m^(p-1) = 1 mod p, so the sweep weighs an entry k >= p as its residue in 1..p-1
+    entries = (1, 2, p - 2, p - 1, p, 2 * (p - 1), 2 * p - 1, 3 * p + 4)
+    cells = []
+    for r in (1, 2, 3):
+        for index in itertools.product(entries, repeat=r):
+            cells += [(variant, index, None) for variant in ORACLES]
+            cells += [("euler", index, s) for s in itertools.product((1, -1), repeat=r)]
+    assert len(cells) == 6120
+    assert ev._sweep(cells, p) == {cell: oracle(cell, p) for cell in cells}
 
 
 def test_sweep_at_depth_30():
@@ -648,3 +662,37 @@ def test_cache_load_checks_each_head_and_prime_once(tmp_path, monkeypatch):
 def test_column_parallel_matches_serial():
     primes = sieve_primes(5, 40)
     assert column("zeta2", (2, 1), primes=primes, jobs=2) == column("zeta2", (2, 1), primes=primes)
+
+
+@pytest.mark.parametrize("jobs, count, cpus, workers", [
+    (5000, 2, 64, 2), (3, 10, 2, 2), (4, 10, 8, 4), (5000, 10, None, None), (4, 1, 8, None),
+    (2, 10, 1, None),
+])
+def test_per_prime_caps_its_pool(monkeypatch, jobs, count, cpus, workers):
+    # a pool forks all its workers at its first task, so it gets no more than there are
+    # primes and CPUs, and none at all when that is 1; a fake pool records its size
+    import concurrent.futures
+
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args, chunksize=1):
+            return map(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(ev.os, "cpu_count", lambda: cpus)
+    primes = sieve_primes(5, 1000)[:count]
+    cache = ResidueCache()
+    got = ev.per_prime(partial(ev.value_of, "zeta2", (2, 1), None), primes, jobs, cache)
+    assert started == ([] if workers is None else [workers])
+    assert got == [eval_zeta2((2, 1), p) for p in primes]
+    assert len(cache) == count
