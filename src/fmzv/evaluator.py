@@ -15,7 +15,9 @@ that prime, else a sweep of the cell alone.  The module keeps no state: the
 cache is the only store that outlives a call, so a repeated single-cell call
 without a cache sweeps again; pass `ResidueCache()` to serve it from memory.
 
-A sweep (`plan`, `_sweep`) evaluates many cells of one prime at once.  The
+A sweep (`plan`, `_sweep`) evaluates many cells of one prime at once, and
+trusts them: each is checked once per run, where it enters (`build_matrix`,
+`Suite.run`, `ppt_constants`, `evaluate_combination`, `compute_cell`).  The
 requested indices and all their prefixes form a trie whose node sums obey
 T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the
 node's last entry k, times (-1)^m for a - sign; as m^(p-1) = 1 mod p, an entry
@@ -96,7 +98,7 @@ def check_cell(variant, index, signs):
 
 
 def index_to_str(index) -> str:
-    return ",".join(str(k) for k in index)
+    return ",".join(map(str, index))
 
 
 def parse_index(s: str) -> tuple[int, ...]:
@@ -238,7 +240,8 @@ def _parse_cell(line: str, heads: dict, primes: dict):
 class ResidueCache:
     """Append-only text cache, one cell per line: variant,index,signs,p,residue.
 
-    The whole file is read at construction; add() appends a line immediately.
+    The whole file is read at construction; add() appends a line to a buffer
+    that flush() writes out (per_prime flushes once per prime), as close() does.
     Every line is checked when read: a distinct head (variant,index,signs) is
     validated and a distinct prime tested once per load, and each line's
     integers and residue range on their own; cells with one head share one
@@ -296,7 +299,10 @@ class ResidueCache:
             self._fh = open(self.path, "a", encoding="ascii")
         sgn = signs_to_str(signs) if signs is not None else ""
         self._fh.write("%s,%s,%s,%d,%d\n" % (variant, index_to_str(index), sgn, p, residue))
-        self._fh.flush()
+
+    def flush(self):
+        if self._fh is not None:
+            self._fh.flush()
 
     def close(self):
         if self._fh is not None:
@@ -317,7 +323,7 @@ def _inverses(n, p) -> list:
 
 def _sweep(cells, p) -> dict:
     """{(variant, index, signs): value mod p} for the cells, from one walk of their tries
-    per block of m."""
+    per block of m.  Each cell is a tuple that check_cell passed; none is checked here."""
     check_prime(p)
     half = (p - 1) // 2
     # a node is [letter, last m read at or below it, children by letter, cells read at
@@ -325,7 +331,7 @@ def _sweep(cells, p) -> dict:
     strict, star = [0, 0, {}, [], 1], [0, 0, {}, [], 1]
     level2, out, finals = ("zeta2", "zeta2star"), {}, []
     # cells read at p-1 go first, so that a node made for a read at (p-1)/2 has none below
-    cells = sorted((check_cell(*cell) for cell in cells), key=lambda c: c[0] in level2)
+    cells = sorted(cells, key=lambda c: c[0] in level2)
     emax = max((max(index) for _, index, _ in cells if index), default=0)
     for cell in cells:
         variant, index, signs = cell
@@ -385,8 +391,8 @@ def _sweep(cells, p) -> dict:
 
 
 def plan(cells, p: int, cache: ResidueCache | None = None) -> dict:
-    """{(variant, index, signs, p): value}, from one sweep, of every (variant, index,
-    signs) cell that value_of will be asked for at p and that the cache does not hold."""
+    """{(variant, index, signs, p): value}, from one sweep, of every checked (variant,
+    index, signs) cell that value_of will be asked for at p and the cache does not hold."""
     todo = {}
     for variant, index, signs in cells:
         key = (variant, tuple(index), None if signs is None else tuple(signs), p)
@@ -401,7 +407,7 @@ def compute_cell(variant: str, index, signs, p: int, table=None) -> int:
     key = (variant, tuple(index), None if signs is None else tuple(signs), p)
     if table and key in table:
         return table[key]
-    (v,) = _sweep([key[:3]], p).values()
+    (v,) = _sweep([check_cell(*key[:3])], p).values()
     return v
 
 
@@ -435,6 +441,18 @@ def _prime_task(fn, known, p):
     return result, list(cache._cells.items())[len(known):]
 
 
+def _collect(results, cache) -> list:
+    # per_prime's results; a prime's new cells, a worker's or the parent's, are flushed at once
+    out = []
+    for result, cells in results:
+        out.append(result)
+        if cache is not None:
+            for key, v in cells:
+                cache.add(*key, v)
+            cache.flush()
+    return out
+
+
 def per_prime(fn, primes, jobs=1, cache=None) -> list:
     """[fn(p, cache) for p in primes]; the primes go to a pool of min(jobs, primes, CPUs)
     workers when that is above 1.
@@ -446,21 +464,15 @@ def per_prime(fn, primes, jobs=1, cache=None) -> list:
     primes = list(primes)
     jobs = min(jobs, len(primes), os.cpu_count() or 1)  # a pool forks all its workers at once
     if jobs <= 1:
-        return [fn(p, cache) for p in primes]
+        return _collect(((fn(p, cache), ()) for p in primes), cache)
     known = {p: {} for p in primes}
     for key, v in (cache._cells if cache is not None else {}).items():
         if key[3] in known:
             known[key[3]][key] = v
     import concurrent.futures
 
-    out = []
     chunks = -(-len(primes) // (4 * jobs))  # fn, maybe a suite's rows, is pickled once a chunk
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for result, cells in pool.map(partial(_prime_task, fn), [known[p] for p in primes], primes,
-                                      chunksize=chunks):
-            out.append(result)
-            if cache is not None:
-                for key, v in cells:
-                    cache.add(*key, v)
-    return out
+        return _collect(pool.map(partial(_prime_task, fn), [known[p] for p in primes], primes,
+                                 chunksize=chunks), cache)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 
-from .evaluator import plan, value_of
+from .evaluator import check_index, plan, value_of
 from .modmath import mod_inv
 
 __all__ = [
@@ -293,9 +293,9 @@ def evaluate_combination(comb: IndexCombination, variant: str, p: int, cache=Non
     Signed (euler) variants are not supported here: a bare index carries no
     sign vector.  Raises if a coefficient denominator vanishes mod p.
     """
-    if variant == "euler":
-        raise ValueError("evaluate_combination does not take the signed variant")
-    table = plan(((variant, index, None) for index, _ in comb.terms()), p, cache)
+    if variant not in ("zeta", "zeta2", "zeta2star"):
+        raise ValueError("evaluate_combination takes an unsigned variant, got %r" % (variant,))
+    table = plan([(variant, check_index(index), None) for index, _ in comb.terms()], p, cache)
     total = 0
     for index, coeff in comb.terms():
         if coeff.denominator % p == 0:

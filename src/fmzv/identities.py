@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .bernoulli import L2, Zk
-from .evaluator import check_index, per_prime, plan, value_of, values_at
+from .evaluator import check_cell, check_index, per_prime, plan, value_of, values_at
 from .harmonic import (
     R_terms,
     all_compositions,
@@ -136,26 +136,29 @@ def coeff_C(index) -> int:
 # ---------------------------------------------------------------------------
 # suites
 
-def _prime_rows(rows, p, cache):
-    """The Cases at p of the rows of weight below p - 2.
+def _listed(rows, primes):
+    """The rows some prime checks (p > weight + 2), each with its sides as lists and the
+    distinct factors it names in first-named order; each cell named is checked once."""
+    top, listed = max(primes, default=0), []
+    for name, k, lhs, rhs in rows:
+        if k + 2 < top:
+            lhs, rhs = list(lhs), list(rhs)
+            listed.append((name, k, lhs, rhs, tuple(dict.fromkeys(
+                factor for term in (*lhs, *rhs) for factor in term[1:]))))
+    for factor in dict.fromkeys(itertools.chain.from_iterable(row[4] for row in listed)):
+        if factor[0] not in ("Zk", "L2"):
+            check_cell(*factor, None)
+    return listed
 
-    Each distinct cell is read once, in the order first named, and each
-    distinct constant factor evaluated once.
-    """
+
+def _prime_rows(rows, p, cache):
+    """The Cases at p of the listed rows (see _listed) of weight below p - 2; each
+    distinct cell is read once, in first-named order, and each constant evaluated once."""
     rows = [row for row in rows if p > row[1] + 2]
-    factors = {}
-    for _, _, lhs, rhs in rows:
-        for term in (*lhs, *rhs):
-            for factor in term[1:]:
-                factors[factor] = None
-    values = {}
-    for factor in factors:
-        if factor[0] == "Zk":
-            values[factor] = Zk(factor[1], p)
-        elif factor[0] == "L2":
-            values[factor] = L2(p)
-    cells = [f for f in factors if f not in values]
-    values.update(zip(cells, values_at([(v, ix, None) for v, ix in cells], p, cache)))
+    factors = dict.fromkeys(itertools.chain.from_iterable(row[4] for row in rows))
+    cells = [f for f in factors if f[0] not in ("Zk", "L2")]
+    values = dict(zip(cells, values_at([(v, ix, None) for v, ix in cells], p, cache)))
+    values.update((f, Zk(f[1], p) if f[0] == "Zk" else L2(p)) for f in factors if f not in values)
 
     def side(terms):
         total = 0
@@ -168,7 +171,7 @@ def _prime_rows(rows, p, cache):
         return total % p
 
     cases = []
-    for name, _, lhs, rhs in rows:
+    for name, _, lhs, rhs, _ in rows:
         lhs, rhs = side(lhs), side(rhs)
         cases.append(Case(name, p, str(lhs), str(rhs), lhs == rhs))
     return cases
@@ -306,6 +309,7 @@ def ppt_constants(k, primes, cache=None):
     """
     if k % 2 == 0:
         raise ValueError("one-odd patterns have odd weight, got %d" % k)
+    check_index((k,))
     comps = {(k, r, i): _one_odd_compositions(k, r, i)
              for r in range(1, (k + 1) // 2 + 1) for i in range(1, r + 1)}
     cells = [("zeta2", (k,), None)] + [("zeta2", c, None) for cs in comps.values() for c in cs]
@@ -345,8 +349,8 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
             held_rows.append((name + " heldout", k,
                               [(c.denominator, ("zeta2", x)) for x in _one_odd_compositions(*pat)],
                               [(c.numerator, ("zeta2", (k,)))]))
-        for p in held:
-            rows.extend(_prime_rows(held_rows, p, cache))
+        for part in per_prime(partial(_prime_rows, _listed(held_rows, held)), held, 1, cache):
+            rows.extend(part)
     return rows
 
 
@@ -367,12 +371,18 @@ def _weighted_rows(level, indices):
     """Position-weighted permutation sums against C-coefficient multiples of Zk."""
     variant, factor = ("zeta", 2) if level == 1 else ("zeta2", 1)
     for index in indices:
-        k, r = sum(index), len(index)
-        # the sum of C over the permutations of the head
-        csum = sum(coeff_C(head + index[-1:]) for head in itertools.permutations(index[:-1]))
-        yield (_istr(index), k,
+        yield (_istr(index), sum(index),
                [(coeff, (variant, permuted)) for coeff, permuted in R_terms(index)],
-               [((-1) ** r * factor * csum, ("Zk", k))] if csum else [])
+               _weighted_rhs(index, factor))
+
+
+def _weighted_rhs(index, factor):
+    """The rhs of a weighted row: the sum of C over the head's permutations, times Zk.  A
+    generator, so that C, whose binomials grow with the weight, is summed only for a row
+    that _listed keeps: one that some prime of the run checks."""
+    csum = sum(coeff_C(head + index[-1:]) for head in itertools.permutations(index[:-1]))
+    if csum:
+        yield (-1) ** len(index) * factor * csum, ("Zk", sum(index))
 
 
 def _weighted_setup(level, wmax, dmax, indices):
@@ -430,13 +440,14 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
                        defaults=(None, None, None))):
     """A verification suite, run as SUITES[name].run(bounds, primes, cache, jobs).
 
-    rows(*args) yields the (case, weight, lhs, rhs) rows, built once per run and
-    checked at every prime p > weight + 2.  Each side is a list of terms
-    (coeff, factor, ...): coeff is an int or a Fraction, and a factor is a cell
-    (variant, index) or one of the constants ("Zk", k) and ("L2",).  The term
-    stands for coeff times the product of its factors' values mod p; (c,) is the
-    constant c and [] is 0.  A row passes iff its sides agree mod p; the cells the
-    rows name are all the cells they read at p, each read once, in one sweep.
+    rows(*args) yields the (case, weight, lhs, rhs) rows, listed once per run and
+    checked at every prime p > weight + 2.  Each side is an iterable of terms, read
+    only if some prime checks the row: (coeff, factor, ...), where coeff is an int or
+    a Fraction, and a factor is a cell (variant, index) or one of the constants
+    ("Zk", k) and ("L2",).  The term stands for coeff times the product of its
+    factors' values mod p; (c,) is the constant c and [] is 0.  A row passes iff its
+    sides agree mod p; the cells the rows name are all the cells they read at p,
+    each read once, in one sweep.
     fixed(*args, primes, cache) gives the other cases: symbolic checks, and ppt's
     reconstruction with its held-out rows.
     setup(*bounds) turns the bounds into (args, report params); by default both are
@@ -461,7 +472,7 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
         args, params = self.resolve(bounds)
         rows = []
         if self.rows is not None:
-            for part in per_prime(partial(_prime_rows, list(self.rows(*args))),
+            for part in per_prime(partial(_prime_rows, _listed(self.rows(*args), primes)),
                                   primes, jobs, cache):
                 rows.extend(part)
         if self.fixed is not None:

@@ -536,6 +536,17 @@ def test_cold_cache_bytes(tmp_path, capsys):
                 == "44f227cca8db77406bf56fba5c2c6b2cee6934a9f343515435dde7e745cdcac6")
 
 
+def test_cold_cache_bytes_when_lines_are_flushed_once_per_prime(tmp_path, capsys):
+    # sha256 of the cache file, recorded when every line was flushed as it was added
+    for jobs in ("1", "2"):
+        path = tmp_path / ("new%s.csv" % jobs)
+        code, _, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "verify", "--suite", "key",
+                         "--wmax", "5", "--primes", "5..100")
+        assert code == 0
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "f41e9df8f62614608f89200797ea62fc01c475c58cd1ee361fae50bd0771e0e0")
+
+
 # LC_ALL=C-sorted sha256 of the cache file a cold `verify --suite S --primes 5..60`
 # writes at default bounds, recorded before the suites' rows named their own cells
 COLD_CACHE_SORTED_5_60 = {

@@ -19,6 +19,8 @@ from fmzv.evaluator import (
     parse_index,
     parse_signs,
 )
+from fmzv.harmonic import IndexCombination, evaluate_combination
+from fmzv.identities import SUITES, ppt_constants
 from fmzv.modmath import is_prime, mod_inv, sieve_primes
 from fmzv.relations import build_matrix
 
@@ -696,3 +698,49 @@ def test_per_prime_caps_its_pool(monkeypatch, jobs, count, cpus, workers):
     assert started == ([] if workers is None else [workers])
     assert got == [eval_zeta2((2, 1), p) for p in primes]
     assert len(cache) == count
+
+
+BAD_CELL_CALLS = {
+    "value_of": lambda: ev.value_of("zeta2", (0,), None, 7),
+    "value_of with a cache": lambda: ev.value_of("zeta2", (0,), None, 7, ResidueCache()),
+    "evaluate_combination term": lambda: evaluate_combination(IndexCombination.term((0,)),
+                                                              "zeta2", 7),
+    "evaluate_combination variant": lambda: evaluate_combination(IndexCombination.term((1,)),
+                                                                 "bogus", 7),
+    "evaluate_combination variant of 0": lambda: evaluate_combination(IndexCombination.zero(),
+                                                                      "bogus", 7),
+    "ppt_constants": lambda: ppt_constants(-1, [7, 11]),
+    "build_matrix": lambda: build_matrix([("zeta2", (1.5,))], [7]),
+    "compute_cell": lambda: ev.compute_cell("zeta2", (1, 2), (1, 1), 7),
+    "suite rows": lambda: SUITES["key"]._replace(
+        rows=lambda wmax: [("bad", 1, [(1, ("zeta2", (0,)))], [])]).run({}, [7]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CELL_CALLS))
+def test_every_entry_rejects_a_bad_cell(name):
+    # the sweep trusts its cells, so each way into it checks them
+    with pytest.raises(ValueError):
+        BAD_CELL_CALLS[name]()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_cache_file_holds_every_line_before_close(tmp_path, monkeypatch, jobs):
+    # add() buffers its line; per_prime flushes once per prime, so the lines of a matrix
+    # are in the file when build_matrix returns, with the cache still open
+    path = tmp_path / "c.csv"
+    cache = ResidueCache(str(path))
+    cache.add("zeta2", (1,), None, 7, 3)
+    assert path.read_text() == ""
+    cache.flush()
+    assert path.read_text() == "zeta2,1,,7,3\n"
+    flushes = []
+    flush = ResidueCache.flush
+    monkeypatch.setattr(ResidueCache, "flush", lambda self: flushes.append(1) or flush(self))
+    primes = sieve_primes(5, 60)
+    build_matrix([("zeta2", (2, 1)), ("zeta", (1, 2, 3)), ("euler", (1, 2), (1, -1))], primes,
+                 cache=cache, jobs=jobs)
+    assert len(path.read_text().splitlines()) == len(cache) == 1 + 3 * len(primes)
+    assert ResidueCache(str(path))._cells == cache._cells
+    assert len(flushes) == len(primes)
+    cache.close()

@@ -3,10 +3,14 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fmzv
 import fmzv.evaluator as ev
 import fmzv.identities as ids
 from fmzv.evaluator import ResidueCache, value_of
@@ -19,7 +23,7 @@ from fmzv.identities import (
     ppt_constants,
 )
 from fmzv.bernoulli import L2, Zk
-from fmzv.identities import SUITES, _one_odd_compositions, _prime_rows
+from fmzv.identities import SUITES, _listed, _one_odd_compositions, _prime_rows
 from fmzv.modmath import mod_inv, sieve_primes
 
 PRIMES = sieve_primes(5, 60)
@@ -362,10 +366,11 @@ def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
     monkeypatch.setattr(ev, "compute_cell",
                         lambda *args: computed.append(args[:4]) or compute(*args))
+    rows = _listed(suite.rows(*args), PRIMES)
     for p in PRIMES:
         sweeps.clear()
         computed.clear()
-        _prime_rows(list(suite.rows(*args)), p, None)
+        _prime_rows(rows, p, None)
         assert len(sweeps) <= 1
         assert len(computed) == len(set(computed))
         assert set(computed) == {(*cell, p) for cell in (sweeps[0] if sweeps else ())}
@@ -388,7 +393,7 @@ def test_prime_rows_checks_a_row_exactly_when_p_exceeds_its_weight_plus_two():
     rows = [("w3", 3, [(1, ("Zk", 3))], [(Fraction(1, 2), ("L2",))]),
             ("w5", 5, [(Fraction(1, 2),)], [(1, ("zeta2", (5,)))])]
     for p in (5, 7, 11, 13):
-        cases = {c.case: c for c in _prime_rows(rows, p, None)}
+        cases = {c.case: c for c in _prime_rows(_listed(rows, (5, 7, 11, 13)), p, None)}
         assert sorted(cases) == [name for name, k, _, _ in rows if p > k + 2]
         if "w3" in cases:
             assert cases["w3"].lhs == str(Zk(3, p))
@@ -443,3 +448,42 @@ def test_identical_runs_make_identical_sweeps(monkeypatch):
         assert SUITES["key"].run({"wmax": 3}, [7]).passed
         counts.append(len(swept))
     assert counts == [1, 1]
+
+
+def test_a_suite_run_checks_each_cell_it_names_once(monkeypatch):
+    # the rows are listed once per run, and the sweep at each prime checks nothing
+    listed, swept = [], []
+    check = ev.check_cell
+    monkeypatch.setattr(ids, "check_cell", lambda *cell: listed.append(cell) or check(*cell))
+    monkeypatch.setattr(ev, "check_cell", lambda *cell: swept.append(cell) or check(*cell))
+    assert SUITES["key"].run({"wmax": 4}, PRIMES).passed
+    named = {(v, ix, None) for *_, lhs, rhs in ids._key_rows(4)
+             for term in (*lhs, *rhs) for v, ix in term[1:]}
+    assert sorted(listed) == sorted(named) and swept == []
+
+
+def test_weighted_sums_C_only_for_a_row_some_prime_checks(monkeypatch):
+    # the C sum of a weight-2 000 001 index spends minutes in math.comb, and no prime
+    # of the run checks its row
+    summed = []
+    coeff = ids.coeff_C
+
+    def counted(index):
+        assert sum(index) < 100, "C summed for a row that no prime checks"
+        return summed.append(index) or coeff(index)
+
+    monkeypatch.setattr(ids, "coeff_C", counted)
+    both = SUITES["weighted1"].run({"indices": [(2, 1), (10 ** 6, 10 ** 6, 1)]}, PRIMES)
+    assert both.cases == SUITES["weighted1"].run({"indices": [(2, 1)]}, PRIMES).cases
+    assert summed == [(2, 1)] * 2
+
+
+def test_weighted_run_of_an_index_no_prime_checks_returns_at_once():
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+            "from fmzv.identities import SUITES; t = time.perf_counter(); "
+            "rep = SUITES['weighted1'].run({'indices': [(10 ** 6, 10 ** 6, 1)]}, [5, 7]); "
+            "print(rep.total, time.perf_counter() - t < 1)")
+    src = os.path.dirname(os.path.dirname(fmzv.__file__))
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=30)
+    assert (done.returncode, done.stdout) == (0, "0 True\n"), done.stderr
