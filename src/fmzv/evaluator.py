@@ -11,17 +11,21 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
 
 A value takes one route (`value_of`): the residue cache if one is given, else
 the table the caller passes, which `plan` returned for the cells it swept at
-that prime, else a sweep of the cell alone.  The module keeps no state: the
-cache is the only store that outlives a call, so a repeated single-cell call
-without a cache sweeps again; pass `ResidueCache()` to serve it from memory.
+that prime, else a sweep of the cell alone.  The cache is the only store of
+values that outlives a call, so a repeated single-cell call without a cache
+sweeps again; pass `ResidueCache()` to serve it from memory.
 
-A sweep (`plan`, `_sweep`) evaluates many cells of one prime at once, and
-trusts them: each is checked once per run, where it enters (`build_matrix`,
-`Suite.run`, `ppt_constants`, `evaluate_combination`, `compute_cell`).  The
-requested indices and all their prefixes form a trie whose node sums obey
+A sweep (`plan`, `values_at`, `_sweep`: internal routes) evaluates many cells
+of one prime at once, and trusts them: each is checked once per run, where it
+enters (`build_matrix`, `Suite.run`, `ppt_constants`, `evaluate_combination`,
+`compute_cell`).  The requested indices and all their prefixes form a trie whose
+shape does not depend on the prime: `_shape` keeps the shapes of the last few
+cell tuples swept, which a run sweeps again at prime after prime, and holds no
+value; each sweep keeps its node sums in a list of its own.  The node sums obey
 T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the
 node's last entry k, times (-1)^m for a - sign; as m^(p-1) = 1 mod p, an entry
-k >= p enters the trie as its residue in 1..p-1.  The sweep walks the trie
+k >= p enters the trie as its residue in 1..p-1, in a trie built for that sweep
+alone.  The sweep walks the trie
 depth first, column by column, over blocks of at most _BLOCK values of m,
 carrying each node's sum from one block to the next: an inner node is one
 prefix-sum column of T_node over the block, reduced mod p only if another
@@ -38,7 +42,7 @@ production path calls them.
 """
 
 import os
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, islice
 from operator import mul
 
@@ -250,7 +254,8 @@ class ResidueCache:
     once.  Only one process may write (the CLI and suites route all writes
     through the parent process).  A last line without a newline is an append
     cut short by a crash (its residue may be cut): it is ignored and cut off
-    by the next add().  Without a path the cache lives in memory only.
+    by the first add() after the load.  Each cell's line head is formatted once
+    per cache.  Without a path the cache lives in memory only.
     """
 
     def __init__(self, path: str | None = None):
@@ -258,6 +263,7 @@ class ResidueCache:
         self._cells: dict[tuple, int] = {}
         self._fh = None
         self._complete = None  # length of the file's complete lines when loaded
+        self._heads = {}  # each written cell's line head, variant,index,signs,
         if path is not None and os.path.exists(path):
             self._load()
 
@@ -287,18 +293,23 @@ class ResidueCache:
         return self._cells.get((variant, tuple(index), None if signs is None else tuple(signs), p))
 
     def add(self, variant, index, signs, p, residue):
-        key = (variant, tuple(index), None if signs is None else tuple(signs), p)
+        cell = (variant, tuple(index), None if signs is None else tuple(signs))
+        key = cell + (p,)
         if key in self._cells:
             return
         self._cells[key] = residue
         if self.path is None:
             return
         if self._fh is None:
-            if self._complete is not None:
+            if self._complete is not None:  # once per load: later lines are this cache's
                 os.truncate(self.path, self._complete)
+                self._complete = None
             self._fh = open(self.path, "a", encoding="ascii")
-        sgn = signs_to_str(signs) if signs is not None else ""
-        self._fh.write("%s,%s,%s,%d,%d\n" % (variant, index_to_str(index), sgn, p, residue))
+        head = self._heads.get(cell)
+        if head is None:
+            head = self._heads[cell] = "%s,%s,%s," % (
+                variant, index_to_str(cell[1]), "" if signs is None else signs_to_str(cell[2]))
+        self._fh.write("%s%d,%d\n" % (head, p, residue))
 
     def flush(self):
         if self._fh is not None:
@@ -321,30 +332,57 @@ def _inverses(n, p) -> list:
     return inv
 
 
+def _trie(cells, p=None) -> tuple:
+    """The shape of the cells' tries, the same at every prime: (strict root, star root,
+    finals, node count, largest letter, any - sign, any final read at p-1).  Given p, an
+    index entry k >= p enters as its residue in 1..p-1."""
+    # a node is [letter, read at p-1 (else at (p-1)/2 only), kids, cells read at (p-1)/2
+    # before its last m, slot of its running sum, whether a kid has kids]; letter k weighs
+    # m by m^-k, -k by (-1)^m m^-k
+    strict, star = [0, False, {}, [], 0, False], [0, False, {}, [], 1, False]
+    nodes, finals, emax, level2 = [strict, star], [], 0, ("zeta2", "zeta2star")
+    # cells read at p-1 go first, so that a node made for a read at (p-1)/2 has none below
+    for cell in sorted(cells, key=lambda c: c[0] in level2):
+        variant, index, signs = cell
+        if p is not None:  # m^(p-1) = 1 mod p: letter k weighs m as its residue in 1..p-1 does
+            index = [(k - 1) % (p - 1) + 1 for k in index]
+        emax = max(emax, max(index, default=0))
+        full, node = variant not in level2, star if variant == "zeta2star" else strict
+        for e in index if signs is None else map(mul, index, signs):
+            kid = node[2].get(e)
+            if kid is None:
+                kid = node[2][e] = [e, full, {}, [], len(nodes), False]
+                nodes.append(kid)
+            node = kid
+        # a read before the node's last m is taken during the walk, any other after it
+        if node[1] and not full:
+            node[3].append(cell)
+        else:
+            finals.append((cell, node[4]))
+    for node in nodes:
+        node[2] = tuple(node[2].values())
+        node[5] = any(kid[2] for kid in node[2])
+    signed = any(-1 in signs for _, _, signs in cells if signs)
+    return strict, star, finals, len(nodes), emax, signed, any(nodes[s][1] for _, s in finals)
+
+
+# the shapes of the last few cell tuples swept: a run sweeps the same cells at prime
+# after prime; a shape holds no value
+_shape = lru_cache(maxsize=8)(_trie)
+
+
 def _sweep(cells, p) -> dict:
     """{(variant, index, signs): value mod p} for the cells, from one walk of their tries
     per block of m.  Each cell is a tuple that check_cell passed; none is checked here."""
     check_prime(p)
+    cells = tuple(cells)
+    shape = _shape(cells)
+    if shape[4] >= p:  # a trie of the entries' residues, for this sweep alone
+        shape = _trie(cells, p)
+    strict, star, finals, size, emax, signed, to_end = shape
     half = (p - 1) // 2
-    # a node is [letter, last m read at or below it, children by letter, cells read at
-    # (p-1)/2 before that last m, running sum]; letter k weighs m by m^-k, -k by (-1)^m m^-k
-    strict, star = [0, 0, {}, [], 1], [0, 0, {}, [], 1]
-    level2, out, finals = ("zeta2", "zeta2star"), {}, []
-    # cells read at p-1 go first, so that a node made for a read at (p-1)/2 has none below
-    cells = sorted(cells, key=lambda c: c[0] in level2)
-    emax = max((max(index) for _, index, _ in cells if index), default=0)
-    for cell in cells:
-        variant, index, signs = cell
-        if emax >= p:  # m^(p-1) = 1 mod p: letter k weighs m as its residue in 1..p-1 does
-            index = [(k - 1) % (p - 1) + 1 for k in index]
-        node = star if variant == "zeta2star" else strict
-        end = half if variant in level2 else p - 1
-        for e in index if signs is None else map(mul, index, signs):
-            node = node[2].get(e) or node[2].setdefault(e, [e, end, {}, [], 0])
-        # a read before the node's last m is taken during the walk, any other after it
-        (node[3] if end < node[1] else finals).append((cell, node))
-    top, emax = max((node[1] for _, node in finals), default=0), min(emax, p - 1)
-    signed = any(-1 in signs for _, _, signs in cells if signs)
+    top = p - 1 if to_end else half
+    sums, out = [1, 1] + [0] * (size - 2), {}  # each node's running sum, by slot
     inv = _inverses(top, p)
     for m0 in range(1, top + 1, _BLOCK):
         m1 = min(m0 + _BLOCK, top + 1)
@@ -361,38 +399,42 @@ def _sweep(cells, p) -> dict:
             stack = [(root, [1] * (m1 - m0 + 1))]
             while stack:
                 node, col = stack.pop()
-                for kid in node[2].values():
-                    e, limit, kids, halves, carry = kid
-                    if limit < m0:
+                for kid in node[2]:
+                    e, full, kids, halves, slot, fold = kid
+                    if not full and half < m0:
                         continue
                     # a node whose last m is (p-1)/2, inside the block, stops there
-                    w = weights[e] if limit >= m1 - 1 else islice(weights[e], h)
+                    w = weights[e] if full or half >= m1 - 1 else islice(weights[e], h)
                     src = islice(col, 1, None) if shift else col
                     if kids:
                         # a column is reduced mod p only if another column is summed from it
-                        c = accumulate(map(mul, src, w), initial=carry)
-                        c = [x % p for x in c] if any(k[2] for k in kids.values()) else list(c)
-                        kid[4] = c[-1] % p
+                        c = accumulate(map(mul, src, w), initial=sums[slot])
+                        c = [x % p for x in c] if fold else list(c)
+                        sums[slot] = c[-1] % p
                         if at_half:
-                            for cell, _ in halves:
+                            for cell in halves:
                                 out[cell] = c[h] % p
                         stack.append((kid, c))
                     elif halves and at_half:
                         # a leaf read at both ends: its dot product splits at (p-1)/2
-                        s = carry + sum(map(mul, col, islice(w, h)))
-                        for cell, _ in halves:
+                        s = sums[slot] + sum(map(mul, col, islice(w, h)))
+                        for cell in halves:
                             out[cell] = s % p
-                        kid[4] = (s + sum(map(mul, islice(col, h, None), islice(w, h, None)))) % p
+                        sums[slot] = (s + sum(map(mul, islice(col, h, None), islice(w, h, None)))) % p
                     else:
-                        kid[4] = (carry + sum(map(mul, src, w))) % p
-    for cell, node in finals:
-        out[cell] = node[4]
+                        sums[slot] = (sums[slot] + sum(map(mul, src, w))) % p
+    for cell, slot in finals:
+        out[cell] = sums[slot]
     return out
 
 
 def plan(cells, p: int, cache: ResidueCache | None = None) -> dict:
-    """{(variant, index, signs, p): value}, from one sweep, of every checked (variant,
-    index, signs) cell that value_of will be asked for at p and the cache does not hold."""
+    """{(variant, index, signs, p): value}, from one sweep, of every (variant, index,
+    signs) cell that value_of will be asked for at p and the cache does not hold.
+
+    An internal route, like _sweep: it trusts its cells, which the caller has checked
+    (check_cell); an unchecked cell gets a wrong value or a TypeError, not a ValueError.
+    """
     todo = {}
     for variant, index, signs in cells:
         key = (variant, tuple(index), None if signs is None else tuple(signs), p)
@@ -428,7 +470,11 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
 
 
 def values_at(columns, p: int, cache: ResidueCache | None = None) -> tuple:
-    """Values of the (variant, index, signs) columns at one prime."""
+    """Values of the (variant, index, signs) columns at one prime.
+
+    An internal route, like plan: it trusts its columns, which the caller has checked
+    (check_cell).  Library callers go through value_of, build_matrix or a suite.
+    """
     table = plan(columns, p, cache)
     return tuple(value_of(v, ix, s, p, cache, table) for v, ix, s in columns)
 

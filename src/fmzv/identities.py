@@ -137,36 +137,49 @@ def coeff_C(index) -> int:
 # suites
 
 def _listed(rows, primes):
-    """The rows some prime checks (p > weight + 2), each with its sides as lists and the
-    distinct factors it names in first-named order; each cell named is checked once."""
-    top, listed = max(primes, default=0), []
+    """(factors, rows): the rows some prime checks (p > weight + 2), and the distinct
+    factors they name, each cell checked once, at its slot.  A listed row holds its
+    sides as lists of terms (coeff, slot, ...) and the tuple of the distinct slots it
+    names, in first-named order."""
+    top, slots, listed = max(primes, default=0), {}, []
+
+    def place(terms):
+        return [(coeff, *[slots.setdefault(f, len(slots)) for f in term])
+                for coeff, *term in terms]
+
     for name, k, lhs, rhs in rows:
         if k + 2 < top:
-            lhs, rhs = list(lhs), list(rhs)
+            lhs, rhs = place(lhs), place(rhs)
             listed.append((name, k, lhs, rhs, tuple(dict.fromkeys(
-                factor for term in (*lhs, *rhs) for factor in term[1:]))))
-    for factor in dict.fromkeys(itertools.chain.from_iterable(row[4] for row in listed)):
-        if factor[0] not in ("Zk", "L2"):
-            check_cell(*factor, None)
-    return listed
+                slot for term in (*lhs, *rhs) for slot in term[1:]))))
+    factors = [f if f[0] in ("Zk", "L2") else check_cell(*f, None) for f in slots]
+    return factors, listed
 
 
-def _prime_rows(rows, p, cache):
+def _prime_rows(listed, p, cache):
     """The Cases at p of the listed rows (see _listed) of weight below p - 2; each
     distinct cell is read once, in first-named order, and each constant evaluated once."""
+    factors, rows = listed
     rows = [row for row in rows if p > row[1] + 2]
-    factors = dict.fromkeys(itertools.chain.from_iterable(row[4] for row in rows))
-    cells = [f for f in factors if f[0] not in ("Zk", "L2")]
-    values = dict(zip(cells, values_at([(v, ix, None) for v, ix in cells], p, cache)))
-    values.update((f, Zk(f[1], p) if f[0] == "Zk" else L2(p)) for f in factors if f not in values)
+    values, cells = [None] * len(factors), []
+    for slot in dict.fromkeys(itertools.chain.from_iterable(row[4] for row in rows)):
+        factor = factors[slot]
+        if factor[0] == "Zk":
+            values[slot] = Zk(factor[1], p)
+        elif factor[0] == "L2":
+            values[slot] = L2(p)
+        else:
+            cells.append(slot)
+    for slot, v in zip(cells, values_at([factors[slot] for slot in cells], p, cache)):
+        values[slot] = v
 
     def side(terms):
         total = 0
         for coeff, *term in terms:
             if type(coeff) is Fraction:  # not isinstance: Fraction is an ABC, slow to test
                 coeff = _frac_mod(coeff, p)
-            for factor in term:
-                coeff *= values[factor]
+            for slot in term:
+                coeff *= values[slot]
             total += coeff
         return total % p
 

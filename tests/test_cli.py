@@ -547,6 +547,18 @@ def test_cold_cache_bytes_when_lines_are_flushed_once_per_prime(tmp_path, capsys
                 == "f41e9df8f62614608f89200797ea62fc01c475c58cd1ee361fae50bd0771e0e0")
 
 
+def test_cold_parity_cache_bytes(tmp_path, capsys):
+    # sha256 of the cache file, in the order written, recorded before a run's sweeps
+    # shared one trie shape; parity sweeps zeta, zeta2 and zeta2star cells together
+    for jobs in ("1", "2"):
+        path = tmp_path / ("new%s.csv" % jobs)
+        code, _, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "verify", "--suite",
+                         "parity", "--primes", "5..100")
+        assert code == 0
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "f5716ac7149b37a8f3c4698412c071a5b2e9f40c94f95f0bbd38df43bd5bc3a6")
+
+
 # LC_ALL=C-sorted sha256 of the cache file a cold `verify --suite S --primes 5..60`
 # writes at default bounds, recorded before the suites' rows named their own cells
 COLD_CACHE_SORTED_5_60 = {

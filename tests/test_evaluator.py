@@ -288,6 +288,26 @@ def test_sweep_at_depth_30():
     assert ev._sweep(cells, 8209) == {cell: oracle(cell, 8209) for cell in cells}
 
 
+# MIXED with entries of 5 and up: none reduces at 13 and 17, where the sweeps share one
+# shape, and every one reduces at 5, where the sweep builds its own trie
+MIXED_LARGE = MIXED + [("zeta", (7, 2), None), ("zeta2", (5, 1, 6), None),
+                       ("zeta2star", (2, 5), None), ("euler", (6, 1), (-1, 1))]
+
+
+def test_sweeps_of_one_cell_tuple_at_prime_after_prime_match_oracles():
+    for p in (13, 17, 13, 5, 17):
+        assert ev._sweep(MIXED_LARGE, p) == {cell: oracle(cell, p) for cell in MIXED_LARGE}, p
+
+
+def test_the_shape_memo_holds_no_value():
+    # a shape swept at several primes, and beside a trie reduced at 5, equals a fresh one
+    cells = tuple(MIXED_LARGE)
+    for p in (13, 5, 17):
+        ev._sweep(cells, p)
+    assert ev._shape(cells) == ev._trie(cells)
+    assert ev._trie(cells, 5) != ev._trie(cells)
+
+
 def test_sweep_of_the_depth2_cells_at_large_primes():
     # the cells verify --suite depth2 --kmax 9 sweeps at each prime
     cells = [("zeta2", (a, k - a), None) for k in (3, 5, 7, 9) for a in range(1, k)]
@@ -722,6 +742,50 @@ def test_every_entry_rejects_a_bad_cell(name):
     # the sweep trusts its cells, so each way into it checks them
     with pytest.raises(ValueError):
         BAD_CELL_CALLS[name]()
+
+
+# cells that plan and values_at, internal routes, take unchecked: a wrong variant, which
+# they would sweep as zeta, and an entry 0; every public entry refuses both
+@pytest.mark.parametrize("variant, index", [("bogus", (1, 2)), ("zeta2", (0,))])
+@pytest.mark.parametrize("entry", [
+    lambda v, ix: ev.value_of(v, ix, None, 7),
+    lambda v, ix: ev.compute_cell(v, ix, None, 7),
+    lambda v, ix: build_matrix([(v, ix)], [7]),
+    lambda v, ix: evaluate_combination(IndexCombination.term(ix), v, 7),
+    lambda v, ix: SUITES["key"]._replace(rows=lambda wmax: [("bad", 1, [(1, (v, ix))], [])]).run(
+        {}, [7]),
+], ids=["value_of", "compute_cell", "build_matrix", "evaluate_combination", "suite row"])
+def test_every_entry_refuses_the_cells_the_internal_routes_trust(entry, variant, index):
+    with pytest.raises(ValueError):
+        entry(variant, index)
+
+
+def test_cache_add_after_close_keeps_the_lines_added_since_the_load(tmp_path):
+    # the file is cut back to its complete lines once per load, not at every reopen
+    path = tmp_path / "c.csv"
+    path.write_text("zeta2,1,,7,3\n")
+    cache = ResidueCache(str(path))
+    cache.add("zeta2", (2,), None, 7, 1)
+    cache.close()
+    cache.add("zeta2", (3,), None, 7, 6)
+    cache.close()
+    assert path.read_text() == "zeta2,1,,7,3\nzeta2,2,,7,1\nzeta2,3,,7,6\n"
+    assert len(ResidueCache(str(path))) == len(cache) == 3
+
+
+def test_cache_formats_each_head_once(tmp_path, monkeypatch):
+    formatted = []
+    index_to_str = ev.index_to_str
+    monkeypatch.setattr(ev, "index_to_str", lambda index: formatted.append(index) or
+                        index_to_str(index))
+    cache = ResidueCache(str(tmp_path / "c.csv"))
+    for p in (5, 7, 11):
+        cache.add("euler", (1, 2), (1, -1), p, 1)
+        cache.add("zeta2", [2, 1], None, p, 1)
+    cache.close()
+    assert formatted == [(1, 2), (2, 1)]
+    assert (tmp_path / "c.csv").read_text() == "".join(
+        "euler,1,2,+,-,%d,1\nzeta2,2,1,,%d,1\n" % (p, p) for p in (5, 7, 11))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

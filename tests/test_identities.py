@@ -389,6 +389,19 @@ def test_rows_are_built_once_per_run(name):
     assert len(calls) == 1
 
 
+def test_listed_rows_name_their_factors_by_slot():
+    # each distinct factor takes one slot, in first-named order, checked as a cell
+    rows = [("a", 3, [(1, ("zeta2", (1, 2))), (2, ("Zk", 3), ("zeta", (3,)))], [(1, ("L2",))]),
+            ("b", 2, [(1, ("zeta", (3,)), ("zeta2", (1, 2)))], [])]
+    factors, listed = _listed(rows, (5, 7))
+    assert factors == [("zeta2", (1, 2), None), ("Zk", 3), ("zeta", (3,), None), ("L2",)]
+    assert listed == [("a", 3, [(1, 0), (2, 1, 2)], [(1, 3)], (0, 1, 2, 3)),
+                      ("b", 2, [(1, 2, 0)], [], (2, 0))]
+    # a row no prime checks is dropped before it takes a slot
+    assert _listed(rows, (5,)) == ([("zeta", (3,), None), ("zeta2", (1, 2), None)],
+                                   [("b", 2, [(1, 0, 1)], [], (0, 1))])
+
+
 def test_prime_rows_checks_a_row_exactly_when_p_exceeds_its_weight_plus_two():
     rows = [("w3", 3, [(1, ("Zk", 3))], [(Fraction(1, 2), ("L2",))]),
             ("w5", 5, [(Fraction(1, 2),)], [(1, ("zeta2", (5,)))])]
