@@ -42,20 +42,22 @@ def _bernoulli_table(n: int, p: int) -> tuple[int, ...]:
     return tuple(b[m] * fact[m] % p for m in range(n + 1))
 
 
-def bernoulli_mod(n: int, p: int) -> int:
-    """B_n mod p.  Requires 0 <= n <= p - 2 (so all needed factorials invert)."""
+def _checked_table(n: int, p: int) -> tuple[int, ...]:
+    # B_0..B_{p-2} mod p, once p is a prime and 0 <= n <= p - 2
     check_prime(p)
     if not 0 <= n <= p - 2:
         raise ValueError("need 0 <= n <= p - 2, got n=%d p=%d" % (n, p))
-    return _bernoulli_table(p - 2, p)[n]
+    return _bernoulli_table(p - 2, p)
+
+
+def bernoulli_mod(n: int, p: int) -> int:
+    """B_n mod p.  Requires 0 <= n <= p - 2 (so all needed factorials invert)."""
+    return _checked_table(n, p)[n]
 
 
 def bernoulli_poly_mod(n: int, x: int, p: int) -> int:
     """Bernoulli polynomial B_n(x) mod p, expanded as sum binom(n,j) B_j x^(n-j)."""
-    check_prime(p)
-    if not 0 <= n <= p - 2:
-        raise ValueError("need 0 <= n <= p - 2, got n=%d p=%d" % (n, p))
-    table = _bernoulli_table(p - 2, p)
+    table = _checked_table(n, p)
     x %= p
     acc = 0
     xpow = 1  # x^(n-j), built from j = n downwards

@@ -36,9 +36,10 @@ read at m = (p-1)/2, where a leaf read at both ends splits its dot product;
 zeta2star has its own trie, whose nodes read their parent at m itself, one
 place later in its column.
 
-`eval_*` and `_dp_sum` evaluate one cell on their own with the streaming DP
-and are kept as the independent oracle route the tests compare against; no
-production path calls them.
+`eval_*` evaluate one cell on their own, each by one pass of the textbook DP
+`_dp_sum` over its summation range, with one batched inverse (`batch_inv`) of
+the whole range; they are kept as the independent oracle route the tests
+compare against, and no production path calls them.  `_BLOCK` is the sweep's.
 """
 
 import os
@@ -77,7 +78,7 @@ class CacheError(Exception):
 
 def check_index(index) -> tuple[int, ...]:
     index = tuple(index)
-    if any(not isinstance(k, int) or k < 1 for k in index):
+    if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in index):
         raise ValueError("index entries must be positive integers, got %r" % (index,))
     return index
 
@@ -129,56 +130,42 @@ def parse_signs(s: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _dp_sum(ks, values, p, strict=True, signs=None):
-    # core streaming recurrence; `values` iterates the summation range ascending
-    r = len(ks)
-    if r == 0:
-        return 1
-    T = [1] + [0] * r
-    order = range(r, 0, -1) if strict else range(1, r + 1)
-    it = iter(values)
-    while True:
-        block = list(islice(it, _BLOCK))
-        if not block:
-            break
-        invs = batch_inv(block, p)
-        for m, im in zip(block, invs):
-            for j in order:
-                t = T[j - 1]
-                if t:
-                    w = pow(im, ks[j - 1], p)
-                    if signs is not None and signs[j - 1] < 0 and m & 1:
-                        w = p - w
-                    T[j] = (T[j] + t * w) % p
-    return T[r]
+def _dp_sum(ks, p, start=1, step=1, half=False, strict=True, signs=None):
+    """The sum over m_1 < ... < m_r (<= if not strict) of prod m_i^-k_i, times (-1)^m_i
+    for a - sign, each m_i in range(start, p, step), and below p/2 if half.  T[j] is the
+    sum over the first j entries with m_j at most the m reached."""
+    check_prime(p)
+    values = range(start, (p + 1) // 2 if half else p, step)
+    T = [1] + [0] * len(ks)
+    order = range(len(ks), 0, -1) if strict else range(1, len(ks) + 1)
+    for m, im in zip(values, batch_inv(values, p)):
+        for j in order:
+            w = pow(im, ks[j - 1], p)
+            if signs is not None and signs[j - 1] < 0 and m & 1:
+                w = p - w
+            T[j] = (T[j] + T[j - 1] * w) % p
+    return T[-1]
 
 
 def eval_zeta(index, p: int) -> int:
     """Level-1 value: sum over 0 < m_1 < ... < m_r < p of prod m_i^(-k_i) mod p."""
-    index = check_index(index)
-    check_prime(p)
-    return _dp_sum(index, range(1, p), p)
+    return _dp_sum(check_index(index), p)
 
 
 def eval_zeta2(index, p: int) -> int:
     """Level-2 value: same sum restricted to m_r <= (p-1)/2."""
-    index = check_index(index)
-    check_prime(p)
-    return _dp_sum(index, range(1, (p - 1) // 2 + 1), p)
+    return _dp_sum(check_index(index), p, half=True)
 
 
 def eval_zeta2_star(index, p: int) -> int:
     """Level-2 star value: non-strict sum 0 < m_1 <= ... <= m_r <= (p-1)/2."""
-    index = check_index(index)
-    check_prime(p)
-    return _dp_sum(index, range(1, (p - 1) // 2 + 1), p, strict=False)
+    return _dp_sum(check_index(index), p, half=True, strict=False)
 
 
 def eval_euler(index, signs, p: int) -> int:
     """Signed level-1 sum with numerators eps_i^(m_i)."""
     _, index, signs = check_cell("euler", index, signs)
-    check_prime(p)
-    return _dp_sum(index, range(1, p), p, signs=signs)
+    return _dp_sum(index, p, signs=signs)
 
 
 def eval_even_form(index, p: int) -> int:
@@ -187,9 +174,7 @@ def eval_even_form(index, p: int) -> int:
     Must agree with eval_zeta2; kept as an independent summation route.
     """
     index = check_index(index)
-    check_prime(p)
-    k = sum(index)
-    return pow(2, k, p) * _dp_sum(index, range(2, p, 2), p) % p
+    return _dp_sum(index, p, start=2, step=2) * pow(2, sum(index), p) % p
 
 
 def eval_odd_form(index, p: int) -> int:
@@ -198,9 +183,7 @@ def eval_odd_form(index, p: int) -> int:
     Must agree with eval_zeta2; kept as an independent summation route.
     """
     index = check_index(index)
-    check_prime(p)
-    k = sum(index)
-    return pow(p - 2, k, p) * _dp_sum(tuple(reversed(index)), range(1, p, 2), p) % p
+    return _dp_sum(index[::-1], p, step=2) * pow(-2, sum(index), p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +439,11 @@ def compute_cell(variant: str, index, signs, p: int, table=None) -> int:
 def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None,
              table=None) -> int:
     """Single-cell evaluation: the cache's value if given, else compute_cell's, which
-    the cache then keeps."""
+    the cache then keeps.  The empty index is 1, at a checked cell and prime."""
     index = tuple(index)
     if not index:
+        check_cell(variant, index, signs)
+        check_prime(p)
         return 1
     signs = None if signs is None else tuple(signs)
     v = None if cache is None else cache.get(variant, index, signs, p)

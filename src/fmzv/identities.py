@@ -13,7 +13,7 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .bernoulli import L2, Zk
 from .evaluator import check_cell, check_index, per_prime, plan, value_of, values_at
@@ -106,7 +106,6 @@ def _frac_mod(q: Fraction, p: int) -> int:
     return q.numerator * mod_inv(q.denominator, p) % p
 
 
-@lru_cache(maxsize=None)
 def _indices_of_weight_up_to(wmax, dmax=None):
     return tuple(index for k in range(1, wmax + 1) for index in all_compositions(k)
                  if dmax is None or len(index) <= dmax)
@@ -358,7 +357,9 @@ def _ppt_recon_rows(rmax, recon_weight_max, primes, cache):
                 rows.append(Case(case=name, prime=None, lhs="reconstruction failed",
                                  rhs="rational constant", passed=False))
                 continue
-            rows.append(Case(case=name + " c", prime=None, lhs=str(c), rhs=str(c), passed=True))
+            # a constant is checked only on held-out primes
+            rows.append(Case(case=name + " c", prime=None, lhs=str(c),
+                             rhs=str(c) if held else "no held-out prime", passed=bool(held)))
             held_rows.append((name + " heldout", k,
                               [(c.denominator, ("zeta2", x)) for x in _one_odd_compositions(*pat)],
                               [(c.numerator, ("zeta2", (k,)))]))
@@ -374,6 +375,8 @@ def default_weighted_indices(level, wmax=None, dmax=None):
     hypothesis family (all entries even except an odd last entry).  Unset
     bounds take the weighted suite's defaults.
     """
+    if level not in (1, 2):
+        raise ValueError("level must be 1 or 2, got %r" % (level,))
     wmax = _default("weighted%d" % level, "wmax") if wmax is None else wmax
     dmax = _default("weighted%d" % level, "dmax") if dmax is None else dmax
     return [index for index in _indices_of_weight_up_to(wmax, dmax)

@@ -6,8 +6,9 @@ numerators lam[i][j]) and only performs divisions that are exact.
 
 The relation engine's lattices are sparse, identity plus a few dense
 columns: congruence_cut writes their HNF down in closed form, and LLL works
-over the rows' nonzeros.  hnf and hnf_contains (generic elimination and
-membership) stay as the independent route tests compare lattice spans with.
+over the rows' nonzeros.  hnf and hnf_contains (plain elimination over
+whole rows, and membership) stay as the independent route tests compare
+lattice spans with.
 """
 
 from itertools import compress, repeat
@@ -20,50 +21,41 @@ _DELTA_NUM, _DELTA_DEN = 99, 100  # lll_reduce's Lovasz constant delta = 99/100
 
 
 def hnf(rows):
-    """Row-style Hermite normal form, by generic gcd elimination.
+    """Row-style Hermite normal form, by gcd elimination over whole rows.
 
     Returns the nonzero rows of an upper-echelon basis with positive pivots
     and entries above each pivot reduced into [0, pivot).  The row lattice is
     unchanged.  The package does not call it; tests compare spans with it.
     """
     work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
+    if any(len(r) != len(work[0]) for r in work):
         raise ValueError("ragged rows")
 
     def eliminate(r, col, targets):
-        # work[i] -= q * work[r] for i in targets, touching only work[r]'s nonzero entries
-        piv = work[r][col]
-        nz = [(j, b) for j, b in enumerate(work[r]) if b]
+        # work[i] -= q * work[r] for i in targets, q the floor quotient at col
         for i in targets:
-            q = work[i][col] // piv
+            q = work[i][col] // work[r][col]
             if q:
-                row = work[i]
-                for j, b in nz:
-                    row[j] -= q * b
+                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
 
     r = 0
-    for col in range(ncols):
-        # gcd-eliminate below row r in this column
-        while True:
+    for col in range(len(work[0]) if work else 0):
+        # move the least nonzero |entry| of rows r.. to row r and reduce the rows below
+        # by it, until it is the column's only one: the pivot
+        while r < len(work):
             live = [i for i in range(r, len(work)) if work[i][col]]
             if not live:
                 break
             i0 = min(live, key=lambda i: abs(work[i][col]))
             work[r], work[i0] = work[i0], work[r]
-            if all(work[i][col] == 0 for i in range(r + 1, len(work))):
+            if len(live) == 1:
+                if work[r][col] < 0:
+                    work[r] = [-a for a in work[r]]
+                eliminate(r, col, range(r))
+                r += 1
                 break
             eliminate(r, col, range(r + 1, len(work)))
-        if r < len(work) and work[r][col]:
-            if work[r][col] < 0:
-                work[r] = [-a for a in work[r]]
-            eliminate(r, col, range(r))
-            r += 1
-            if r == len(work):
-                break
-    return [row for row in work[:r]]
+    return work[:r]
 
 
 def hnf_contains(hnf_rows, vector):

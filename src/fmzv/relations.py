@@ -126,15 +126,8 @@ def relation_lattice(matrix: ValueMatrix, height_bound=DEFAULT_HEIGHT_BOUND):
     _above_floor(matrix.columns, matrix.primes)
     train, held = _train_split(matrix.primes)
     basis = lll_reduce(congruence_cut(matrix.cells[:len(train)], train))
-    seen = set()
-    picked = []
-    for v in basis:
-        if not any(v) or max(abs(x) for x in v) > height_bound:
-            continue
-        v = _normalize_vector(v)
-        if v not in seen:
-            seen.add(v)
-            picked.append(v)
+    picked = {_normalize_vector(v) for v in basis
+              if any(v) and max(abs(x) for x in v) <= height_bound}
     out = []
     for v in sorted(picked, key=lambda u: (max(abs(x) for x in u), u)):
         nz = [(j, c) for j, c in enumerate(v) if c]

@@ -603,6 +603,19 @@ def test_cold_ppt_cache_lines(tmp_path, capsys):
             == "37563d1659542457e20aab6166ce2b5c0e7311fa8201b6a65a167571543c58c0")
 
 
+@pytest.mark.parametrize("argv, unchecked", [
+    # every prime trains the weight-3 constants
+    (("--rmax", "1", "--primes", "5..11"), "pattern k=3 r=2 i=1 c -3/4"),
+    # the weight-5 ones, and -8/3 is not the constant: 5..200 reconstructs 5/16
+    (("--rmax", "2", "--primes", "7..13"), "pattern k=5 r=3 i=1 c -8/3"),
+])
+def test_ppt_fails_a_constant_with_no_held_out_prime(capsys, argv, unchecked):
+    code, out, _ = run(capsys, "verify", "--suite", "ppt", *argv)
+    assert code == 1
+    assert (unchecked + " no held-out prime FAIL").split() in [
+        line.split() for line in out.splitlines()]
+
+
 SRC = os.path.dirname(os.path.dirname(fmzv.__file__))
 
 

@@ -730,6 +730,12 @@ BAD_CELL_CALLS = {
     "evaluate_combination variant of 0": lambda: evaluate_combination(IndexCombination.zero(),
                                                                       "bogus", 7),
     "ppt_constants": lambda: ppt_constants(-1, [7, 11]),
+    # the empty index is 1 only at a checked cell and prime
+    "value_of empty index variant": lambda: ev.value_of("bogus", (), None, 7),
+    "value_of empty index prime": lambda: ev.value_of("zeta2", (), None, 4),
+    "value_of empty index signs": lambda: ev.value_of("euler", (), None, 7),
+    "evaluate_combination empty index prime": lambda: evaluate_combination(
+        IndexCombination.term(()), "zeta2", 4),
     "build_matrix": lambda: build_matrix([("zeta2", (1.5,))], [7]),
     "compute_cell": lambda: ev.compute_cell("zeta2", (1, 2), (1, 1), 7),
     "suite rows": lambda: SUITES["key"]._replace(
@@ -745,8 +751,10 @@ def test_every_entry_rejects_a_bad_cell(name):
 
 
 # cells that plan and values_at, internal routes, take unchecked: a wrong variant, which
-# they would sweep as zeta, and an entry 0; every public entry refuses both
-@pytest.mark.parametrize("variant, index", [("bogus", (1, 2)), ("zeta2", (0,))])
+# they would sweep as zeta, an entry 0, and an entry True, which a cache line would hold
+# as "True", refused by the next load; every public entry refuses them
+@pytest.mark.parametrize("variant, index", [("bogus", (1, 2)), ("zeta2", (0,)),
+                                            ("zeta2", (True, 2))])
 @pytest.mark.parametrize("entry", [
     lambda v, ix: ev.value_of(v, ix, None, 7),
     lambda v, ix: ev.compute_cell(v, ix, None, 7),

@@ -233,6 +233,14 @@ def test_weighted_builds_terms_and_C_sum_once_per_index(monkeypatch):
     assert len(cs) == sum(math.factorial(len(ix) - 1) for ix in indices)
 
 
+@pytest.mark.parametrize("level", [0, 3, "1"])
+def test_default_weighted_indices_rejects_a_level_other_than_1_or_2(level):
+    with pytest.raises(ValueError, match="level must be 1 or 2"):
+        default_weighted_indices(level, wmax=4, dmax=2)
+    with pytest.raises(ValueError, match="level must be 1 or 2"):
+        default_weighted_indices(level)
+
+
 @pytest.mark.parametrize("name", ["weighted1", "weighted2"])
 @pytest.mark.parametrize("index, message", [((), "empty index"),
                                             ((2, 2, 2, 2, 1), "depth > 4 rejected")])
@@ -464,7 +472,8 @@ def test_identical_runs_make_identical_sweeps(monkeypatch):
 
 
 def test_a_suite_run_checks_each_cell_it_names_once(monkeypatch):
-    # the rows are listed once per run, and the sweep at each prime checks nothing
+    # the rows are listed once per run, and each prime checks nothing but the one empty
+    # index the rows name, which value_of returns as 1 once its cell and prime pass
     listed, swept = [], []
     check = ev.check_cell
     monkeypatch.setattr(ids, "check_cell", lambda *cell: listed.append(cell) or check(*cell))
@@ -472,7 +481,7 @@ def test_a_suite_run_checks_each_cell_it_names_once(monkeypatch):
     assert SUITES["key"].run({"wmax": 4}, PRIMES).passed
     named = {(v, ix, None) for *_, lhs, rhs in ids._key_rows(4)
              for term in (*lhs, *rhs) for v, ix in term[1:]}
-    assert sorted(listed) == sorted(named) and swept == []
+    assert sorted(listed) == sorted(named) and swept == [("zeta2", (), None)] * len(PRIMES)
 
 
 def test_weighted_sums_C_only_for_a_row_some_prime_checks(monkeypatch):
