@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations
 
 from .evaluator import check_index, plan, value_of
-from .modmath import mod_inv
+from .modmath import check_prime, mod_inv
 
 __all__ = [
     "IndexCombination",
@@ -291,10 +291,12 @@ def evaluate_combination(comb: IndexCombination, variant: str, p: int, cache=Non
     """Sum of coeff * value over the combination's terms, mod p.
 
     Signed (euler) variants are not supported here: a bare index carries no
-    sign vector.  Raises if a coefficient denominator vanishes mod p.
+    sign vector.  Raises if p is not a prime >= 5, even for the zero combination,
+    or if a coefficient denominator vanishes mod p.
     """
     if variant not in ("zeta", "zeta2", "zeta2star"):
         raise ValueError("evaluate_combination takes an unsigned variant, got %r" % (variant,))
+    check_prime(p)
     table = plan([(variant, check_index(index), None) for index, _ in comb.terms()], p, cache)
     total = 0
     for index, coeff in comb.terms():

@@ -157,18 +157,21 @@ def _listed(rows, primes):
 
 def _prime_rows(listed, p, cache):
     """The Cases at p of the listed rows (see _listed) of weight below p - 2; each
-    distinct cell is read once, in first-named order, and each constant evaluated once."""
+    distinct cell is read once, in first-named order, and each constant evaluated
+    once, the Zk from the largest weight down (see bernoulli.Zk)."""
     factors, rows = listed
     rows = [row for row in rows if p > row[1] + 2]
-    values, cells = [None] * len(factors), []
+    values, cells, zks = [None] * len(factors), [], []
     for slot in dict.fromkeys(itertools.chain.from_iterable(row[4] for row in rows)):
         factor = factors[slot]
         if factor[0] == "Zk":
-            values[slot] = Zk(factor[1], p)
+            zks.append((factor[1], slot))
         elif factor[0] == "L2":
             values[slot] = L2(p)
         else:
             cells.append(slot)
+    for k, slot in sorted(zks, reverse=True):
+        values[slot] = Zk(k, p)
     for slot, v in zip(cells, values_at([factors[slot] for slot in cells], p, cache)):
         values[slot] = v
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import fmzv.bernoulli as bernoulli
+import fmzv.identities as ids
 from fmzv.bernoulli import L2, Zk, bernoulli_mod, bernoulli_poly_mod, power_sum_oracle
 from fmzv.modmath import mod_inv, sieve_primes
 
@@ -110,6 +112,13 @@ def test_Zk_examples():
         Zk(3, 5)
 
 
+@pytest.mark.parametrize("k", [3.0, True, "3", None])
+def test_Zk_refuses_a_weight_that_is_not_an_int(k):
+    # as check_index does for index entries: a float never reaches the kept table
+    with pytest.raises(ValueError, match="integer k >= 2"):
+        Zk(k, 101)
+
+
 def test_L2_examples():
     assert L2(7) == 2
     assert L2(5) == 3
@@ -159,10 +168,39 @@ def test_Zk_even_weight_vanishes():
 
 
 def test_Zk_matches_kummer_oracle():
-    # the paired, multiplicatively filled sum against the unpaired one, every k at every prime
+    # the paired sum against the unpaired one, every k at every prime: k ascending, so
+    # every table is built afresh, then k descending, so each is derived from k + 2's
     for p in sieve_primes(5, 400):
-        for k in range(2, p - 2):
-            assert Zk(k, p) == kummer_oracle(k, p)
+        ks = range(2, p - 2)
+        want = [kummer_oracle(k, p) for k in ks]
+        assert [Zk(k, p) for k in ks] == want
+        assert [Zk(k, p) for k in reversed(ks)] == want[::-1]
+
+
+def test_Zk_kept_table_follows_its_prime_and_weight():
+    # the kept table belongs to one prime: q = p + 2 at the same k, whose exponent is
+    # p's + 2, must not derive from it; ascending and repeated weights, weights 4 below,
+    # and even weights in between, leave every value as the oracle's
+    p, q = 101, 103
+    calls = [(9, p), (9, q), (7, p), (7, q), (5, q), (5, p), (3, p), (3, p), (9, p),
+             (8, p), (7, p), (6, p), (5, p), (3, p), (7, p), (11, p), (7, p), (3, p),
+             (9, p), (7, q)]
+    assert [Zk(k, r) for k, r in calls] == [kummer_oracle(k, r) for k, r in calls]
+
+
+def test_Zk_builds_one_table_per_prime_in_a_depth2_run(monkeypatch):
+    # depth2 names Zk at k = 9, 7, 5, 3 (odd, so each sums powers); taken from the
+    # largest down, each prime builds one table where one per call (216) were built
+    built, calls = [], []
+    build, zk = bernoulli._power_table, ids.Zk
+    monkeypatch.setattr(bernoulli, "_kept", [0, 0, []])
+    monkeypatch.setattr(bernoulli, "_power_table", lambda e, p: built.append(p) or build(e, p))
+    monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
+    primes = sieve_primes(1000, 1400)
+    rep = ids.SUITES["depth2"].run({"kmax": 9}, primes)
+    assert rep.total == 1080 and rep.failed == 0
+    assert len(calls) == 216 and len(set(calls)) == 216
+    assert built == primes and len(primes) == 54
 
 
 def test_Zk_matches_kummer_oracle_benchmark_primes():

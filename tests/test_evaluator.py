@@ -736,6 +736,9 @@ BAD_CELL_CALLS = {
     "value_of empty index signs": lambda: ev.value_of("euler", (), None, 7),
     "evaluate_combination empty index prime": lambda: evaluate_combination(
         IndexCombination.term(()), "zeta2", 4),
+    # the zero combination has no term to check its prime
+    "evaluate_combination zero prime": lambda: evaluate_combination(
+        IndexCombination.zero(), "zeta2", 4),
     "build_matrix": lambda: build_matrix([("zeta2", (1.5,))], [7]),
     "compute_cell": lambda: ev.compute_cell("zeta2", (1, 2), (1, 1), 7),
     "suite rows": lambda: SUITES["key"]._replace(
