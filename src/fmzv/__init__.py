@@ -6,7 +6,7 @@ verification suites, and integer-relation experiments over many primes.
 
 __version__ = "0.1.0"
 
-from .bernoulli import L2, Zk, bernoulli_mod, bernoulli_poly_mod
+from .bernoulli import L2, Zk, bernoulli_mod
 from .evaluator import (
     ResidueCache,
     eval_euler,
@@ -31,7 +31,6 @@ from .modmath import (
     crt_combine,
     is_prime,
     mod_inv,
-    mod_pow,
     rat_reconstruct,
     sieve_primes,
 )
@@ -49,13 +48,11 @@ __all__ = [
     "__version__",
     "is_prime",
     "sieve_primes",
-    "mod_pow",
     "mod_inv",
     "batch_inv",
     "crt_combine",
     "rat_reconstruct",
     "bernoulli_mod",
-    "bernoulli_poly_mod",
     "Zk",
     "L2",
     "eval_zeta",

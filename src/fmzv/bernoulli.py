@@ -1,4 +1,4 @@
-"""Bernoulli numbers and polynomials mod p, plus the two depth-1 constants.
+"""Bernoulli numbers mod p, plus the two depth-1 constants.
 
 Conventions: B_1 = -1/2 (the generating function x/(e^x - 1)); Zk(k, p) is
 B_{p-k}/k mod p for k >= 2; L2(p) is the Fermat quotient (2^{p-1} - 1)/p mod p.
@@ -13,23 +13,24 @@ product of two earlier entries, read off a smallest-prime-factor table.  That
 is O(p) multiplications mod p^2 and about p/(2 ln p) pows.  Zk keeps the table
 of its latest call, and the next weight down at the same prime, k - 2, reads
 m^{n+1} = m^{n-1} m^2 off it with one product per m and no pow.  The table
-route behind bernoulli_mod and bernoulli_poly_mod inverts a power series in
-O(p^2) and is kept as the independent oracle for it.
+route behind bernoulli_mod inverts a power series in O(p^2) and is kept as the
+independent oracle for it.
 """
 
 import math
 from functools import lru_cache
 from operator import mul
 
-from .modmath import check_prime, mod_inv, mod_pow
+from .modmath import check_prime, mod_inv
 
-__all__ = ["bernoulli_mod", "bernoulli_poly_mod", "Zk", "L2", "power_sum_oracle"]
+__all__ = ["bernoulli_mod", "Zk", "L2"]
 
 
 @lru_cache(maxsize=4)
-def _bernoulli_table(n: int, p: int) -> tuple[int, ...]:
-    # B_0..B_n mod p by inverting the series (e^x - 1)/x truncated at degree n.
-    # Needs (n+1)! invertible, hence the n <= p - 2 restriction.
+def _bernoulli_table(p: int) -> tuple[int, ...]:
+    # B_0..B_{p-2} mod p by inverting the series (e^x - 1)/x truncated at degree
+    # p - 2, whose coefficients 1/(i+1)! all invert mod p
+    n = p - 2
     fact = [1] * (n + 2)
     for i in range(1, n + 2):
         fact[i] = fact[i - 1] * i % p
@@ -44,29 +45,12 @@ def _bernoulli_table(n: int, p: int) -> tuple[int, ...]:
     return tuple(b[m] * fact[m] % p for m in range(n + 1))
 
 
-def _checked_table(n: int, p: int) -> tuple[int, ...]:
-    # B_0..B_{p-2} mod p, once p is a prime and 0 <= n <= p - 2
+def bernoulli_mod(n: int, p: int) -> int:
+    """B_n mod p.  Requires 0 <= n <= p - 2 (so all needed factorials invert)."""
     check_prime(p)
     if not 0 <= n <= p - 2:
         raise ValueError("need 0 <= n <= p - 2, got n=%d p=%d" % (n, p))
-    return _bernoulli_table(p - 2, p)
-
-
-def bernoulli_mod(n: int, p: int) -> int:
-    """B_n mod p.  Requires 0 <= n <= p - 2 (so all needed factorials invert)."""
-    return _checked_table(n, p)[n]
-
-
-def bernoulli_poly_mod(n: int, x: int, p: int) -> int:
-    """Bernoulli polynomial B_n(x) mod p, expanded as sum binom(n,j) B_j x^(n-j)."""
-    table = _checked_table(n, p)
-    x %= p
-    acc = 0
-    xpow = 1  # x^(n-j), built from j = n downwards
-    for j in range(n, -1, -1):
-        acc = (acc + math.comb(n, j) * table[j] % p * xpow) % p
-        xpow = xpow * x % p
-    return acc
+    return _bernoulli_table(p)[n]
 
 
 def _power_table(e: int, p: int) -> list[int]:
@@ -122,12 +106,4 @@ def Zk(k: int, p: int) -> int:
 def L2(p: int) -> int:
     """Fermat quotient of 2: (2^{p-1} - 1)/p mod p."""
     check_prime(p)
-    return (mod_pow(2, p - 1, p * p) - 1) // p % p
-
-
-def power_sum_oracle(M: int, n: int, p: int) -> int:
-    """Direct sum_{m=1}^{M-1} m^n mod p; independent check for the polynomial route."""
-    check_prime(p)
-    if M < 1 or n < 0:
-        raise ValueError("need M >= 1 and n >= 0")
-    return sum(pow(m, n, p) for m in range(1, M)) % p
+    return (pow(2, p - 1, p * p) - 1) // p % p

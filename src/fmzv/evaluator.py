@@ -18,10 +18,11 @@ sweeps again; pass `ResidueCache()` to serve it from memory.
 A sweep (`plan`, `values_at`, `_sweep`: internal routes) evaluates many cells
 of one prime at once, and trusts them: each is checked once per run, where it
 enters (`build_matrix`, `Suite.run`, `ppt_constants`, `evaluate_combination`,
-`compute_cell`).  The requested indices and all their prefixes form a trie whose
-shape does not depend on the prime: `_shape` keeps the shapes of the last few
-cell tuples swept, which a run sweeps again at prime after prime, and holds no
-value; each sweep keeps its node sums in a list of its own.  The node sums obey
+`compute_cell`, and `value_of` without a table).  The requested indices and all
+their prefixes form a trie whose shape does not depend on the prime: `_shape`
+keeps the shapes of the last few cell tuples swept, which a run sweeps again at
+prime after prime, and holds no value; each sweep keeps its node sums in a list
+of its own.  The node sums obey
 T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the
 node's last entry k, times (-1)^m for a - sign; as m^(p-1) = 1 mod p, an entry
 k >= p enters the trie as its residue in 1..p-1, in a trie built for that sweep
@@ -189,6 +190,16 @@ def eval_odd_form(index, p: int) -> int:
 # ---------------------------------------------------------------------------
 # cache + batch driver
 
+def _checked_head(cell):
+    """The cell as check_cell returns it, and its cache line head `variant,index,signs,`;
+    raises ValueError for a cell a load refuses."""
+    variant, index, signs = cell = check_cell(*cell)
+    if not index:
+        raise ValueError("the cache holds no empty index")
+    return cell, "%s,%s,%s," % (variant, index_to_str(index),
+                                "" if signs is None else signs_to_str(signs))
+
+
 def _parse_head(head: str):
     """(variant, index, signs) of a cache line's head, `variant,index,signs`."""
     variant, *middle = head.split(",")
@@ -199,9 +210,7 @@ def _parse_head(head: str):
         if cut is None:
             raise ValueError("no signs field")
         index, signs = middle[:cut], parse_signs(",".join(middle[cut:]))
-    if not index:
-        raise ValueError("empty index")  # the cache never stores the empty index
-    return check_cell(variant, map(int, index), signs)
+    return _checked_head((variant, map(int, index), signs))[0]
 
 
 def _parse_cell(line: str, heads: dict, primes: dict):
@@ -237,8 +246,9 @@ class ResidueCache:
     once.  Only one process may write (the CLI and suites route all writes
     through the parent process).  A last line without a newline is an append
     cut short by a crash (its residue may be cut): it is ignored and cut off
-    by the first add() after the load.  Each cell's line head is formatted once
-    per cache.  Without a path the cache lives in memory only.
+    by the first add() after the load.  add() refuses what a load refuses, so
+    each distinct cell and prime it is given is checked, and its line head
+    formatted, once per cache.  Without a path the cache lives in memory only.
     """
 
     def __init__(self, path: str | None = None):
@@ -246,7 +256,8 @@ class ResidueCache:
         self._cells: dict[tuple, int] = {}
         self._fh = None
         self._complete = None  # length of the file's complete lines when loaded
-        self._heads = {}  # each written cell's line head, variant,index,signs,
+        self._heads = {}  # each added cell: the cell as checked, and its line head
+        self._primes = {}  # each added prime, as checked
         if path is not None and os.path.exists(path):
             self._load()
 
@@ -276,8 +287,25 @@ class ResidueCache:
         return self._cells.get((variant, tuple(index), None if signs is None else tuple(signs), p))
 
     def add(self, variant, index, signs, p, residue):
+        """Keep the cell's residue at p, and append its line if the cache has a file.
+
+        Raises ValueError, and keeps nothing, for what a load refuses: a cell that
+        check_cell refuses or the empty index, a p that is not a prime >= 5, or a
+        residue that is not an int in [0, p).  A cell already held is left as it is.
+        A cell or prime equal to one checked before, as (True, 2) is to (1, 2), is
+        kept as that one.
+        """
         cell = (variant, tuple(index), None if signs is None else tuple(signs))
-        key = cell + (p,)
+        known = self._heads.get(cell)
+        if known is None:
+            known = self._heads[cell] = _checked_head(cell)
+        prime = self._primes.get(p)
+        if prime is None:
+            prime = self._primes[p] = check_prime(p)
+        if type(residue) is not int or not 0 <= residue < prime:
+            raise ValueError("residue must be an int in [0, %d), got %r" % (prime, residue))
+        cell, head = known
+        key = cell + (prime,)
         if key in self._cells:
             return
         self._cells[key] = residue
@@ -288,11 +316,7 @@ class ResidueCache:
                 os.truncate(self.path, self._complete)
                 self._complete = None
             self._fh = open(self.path, "a", encoding="ascii")
-        head = self._heads.get(cell)
-        if head is None:
-            head = self._heads[cell] = "%s,%s,%s," % (
-                variant, index_to_str(cell[1]), "" if signs is None else signs_to_str(cell[2]))
-        self._fh.write("%s%d,%d\n" % (head, p, residue))
+        self._fh.write("%s%d,%d\n" % (head, prime, residue))
 
     def flush(self):
         if self._fh is not None:
@@ -439,13 +463,20 @@ def compute_cell(variant: str, index, signs, p: int, table=None) -> int:
 def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None,
              table=None) -> int:
     """Single-cell evaluation: the cache's value if given, else compute_cell's, which
-    the cache then keeps.  The empty index is 1, at a checked cell and prime."""
+    the cache then keeps.  The empty index is 1, at a checked cell and prime.
+
+    Without a table, the public single-cell call, the cell is checked (check_cell)
+    before the cache is read, so a cell refused cold is refused warm too.  With
+    plan's table the caller has checked its cells, as values_at's callers do.
+    """
     index = tuple(index)
-    if not index:
-        check_cell(variant, index, signs)
-        check_prime(p)
-        return 1
-    signs = None if signs is None else tuple(signs)
+    if table is None or not index:
+        variant, index, signs = check_cell(variant, index, signs)
+        if not index:
+            check_prime(p)
+            return 1
+    elif signs is not None:
+        signs = tuple(signs)
     v = None if cache is None else cache.get(variant, index, signs, p)
     if v is None:
         v = compute_cell(variant, index, signs, p, table)

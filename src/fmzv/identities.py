@@ -317,14 +317,16 @@ def ppt_constants(k, primes, cache=None):
     """Reconstructed rational c with (one-odd pattern sum) = c * zeta2(k), for each
     pattern (k, r, i) of the odd weight k.
 
-    Uses every prime p > k + 2 where the reference zeta2(k) is nonzero, sweeping
-    the reference and every composition at p once (and not at all when the cache
-    holds a zero reference); returns a dict (k, r, i) -> Fraction, or None when
-    reconstruction fails.
+    The primes are taken as build_matrix takes them: each checked, repeats once, in
+    ascending order.  Uses every prime p > k + 2 where the reference zeta2(k) is
+    nonzero, sweeping the reference and every composition at p once (and not at all
+    when the cache holds a zero reference); returns a dict (k, r, i) -> Fraction, or
+    None when reconstruction fails.
     """
     if k % 2 == 0:
         raise ValueError("one-odd patterns have odd weight, got %d" % k)
     check_index((k,))
+    primes = sorted(set(map(check_prime, primes)))
     comps = {(k, r, i): _one_odd_compositions(k, r, i)
              for r in range(1, (k + 1) // 2 + 1) for i in range(1, r + 1)}
     cells = [("zeta2", (k,), None)] + [("zeta2", c, None) for cs in comps.values() for c in cs]

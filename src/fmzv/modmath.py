@@ -10,7 +10,6 @@ from fractions import Fraction
 __all__ = [
     "is_prime",
     "sieve_primes",
-    "mod_pow",
     "mod_inv",
     "batch_inv",
     "crt_combine",
@@ -66,15 +65,6 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
         for m in range(start, hi + 1, q):
             flags[m - lo] = 0
     return [lo + i for i, f in enumerate(flags) if f]
-
-
-def mod_pow(a: int, e: int, m: int) -> int:
-    """a^e mod m for e >= 0, m >= 2 (built-in pow does the square-and-multiply)."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(a, e, m)
 
 
 def mod_inv(a: int, p: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 import fmzv.bernoulli as bernoulli
 import fmzv.identities as ids
-from fmzv.bernoulli import L2, Zk, bernoulli_mod, bernoulli_poly_mod, power_sum_oracle
+from fmzv.bernoulli import L2, Zk, bernoulli_mod
 from fmzv.modmath import mod_inv, sieve_primes
 
 
@@ -66,39 +66,14 @@ def test_bernoulli_mod_rejects_large_n():
         bernoulli_mod(6, 7)
     with pytest.raises(ValueError):
         bernoulli_mod(-1, 7)
+    with pytest.raises(ValueError, match="p must be a prime"):
+        bernoulli_mod(2, 9)
 
 
 def test_odd_vanishing():
     for p in (7, 11, 13, 17):
         for n in range(3, p - 1, 2):
             assert bernoulli_mod(n, p) == 0
-
-
-def test_bernoulli_poly_examples():
-    assert bernoulli_poly_mod(2, 4, 7) == 4  # B_2(4) = 16 - 4 + 1/6
-    assert bernoulli_poly_mod(0, 3, 11) == 1
-    for p in (5, 7, 11):
-        for n in range(0, p - 1):
-            assert bernoulli_poly_mod(n, 0, p) == bernoulli_mod(n, p)
-
-
-def test_seki_bernoulli_power_sums():
-    # sum_{m<M} m^n = (B_{n+1}(M) - B_{n+1}) / (n+1) mod p, for n >= 1
-    for p in (5, 7, 11, 13):
-        for n in range(1, p - 3):
-            for M in (1, 2, p // 2, p - 1, p):
-                lhs = power_sum_oracle(M, n, p)
-                rhs = (bernoulli_poly_mod(n + 1, M, p) - bernoulli_mod(n + 1, p)) * mod_inv(n + 1, p) % p
-                assert lhs == rhs
-
-
-def test_half_argument_value():
-    # B_n((p+1)/2) = (2^{1-n} - 1) B_n mod p
-    for p in (5, 7, 11, 13, 17):
-        half = (p + 1) // 2
-        for n in range(0, p - 1):
-            factor = (pow(2, p - n, p) - 1) % p  # 2^{p-n} = 2^{1-n} mod p
-            assert bernoulli_poly_mod(n, half, p) == factor * bernoulli_mod(n, p) % p
 
 
 def test_Zk_examples():
@@ -125,26 +100,6 @@ def test_L2_examples():
     # definition check against direct big-int computation
     for p in sieve_primes(5, 100):
         assert L2(p) == (2 ** (p - 1) - 1) // p % p
-
-
-@pytest.mark.parametrize("n, p", [(-1, 7), (6, 7), (10, 11)])
-def test_bernoulli_poly_needs_n_in_range(n, p):
-    with pytest.raises(ValueError, match="0 <= n <= p - 2"):
-        bernoulli_poly_mod(n, 3, p)
-
-
-@pytest.mark.parametrize("M, n", [(0, 2), (-3, 2), (5, -1)])
-def test_power_sum_oracle_rejects_bad_arguments(M, n):
-    with pytest.raises(ValueError, match="M >= 1 and n >= 0"):
-        power_sum_oracle(M, n, 7)
-
-
-def test_power_sum_full_range():
-    # sum over all of [1, p) of m^n is -1 if (p-1) | n (n > 0), else 0
-    for p in (5, 7, 11, 13):
-        for n in range(1, 2 * p):
-            expect = p - 1 if n % (p - 1) == 0 else 0
-            assert power_sum_oracle(p, n, p) == expect
 
 
 def test_Zk_matches_table_oracle():

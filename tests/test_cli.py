@@ -464,6 +464,52 @@ def test_table_output_pins(capsys, argv, want):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+# the sha256 pins of the CI workflow's installed-command step that no other test checks:
+# stdout, or with a cache (the last) the LC_ALL=C-sorted lines of the file a cold run writes
+CI_PINS = [
+    (("compute", "--variant", "zeta2star", "--index", "1,2,3", "--primes", "5..300"),
+     "395ce5820a3c5f93b7c2d6760932a0acc6da6054d7e86c24c155fd5e056091ff"),
+    (("compute", "--variant", "euler", "--index", "3,1,2", "--signs=+,-,-", "--primes", "5..400",
+      "--format", "json"), "327ff4834c6e06b6850c2ade8b47f973a725d69c8cff2c58c6acba3ad4f67c56"),
+    (("compute", "--variant", "zeta", "--index", "2,1", "--primes", "5..200", "--format", "csv"),
+     "3ee061c97914cb5e2f7d8d461366c00a787eff50c1692e27886ae67726a4ba27"),
+    (("compute", "--variant", "euler", "--index", "3,1,2", "--signs=-,+,-", "--primes",
+      "10000..10100"), "a5f61cebbdb53fce3f9adde216b5a44970b8ae154b9b8ae5b19dcf5a9e4be251"),
+    (("compute", "--variant", "zeta2star", "--index", "1,2,3", "--primes", "10000..10100"),
+     "bedea1c873c714da6f4a185267da4726f0d164c12f6828008fa37092acdf91cc"),
+    (("dims", "--weight", "7", "--primes", "11..260", "--format", "json"),
+     "d68a5b20d91cf7580a136248fca2e493aeca8e8b7c1278f32964e5b0394a8b06"),
+    (("dims", "--weight", "7", "--primes", "11..260", "--format", "csv"),
+     "105553abd3d2b7439df5f3b417ef2db59d13542346739958be6b541f03b9704e"),
+    (("discover", "--target", "2,1,2", "--basis", "odd", "--primes", "11..300"),
+     "5f33969f00e44062d6351589a457d2fea2df2f951831ecf696cea24c5a71bf0e"),
+    (("verify", "--suite", "ppt", "--primes", "5..400"),
+     "a4158c246188596e2f52abdd410320a04cdf7b7e7767e4c9b0d3e49b60bd955a"),
+    (("verify", "--suite", "weighted1", "--primes", "5..300", "--format", "json"),
+     "81bd7262afce443b6e57a4e7009a347fa00f87341a0ae9190916f4b1ea7d233d"),
+    (("verify", "--suite", "weighted2", "--primes", "5..300", "--format", "json"),
+     "43656d5ec27ea1069eae1de591d444d959d3da01d8e4d0267f1ee03230afab02"),
+    (("verify", "--suite", "depth2", "--kmax", "9", "--primes", "1000..1100"),
+     "9b6bdbf7e30389708460eece1b11cb54272054304f676bf90d70db1f98cc25d9"),
+    (("verify", "--suite", "prop21", "--kmax", "12", "--primes", "1000..1200"),
+     "ff508f8620fb7d923d969a1e93d7ac0a0c1da9280f5d1a96ce3e64a2b1d47c66"),
+    (("verify", "--suite", "weighted1", "--primes", "1000..1100"),
+     "8b3adb622c21063c31b80aebe21cbad2057ed1adaf8aeb30e1e9bc0ae3c5e4a5"),
+    (("--cache", None, "verify", "--suite", "ppt", "--primes", "5..200"),
+     "315d8d901768a6dcdb1c8cedac4be1f6b28524c05576d94dc2efcb8d0cf468e5"),
+]
+
+
+@pytest.mark.parametrize("argv, want", CI_PINS, ids=[" ".join(filter(None, a)) for a, _ in CI_PINS])
+def test_ci_pins(capsys, tmp_path, argv, want):
+    path = tmp_path / "cache.csv"
+    code, out, _ = run(capsys, *(str(path) if a is None else a for a in argv))
+    assert code == 0
+    if None in argv:  # the cache pin: its ascii lines sort as LC_ALL=C sorts them
+        out = "".join(sorted(path.read_text().splitlines(keepends=True)))
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_zero_case_suite_fails(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "depth2", "--kmax", "9",
                        "--primes", "5..5")

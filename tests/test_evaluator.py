@@ -681,6 +681,55 @@ def test_cache_load_checks_each_head_and_prime_once(tmp_path, monkeypatch):
     assert len({id(key[1]) for key in cache._cells}) == len(heads)
 
 
+# what a load refuses, given to add: a bool entry, the empty index, an unknown variant,
+# signs of the wrong length, a composite, residues out of range, and a float, which the
+# line would hold as 3 while memory kept 3.7
+@pytest.mark.parametrize("variant, index, signs, p, residue", [
+    ("zeta2", (True, 2), None, 7, 3),
+    ("zeta2", (), None, 7, 1),
+    ("bogus", (1,), None, 7, 3),
+    ("euler", (1, 2), (1,), 7, 3),
+    ("euler", (1,), (1, -1), 7, 3),
+    ("zeta2", (1,), None, 9, 3),
+    ("zeta2", (1,), None, 7, 7),
+    ("zeta2", (1,), None, 7, -1),
+    ("zeta2", (1,), None, 7, 3.7),
+])
+def test_cache_add_refuses_what_a_load_refuses(tmp_path, variant, index, signs, p, residue):
+    path = tmp_path / "c.csv"
+    cache = ResidueCache(str(path))
+    cache.add("zeta", (3,), None, 11, 4)
+    with pytest.raises(ValueError):
+        cache.add(variant, index, signs, p, residue)
+    cache.close()
+    # neither a line nor a cell: the file loads, and holds what memory holds
+    assert path.read_text() == "zeta,3,,11,4\n"
+    assert list(cache._cells) == [("zeta", (3,), None, 11)]
+    assert ResidueCache(str(path))._cells == cache._cells
+
+
+def test_cache_add_checks_each_cell_and_prime_once(tmp_path, monkeypatch):
+    calls = {"check_cell": 0, "check_prime": 0}
+    for name in calls:
+        def counted(*args, real=getattr(ev, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ev, name, counted)
+    path = tmp_path / "c.csv"
+    cache = ResidueCache(str(path))
+    cells = [("zeta2", (1, 2), None), ("euler", [1, 2], [1, -1]), ("zeta", (3,), None)]
+    for p in (7, 11, 13):
+        for cell in cells:
+            cache.add(*cell, p, 1)
+    assert calls == {"check_cell": 3, "check_prime": 3}
+    # a cell equal to a checked one, as (True, 2) is to (1, 2), is kept as that cell
+    cache.add("zeta2", (True, 2), None, 17, 5)
+    cache.close()
+    assert path.read_text().endswith("zeta,3,,13,1\nzeta2,1,2,,17,5\n")
+    assert all(type(k) is int for key in cache._cells for k in key[1])
+    assert ResidueCache(str(path))._cells == cache._cells
+
+
 def test_column_parallel_matches_serial():
     primes = sieve_primes(5, 40)
     assert column("zeta2", (2, 1), primes=primes, jobs=2) == column("zeta2", (2, 1), primes=primes)
@@ -753,19 +802,28 @@ def test_every_entry_rejects_a_bad_cell(name):
         BAD_CELL_CALLS[name]()
 
 
+def _warm_value_of(variant, index):
+    # the cache holds (1, 2), which (True, 2) equals as a key
+    cache = ResidueCache()
+    ev.value_of("zeta2", (1, 2), None, 7, cache)
+    return ev.value_of(variant, index, None, 7, cache)
+
+
 # cells that plan and values_at, internal routes, take unchecked: a wrong variant, which
 # they would sweep as zeta, an entry 0, and an entry True, which a cache line would hold
-# as "True", refused by the next load; every public entry refuses them
+# as "True", refused by the next load; every public entry refuses them, cold and warm
 @pytest.mark.parametrize("variant, index", [("bogus", (1, 2)), ("zeta2", (0,)),
                                             ("zeta2", (True, 2))])
 @pytest.mark.parametrize("entry", [
     lambda v, ix: ev.value_of(v, ix, None, 7),
+    _warm_value_of,
     lambda v, ix: ev.compute_cell(v, ix, None, 7),
     lambda v, ix: build_matrix([(v, ix)], [7]),
     lambda v, ix: evaluate_combination(IndexCombination.term(ix), v, 7),
     lambda v, ix: SUITES["key"]._replace(rows=lambda wmax: [("bad", 1, [(1, (v, ix))], [])]).run(
         {}, [7]),
-], ids=["value_of", "compute_cell", "build_matrix", "evaluate_combination", "suite row"])
+], ids=["value_of", "value_of warm", "compute_cell", "build_matrix", "evaluate_combination",
+        "suite row"])
 def test_every_entry_refuses_the_cells_the_internal_routes_trust(entry, variant, index):
     with pytest.raises(ValueError):
         entry(variant, index)

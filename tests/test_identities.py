@@ -184,6 +184,16 @@ def test_ppt_constants_covers_one_weight_above_its_prime_floor():
         ppt_constants(6, primes)
 
 
+def test_ppt_constants_takes_its_primes_as_build_matrix_does():
+    # sorted and de-duplicated, and each one checked, also one below the floor
+    primes = sieve_primes(11, 120)
+    consts = ppt_constants(3, primes)
+    assert ppt_constants(3, primes + primes[:2]) == ppt_constants(3, primes[::-1]) == consts
+    for bad in ([4], primes + [9], [1]):
+        with pytest.raises(ValueError, match="prime"):
+            ppt_constants(3, bad)
+
+
 def test_weighted_level1_passes_and_anchor():
     rep = SUITES["weighted1"].run({"indices": default_weighted_indices(1, wmax=6, dmax=3)},
                                   sieve_primes(5, 40))

@@ -9,7 +9,6 @@ from fmzv.modmath import (
     crt_combine,
     is_prime,
     mod_inv,
-    mod_pow,
     rat_reconstruct,
     sieve_primes,
 )
@@ -55,16 +54,6 @@ def test_is_prime_matches_trial_division_past_41_squared():
     known = set(trial_division_primes(2, 20000))
     for n in range(-5, 20001):
         assert is_prime(n) == (n in known), n
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 6, 49) == 15
-    assert mod_pow(3, 0, 5) == 1
-    assert mod_pow(10, 3, 7) == 6
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
 
 
 def test_mod_inv_examples():
