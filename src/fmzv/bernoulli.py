@@ -48,8 +48,8 @@ def _bernoulli_table(p: int) -> tuple[int, ...]:
 def bernoulli_mod(n: int, p: int) -> int:
     """B_n mod p.  Requires 0 <= n <= p - 2 (so all needed factorials invert)."""
     check_prime(p)
-    if not 0 <= n <= p - 2:
-        raise ValueError("need 0 <= n <= p - 2, got n=%d p=%d" % (n, p))
+    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= p - 2:
+        raise ValueError("need an integer 0 <= n <= p - 2, got n=%r p=%d" % (n, p))
     return _bernoulli_table(p)[n]
 
 

@@ -167,9 +167,9 @@ def _run_verify(args, cache):
     unknown = [f for f in BOUND_FLAGS if getattr(args, f) is not None and f not in flags]
     if unknown:
         raise UsageError("suite %s does not take --%s" % (suite.name, ", --".join(unknown)))
-    given = {f: getattr(args, f) for f in flags}
-    bounds = {p.name: _bound(p.default if given[f] is None else given[f], f, p.guard)
-              for f, p in flags.items()}
+    # a bound not given is left to Suite.resolve, which takes its default
+    bounds = {p.name: _bound(getattr(args, f), f, p.guard)
+              for f, p in flags.items() if getattr(args, f) is not None}
     rep = suite.run(bounds, primes, cache, args.jobs)
     _print(getattr(rep, "to_" + args.format)())
     return 0 if rep.passed else 1

@@ -296,10 +296,12 @@ class ResidueCache:
         kept as that one.
         """
         cell = (variant, tuple(index), None if signs is None else tuple(signs))
-        known = self._heads.get(cell)
+        try:
+            known, prime = self._heads.get(cell), self._primes.get(p)
+        except TypeError:  # an unhashable entry or p, which no cache line gives
+            raise ValueError("cannot cache %r at p=%r: unhashable" % (cell, p)) from None
         if known is None:
             known = self._heads[cell] = _checked_head(cell)
-        prime = self._primes.get(p)
         if prime is None:
             prime = self._primes[p] = check_prime(p)
         if type(residue) is not int or not 0 <= residue < prime:

@@ -31,10 +31,6 @@ __all__ = [
 ]
 
 
-def _sort_key(index):
-    return (sum(index), len(index), index)
-
-
 def _merge(data, terms):
     """Add each (index, coeff) of terms into the sparse sum data, in place, dropping an
     index whose coefficient reaches 0; returns data."""
@@ -81,7 +77,7 @@ class IndexCombination:
 
     def terms(self):
         """Items in canonical order: weight, then depth, then entries."""
-        return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), len(kv[0]), kv[0]))
 
     def is_zero(self) -> bool:
         return not self._terms

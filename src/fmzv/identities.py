@@ -202,8 +202,7 @@ def _prop21_rows(kmax):
 def _depth2_rows(kmax):
     """Odd-weight depth-2 closed form against the binomial expression times Zk."""
     for k in range(3, kmax + 1, 2):
-        for k1 in range(1, k):
-            k2 = k - k1
+        for k1, k2 in compositions(k, 2):
             yield _istr((k1, k2)), k, [(1, ("zeta2", (k1, k2)))], [
                 (Fraction((-1) ** k2 * math.comb(k, k2) + 2 ** k - 2, 2), ("Zk", k))]
 
@@ -247,25 +246,15 @@ def _example24_rows(wmax):
     """Two closed-form rewrites: odd-weight pairs and even-weight triples."""
     half = Fraction(1, 2)
     for k in range(3, wmax + 1, 2):
-        for k1 in range(1, k):
-            k2 = k - k1
+        for k1, k2 in compositions(k, 2):
             yield "i %s" % _istr((k1, k2)), k, [(1, ("zeta2", (k1, k2)))], [
                 (-half, ("zeta2", (k,))), (-half, ("zeta", (k2, k1)))]
     for k in range(4, wmax + 1, 2):
-        for k1 in range(1, k - 1):
-            for k2 in range(1, k - k1):
-                k3 = k - k1 - k2
-                yield "ii %s" % _istr((k1, k2, k3)), k, [(1, ("zeta2", (k1, k2, k3)))], [
-                    (half, ("zeta", (k1, k2, k3))), (-half, ("zeta2", (k1 + k2, k3))),
-                    (-half, ("zeta2", (k1, k2 + k3))),
-                    (half, ("zeta", (k1, k2)), ("zeta2", (k3,)))]
-
-
-def _comb0(n, m):
-    # binomial with the hard-zero convention outside 0 <= m <= n
-    if m < 0 or n < 0 or m > n:
-        return 0
-    return math.comb(n, m)
+        for k1, k2, k3 in compositions(k, 3):
+            yield "ii %s" % _istr((k1, k2, k3)), k, [(1, ("zeta2", (k1, k2, k3)))], [
+                (half, ("zeta", (k1, k2, k3))), (-half, ("zeta2", (k1 + k2, k3))),
+                (-half, ("zeta2", (k1, k2 + k3))),
+                (half, ("zeta", (k1, k2)), ("zeta2", (k3,)))]
 
 
 def _sum_formula_rows(kmax):
@@ -275,30 +264,24 @@ def _sum_formula_rows(kmax):
         odd = {i: [c for c in compositions(k, i) if all(x % 2 for x in c)]
                for i in range(k % 2 or 2, k + 1, 2)}
         odd1 = {i: [c for c in cs if all(x >= 3 for x in c)] for i, cs in odd.items()}
+        # math.comb's arguments are >= 0: i <= r, and a block of i parts >= 3 needs k >= 3i
         for r in range(1, k + 1):
             sign = (-1) ** (k + r)
             yield "S(%d,%d)" % (k, r), k, [(1, ("zeta2", c)) for c in compositions(k, r)], [
-                (sign * _comb0((k - i) // 2, r - i), ("zeta2", c))
+                (sign * math.comb((k - i) // 2, r - i), ("zeta2", c))
                 for i, cs in odd.items() if i <= r for c in cs]
             yield "S1(%d,%d)" % (k, r), k, [
                 (1, ("zeta2", c)) for c in compositions(k, r, min_part=2)], [
-                (sign * _comb0((k - 3 * i) // 2, r - i), ("zeta2", c))
+                (sign * math.comb((k - 3 * i) // 2, r - i), ("zeta2", c))
                 for i, cs in odd1.items() if i <= r for c in cs]
 
 
 def _one_odd_compositions(k, r, i):
-    """Compositions of k into r parts with part i odd and every other part even."""
-    def rec(remaining, pos):
-        if pos == r:
-            if remaining == 0:
-                yield ()
-            return
-        lo = 1 if pos == i - 1 else 2
-        tail_min = sum(1 if q == i - 1 else 2 for q in range(pos + 1, r))
-        for x in range(lo, remaining - tail_min + 1, 2):
-            for rest in rec(remaining - x, pos + 1):
-                yield (x,) + rest
-    return list(rec(k, 0))
+    """Compositions of the odd k into r parts with part i odd and every other part even:
+    doubling each part of a composition of (k + 1) / 2 and taking 1 from part i is a
+    bijection onto them that keeps the lexicographic order."""
+    return [(*d[:i - 1], d[i - 1] - 1, *d[i:])
+            for d in (tuple(2 * x for x in c) for c in compositions((k + 1) // 2, r))]
 
 
 def _ppt_special_rows(rmax, _recon_weight_max):

@@ -71,11 +71,6 @@ def hnf_contains(hnf_rows, vector):
     return not any(v)
 
 
-def _support(row):
-    """Column indices of a row's nonzero entries."""
-    return list(compress(range(len(row)), row))
-
-
 def congruence_cut(rows, primes):
     """HNF basis of {v : v . rows[t] = 0 mod primes[t] for every t}, in closed form.
 
@@ -142,7 +137,7 @@ def lll_reduce(rows):
     def support(i):
         s = nz[i]
         if s is None:
-            s = nz[i] = _support(B[i])
+            s = nz[i] = list(compress(range(len(B[i])), B[i]))
         return s
 
     def gram_schmidt(i):

@@ -91,9 +91,7 @@ def build_matrix(descriptors, primes, cache=None, jobs=1) -> ValueMatrix:
 
 
 def _normalize_vector(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     v = [x // g for x in v]
     lead = next(x for x in v if x)
     if lead < 0:
@@ -179,8 +177,8 @@ def express_in_basis(target, basis, primes, height_bound=DEFAULT_HEIGHT_BOUND,
 def dimension_estimate(k, variant="zeta2", primes=(), height_bound=DEFAULT_HEIGHT_BOUND,
                        cache=None, jobs=1):
     """(verified relation count, estimated dimension) for all weight-k columns."""
-    if k < 1:
-        raise ValueError("weight must be >= 1")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError("weight must be an integer >= 1, got %r" % (k,))
     descs = [(variant, ix) for ix in all_compositions(k)]
     matrix = build_matrix(descs, _above_floor(descs, primes), cache=cache, jobs=jobs)
     rels = relation_lattice(matrix, height_bound)
@@ -190,8 +188,8 @@ def dimension_estimate(k, variant="zeta2", primes=(), height_bound=DEFAULT_HEIGH
 
 def fib(k: int) -> int:
     """F_1 = F_2 = 1; counts the all-odd compositions of weight k."""
-    if k < 1:
-        raise ValueError("fib needs k >= 1")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError("fib needs an integer k >= 1, got %r" % (k,))
     a, b = 1, 1
     for _ in range(k - 1):
         a, b = b, a + b
@@ -203,8 +201,8 @@ def dseq(k: int) -> int:
 
     dseq(k - 3) counts the compositions of k into odd parts >= 3.
     """
-    if k < 0:
-        raise ValueError("dseq needs k >= 0")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError("dseq needs an integer k >= 0, got %r" % (k,))
     vals = [1, 0, 1]
     for i in range(3, k + 1):
         vals.append(vals[i - 2] + vals[i - 3])

@@ -70,6 +70,13 @@ def test_bernoulli_mod_rejects_large_n():
         bernoulli_mod(2, 9)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", None])
+def test_bernoulli_mod_refuses_an_n_that_is_not_an_int(n):
+    # as Zk refuses such a weight; True read B_1 and 2.0 failed in the table lookup
+    with pytest.raises(ValueError, match="integer"):
+        bernoulli_mod(n, 7)
+
+
 def test_odd_vanishing():
     for p in (7, 11, 13, 17):
         for n in range(3, p - 1, 2):

@@ -495,6 +495,12 @@ CI_PINS = [
      "ff508f8620fb7d923d969a1e93d7ac0a0c1da9280f5d1a96ce3e64a2b1d47c66"),
     (("verify", "--suite", "weighted1", "--primes", "1000..1100"),
      "8b3adb622c21063c31b80aebe21cbad2057ed1adaf8aeb30e1e9bc0ae3c5e4a5"),
+    (("verify", "--suite", "example24", "--wmax", "12", "--primes", "5..100"),
+     "f34a09e80fd693ad3154c1e7369f87393f26c5c8be5be365cda5df4dbee92d1b"),
+    (("verify", "--suite", "sumformula", "--kmax", "12", "--primes", "5..100", "--format", "csv"),
+     "c2a2dcb24aa606b5afc23232ed487d06a4bb05a944ff376dfe1edb5afffcce76"),
+    (("verify", "--suite", "depth2", "--kmax", "12", "--primes", "5..200"),
+     "27064256b250ebd6fa910b628ede9edb43fa3e919dbf0a9943051239adb48f58"),
     (("--cache", None, "verify", "--suite", "ppt", "--primes", "5..200"),
      "315d8d901768a6dcdb1c8cedac4be1f6b28524c05576d94dc2efcb8d0cf468e5"),
 ]
@@ -634,7 +640,8 @@ def test_cold_cache_sorted_lines(tmp_path, capsys, suite):
 
 def test_cold_ppt_cache_lines(tmp_path, capsys):
     # ppt writes its cells prime by prime, so only the sorted lines keep the
-    # sha256 recorded before that; workers write the same bytes as one process
+    # sha256 recorded before that; workers write the same bytes as one process,
+    # in the order pinned before the one-odd patterns were mapped from compositions
     data = []
     for jobs in ("1", "2"):
         path = tmp_path / ("ppt%s.csv" % jobs)
@@ -643,6 +650,8 @@ def test_cold_ppt_cache_lines(tmp_path, capsys):
         assert code == 0
         data.append(path.read_bytes())
     assert data[0] == data[1]
+    assert (hashlib.sha256(data[0]).hexdigest()
+            == "fcc9d8ad22fb06f8bee4090bc28757678a8f5b74e5e7c01c21b8eff500637baf")
     lines = data[0].splitlines(keepends=True)
     assert len(lines) == 4894
     assert (hashlib.sha256(b"".join(sorted(lines))).hexdigest()

@@ -681,11 +681,13 @@ def test_cache_load_checks_each_head_and_prime_once(tmp_path, monkeypatch):
     assert len({id(key[1]) for key in cache._cells}) == len(heads)
 
 
-# what a load refuses, given to add: a bool entry, the empty index, an unknown variant,
-# signs of the wrong length, a composite, residues out of range, and a float, which the
-# line would hold as 3 while memory kept 3.7
+# what a load refuses, given to add: a bool entry, an unhashable entry or p, the empty
+# index, an unknown variant, signs of the wrong length, a composite, residues out of range,
+# and a float, which the line would hold as 3 while memory kept 3.7
 @pytest.mark.parametrize("variant, index, signs, p, residue", [
     ("zeta2", (True, 2), None, 7, 3),
+    ("zeta2", [[1]], None, 7, 1),
+    ("zeta2", (1,), None, [7], 1),
     ("zeta2", (), None, 7, 1),
     ("bogus", (1,), None, 7, 3),
     ("euler", (1, 2), (1,), 7, 3),

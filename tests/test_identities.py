@@ -14,7 +14,7 @@ import fmzv
 import fmzv.evaluator as ev
 import fmzv.identities as ids
 from fmzv.evaluator import ResidueCache, value_of
-from fmzv.harmonic import all_compositions
+from fmzv.harmonic import all_compositions, compositions
 from fmzv.identities import (
     Case,
     Report,
@@ -115,18 +115,20 @@ def test_sum_formula_passes_and_anchor():
 
 
 def test_one_odd_compositions_enumerator():
-    for k in range(3, 10, 2):
-        for r in range(1, (k + 1) // 2 + 1):
-            for i in range(1, r + 1):
-                got = sorted(_one_odd_compositions(k, r, i))
-                want = sorted(
-                    c
-                    for c in all_compositions(k)
-                    if len(c) == r
-                    and c[i - 1] % 2 == 1
-                    and all(c[j] % 2 == 0 for j in range(r) if j != i - 1)
-                )
-                assert got == want
+    # in order, the compositions of k into r parts whose one odd part is part i; with
+    # r - 1 even parts, r > (k + 1) / 2 leaves none
+    for k in range(1, 22, 2):
+        for r in range(1, k + 1):
+            if 2 * r - 1 > k:
+                assert all(_one_odd_compositions(k, r, i) == [] for i in range(1, r + 1))
+                continue
+            by_i = {i: [] for i in range(1, r + 1)}
+            for c in compositions(k, r):
+                odd = [j for j, x in enumerate(c, 1) if x % 2]
+                if len(odd) == 1:
+                    by_i[odd[0]].append(c)
+            for i, want in by_i.items():
+                assert _one_odd_compositions(k, r, i) == want, (k, r, i)
 
 
 def test_ppt_special_anchor():

@@ -231,6 +231,15 @@ def test_fib_and_dseq_values():
         dseq(-1)
 
 
+@pytest.mark.parametrize("call", [partial(dimension_estimate, primes=[11, 13, 17, 19]), fib, dseq],
+                         ids=["dimension_estimate", "fib", "dseq"])
+@pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "3"])
+def test_weights_are_ints(call, k):
+    # as check_index and Zk refuse them; dimension_estimate(True) returned (0, 1)
+    with pytest.raises(ValueError, match="integer"):
+        call(k)
+
+
 def test_counting_invariants():
     for k in range(1, 11):
         comps = list(all_compositions(k))
