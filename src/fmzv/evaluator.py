@@ -77,8 +77,15 @@ class CacheError(Exception):
     pass
 
 
+def _sequence(seq, what) -> tuple:
+    try:
+        return tuple(seq)
+    except TypeError:
+        raise ValueError("%s must be a sequence, got %r" % (what, seq)) from None
+
+
 def check_index(index) -> tuple[int, ...]:
-    index = tuple(index)
+    index = _sequence(index, "index")
     if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in index):
         raise ValueError("index entries must be positive integers, got %r" % (index,))
     return index
@@ -97,7 +104,7 @@ def check_cell(variant, index, signs):
     if (variant == "euler") != (signs is not None):
         raise ValueError("signs are required for euler and only for euler")
     if signs is not None:
-        signs = tuple(signs)
+        signs = _sequence(signs, "signs")
         if len(signs) != len(index) or any(e not in (1, -1) for e in signs):
             raise ValueError("signs must be a +/-1 vector of the index length")
     return variant, index, signs
@@ -213,78 +220,76 @@ def _parse_head(head: str):
     return _checked_head((variant, map(int, index), signs))[0]
 
 
-def _parse_cell(line: str, heads: dict, primes: dict):
-    """Key and residue of one cache line; raises on a malformed line.
-
-    heads maps a head already seen to its _parse_head result, primes a p
-    already seen to its prime test, so that each is checked once per load;
-    the integers and 0 <= residue < p are checked on every line.
-    """
-    head, p, residue = line.rsplit(",", 2)
-    p, residue = int(p), int(residue)
-    cell = heads.get(head)
-    if cell is None:
-        cell = heads[head] = _parse_head(head)
-    prime = primes.get(p)
-    if prime is None:
-        prime = primes[p] = p >= 5 and is_prime(p)
-    if not prime or not 0 <= residue < p:
-        raise ValueError("bad prime or residue")
-    return cell + (p,), residue
+def _parse_lines(text: str, path) -> dict:
+    """{p: {(variant, index, signs): residue}} of text's lines, each newline-ended, in
+    first-seen order; raises CacheError at path's first bad line.  A line looks its head
+    and p up by their text: each distinct one is checked once per load, its residue always."""
+    cells, heads, fields = {}, {}, {}  # fields: a p field's text -> (p, p's cells)
+    for lineno, raw in enumerate(text.split("\n")[:-1], start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            head, field, residue = line.rsplit(",", 2)
+            cell = heads.get(head) or heads.setdefault(head, _parse_head(head))
+            at = fields.get(field)
+            if at is None:
+                p = int(field)
+                if p not in cells and not (p >= 5 and is_prime(p)):
+                    raise ValueError("bad prime")
+                at = fields[field] = p, cells.setdefault(p, {})
+            p, held = at
+            if not 0 <= (residue := int(residue)) < p:
+                raise ValueError("bad residue")
+        except Exception:
+            raise CacheError("%s:%d: bad cache line: %r" % (path, lineno, line))
+        if held.setdefault(cell, residue) != residue:
+            raise CacheError("%s:%d: cache line %r conflicts with an earlier line for the "
+                             "same cell" % (path, lineno, line))
+    return cells
 
 
 class ResidueCache:
     """Append-only text cache, one cell per line: variant,index,signs,p,residue.
 
-    The whole file is read at construction; add() appends a line to a buffer
-    that flush() writes out (per_prime flushes once per prime), as close() does.
-    Every line is checked when read: a distinct head (variant,index,signs) is
-    validated and a distinct prime tested once per load, and each line's
-    integers and residue range on their own; cells with one head share one
-    index tuple.  A line repeating a cell with another residue is corruption,
-    as is any other malformed line (CacheError); an identical repeat is read
-    once.  Only one process may write (the CLI and suites route all writes
-    through the parent process).  A last line without a newline is an append
-    cut short by a crash (its residue may be cut): it is ignored and cut off
-    by the first add() after the load.  add() refuses what a load refuses, so
-    each distinct cell and prime it is given is checked, and its line head
-    formatted, once per cache.  Without a path the cache lives in memory only.
+    Cells are held per prime, {p: {(variant, index, signs): residue}}.  The file is
+    read at construction, in one loop (_parse_lines); add() appends a line to a buffer
+    that flush() writes out (per_prime flushes once per prime), as close() does.  Every
+    line is checked when read: a distinct head is validated and a distinct prime tested
+    once per load, each line's residue and its range on their own; cells with one head
+    share one tuple.  A cell repeated with another residue is corruption, as is any
+    other malformed line (CacheError); an identical repeat is read once.  Only one
+    process may write (the CLI and suites route all writes through the parent).  A last
+    line without a newline is an append cut short by a crash: it is ignored and cut off
+    by the first add() after the load.  add() refuses what a load refuses, checking each
+    distinct cell and prime, and formatting its line head, once per cache; get() refuses
+    an unhashable cell or p.  Without a path the cache lives in memory only.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self._cells: dict[tuple, int] = {}
+        self._cells: dict[int, dict[tuple, int]] = {}
         self._fh = None
         self._complete = None  # length of the file's complete lines when loaded
         self._heads = {}  # each added cell: the cell as checked, and its line head
         self._primes = {}  # each added prime, as checked
-        if path is not None and os.path.exists(path):
-            self._load()
-
-    def _load(self):
-        with open(self.path, "rb") as fh:
-            data = fh.read()
+        if path is None or not os.path.exists(path):
+            return
         try:
-            text = data.decode("ascii")
+            with open(path, "rb") as fh:
+                text = fh.read().decode("ascii")
         except UnicodeDecodeError as exc:
-            raise CacheError("%s: byte %d is not ASCII: not a cache file" % (self.path, exc.start))
+            raise CacheError("%s: byte %d is not ASCII: not a cache file" % (path, exc.start))
         self._complete = text.rfind("\n") + 1
-        cells = self._cells
-        heads, primes = {}, {}  # this load's validated heads and prime tests
-        for lineno, raw in enumerate(text[:self._complete].split("\n")[:-1], start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                key, residue = _parse_cell(line, heads, primes)
-            except Exception:
-                raise CacheError("%s:%d: bad cache line: %r" % (self.path, lineno, line))
-            if cells.setdefault(key, residue) != residue:
-                raise CacheError("%s:%d: cache line %r conflicts with an earlier line for the "
-                                 "same cell" % (self.path, lineno, line))
+        self._cells = _parse_lines(text[:self._complete], path)
 
     def get(self, variant, index, signs, p):
-        return self._cells.get((variant, tuple(index), None if signs is None else tuple(signs), p))
+        try:
+            held = self._cells.get(p)
+            cell = (variant, tuple(index), None if signs is None else tuple(signs))
+            return None if held is None else held.get(cell)
+        except TypeError:  # a cell or p that no cache line gives
+            raise ValueError("cannot look up %r at p=%r" % ((variant, index, signs), p)) from None
 
     def add(self, variant, index, signs, p, residue):
         """Keep the cell's residue at p, and append its line if the cache has a file.
@@ -295,11 +300,11 @@ class ResidueCache:
         A cell or prime equal to one checked before, as (True, 2) is to (1, 2), is
         kept as that one.
         """
-        cell = (variant, tuple(index), None if signs is None else tuple(signs))
         try:
+            cell = (variant, tuple(index), None if signs is None else tuple(signs))
             known, prime = self._heads.get(cell), self._primes.get(p)
-        except TypeError:  # an unhashable entry or p, which no cache line gives
-            raise ValueError("cannot cache %r at p=%r: unhashable" % (cell, p)) from None
+        except TypeError:  # a cell or p that no cache line gives
+            raise ValueError("cannot cache %r at p=%r" % ((variant, index, signs), p)) from None
         if known is None:
             known = self._heads[cell] = _checked_head(cell)
         if prime is None:
@@ -307,10 +312,10 @@ class ResidueCache:
         if type(residue) is not int or not 0 <= residue < prime:
             raise ValueError("residue must be an int in [0, %d), got %r" % (prime, residue))
         cell, head = known
-        key = cell + (prime,)
-        if key in self._cells:
+        held = self._cells.setdefault(prime, {})
+        if cell in held:
             return
-        self._cells[key] = residue
+        held[cell] = residue
         if self.path is None:
             return
         if self._fh is None:
@@ -330,7 +335,7 @@ class ResidueCache:
             self._fh = None
 
     def __len__(self):
-        return len(self._cells)
+        return sum(map(len, self._cells.values()))
 
 
 def _inverses(n, p) -> list:
@@ -444,11 +449,11 @@ def plan(cells, p: int, cache: ResidueCache | None = None) -> dict:
     An internal route, like _sweep: it trusts its cells, which the caller has checked
     (check_cell); an unchecked cell gets a wrong value or a TypeError, not a ValueError.
     """
-    todo = {}
+    held, todo = {} if cache is None else cache._cells.get(p, {}), {}
     for variant, index, signs in cells:
-        key = (variant, tuple(index), None if signs is None else tuple(signs), p)
-        if key[1] and (cache is None or key not in cache._cells):
-            todo[key[:3]] = None
+        cell = (variant, tuple(index), None if signs is None else tuple(signs))
+        if cell[1] and cell not in held:
+            todo[cell] = None
     return {(*cell, p): v for cell, v in _sweep(todo, p).items()} if todo else {}
 
 
@@ -471,14 +476,13 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
     before the cache is read, so a cell refused cold is refused warm too.  With
     plan's table the caller has checked its cells, as values_at's callers do.
     """
-    index = tuple(index)
     if table is None or not index:
         variant, index, signs = check_cell(variant, index, signs)
         if not index:
             check_prime(p)
             return 1
-    elif signs is not None:
-        signs = tuple(signs)
+    else:
+        index, signs = tuple(index), None if signs is None else tuple(signs)
     v = None if cache is None else cache.get(variant, index, signs, p)
     if v is None:
         v = compute_cell(variant, index, signs, p, table)
@@ -497,22 +501,21 @@ def values_at(columns, p: int, cache: ResidueCache | None = None) -> tuple:
     return tuple(value_of(v, ix, s, p, cache, table) for v, ix, s in columns)
 
 
-def _prime_task(fn, known, p):
-    # the worker's cache lives in memory and holds its prime's cells: the parent's plus new ones
-    cache = ResidueCache()
-    cache._cells.update(known)
-    result = fn(p, cache)
-    return result, list(cache._cells.items())[len(known):]
+def _prime_task(fn, held, p):
+    # an in-memory cache of held, the worker's own (pickled) copy of the parent's cells at p
+    cache, known = ResidueCache(), len(held)
+    cache._cells[p] = held
+    return fn(p, cache), list(islice(held.items(), known, None))
 
 
-def _collect(results, cache) -> list:
+def _collect(primes, results, cache) -> list:
     # per_prime's results; a prime's new cells, a worker's or the parent's, are flushed at once
     out = []
-    for result, cells in results:
+    for p, (result, cells) in zip(primes, results):
         out.append(result)
         if cache is not None:
-            for key, v in cells:
-                cache.add(*key, v)
+            for cell, v in cells:
+                cache.add(*cell, p, v)
             cache.flush()
     return out
 
@@ -521,22 +524,19 @@ def per_prime(fn, primes, jobs=1, cache=None) -> list:
     """[fn(p, cache) for p in primes]; the primes go to a pool of min(jobs, primes, CPUs)
     workers when that is above 1.
 
-    A worker starts from an in-memory cache of the parent's cache cells at its prime
-    and sends back the cells it added, in the order it read them; the parent, the
-    only writer, adds them to its cache.
+    A worker starts from an in-memory cache that holds a copy of the parent cache's
+    dict of cells at its prime, and sends back the cells it added to that dict, in
+    the order it read them; the parent, the only writer, adds them to its cache.
     """
     primes = list(primes)
     jobs = min(jobs, len(primes), os.cpu_count() or 1)  # a pool forks all its workers at once
     if jobs <= 1:
-        return _collect(((fn(p, cache), ()) for p in primes), cache)
-    known = {p: {} for p in primes}
-    for key, v in (cache._cells if cache is not None else {}).items():
-        if key[3] in known:
-            known[key[3]][key] = v
+        return _collect(primes, ((fn(p, cache), ()) for p in primes), cache)
+    known = [{} if cache is None else cache._cells.get(p, {}) for p in primes]
     import concurrent.futures
 
     chunks = -(-len(primes) // (4 * jobs))  # fn, maybe a suite's rows, is pickled once a chunk
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _collect(pool.map(partial(_prime_task, fn), [known[p] for p in primes], primes,
-                                 chunksize=chunks), cache)
+        return _collect(primes, pool.map(partial(_prime_task, fn), known, primes,
+                                         chunksize=chunks), cache)
 

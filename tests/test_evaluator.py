@@ -3,6 +3,7 @@ import random
 from functools import partial
 
 import pytest
+from cachecells import cells_of
 
 import fmzv.evaluator as ev
 from fmzv.evaluator import (
@@ -186,6 +187,10 @@ def test_index_validation():
     (("zeta2", (1, -2), None), None),
     (("zeta2star", (1.0,), None), None),
     (("euler", ("1",), (1,)), None),
+    # an index or signs that is not a sequence
+    (("zeta2", 5, None), None),
+    (("zeta", None, None), None),
+    (("euler", (1,), -1), None),
     # signs exactly for euler
     (("euler", (1, 2), None), None),
     (("zeta", (1, 2), (1, 1)), None),
@@ -513,7 +518,7 @@ def test_cache_duplicate_lines(tmp_path):
     # an identical repeat (`cat a b > c`) loads once, in first-seen order
     path = tmp_path / "dup.txt"
     path.write_text("zeta2,1,,7,3\nzeta2,2,,7,1\nzeta2,1,,7,3\n")
-    assert list(ResidueCache(str(path))._cells.items()) == [
+    assert cells_of(ResidueCache(str(path))._cells) == [
         (("zeta2", (1,), None, 7), 3), (("zeta2", (2,), None, 7), 1)]
 
 
@@ -529,7 +534,9 @@ def test_cache_conflicting_duplicate_is_corrupt(tmp_path, repeat):
 # --- the cache line parser against the one that checked every line in full ---
 
 def parse_line(line: str):
-    return ev._parse_cell(line, {}, {})
+    # a load of the one line, which strips it: its key and residue, or an error
+    ((key, residue),) = cells_of(ev._parse_lines(line + "\n", "line"))
+    return key, residue
 
 
 def reference_parse_line(line: str):
@@ -616,22 +623,22 @@ def test_parse_line_matches_reference_on_mutated_lines(tmp_path):
     lines = [_mutate(rng.choice(real), rng) for _ in range(20000)]
     accepted = []
     for line in real + lines:
-        want = _parsed(reference_parse_line, line)
+        want = _parsed(reference_parse_line, line.strip())
         assert _parsed(parse_line, line) == want, line
         if want is not None:
             accepted.append(line)
     assert 2000 < len(accepted) - len(real) < 18000
 
     # one file of every accepted line (a conflicting repeat left out) loads as
-    # the reference reads it, in the same order
+    # the reference reads it, in the same order within each prime
     want, kept = {}, []
     for line in accepted:
-        key, residue = reference_parse_line(line)
-        if want.setdefault(key, residue) == residue:
+        key, residue = reference_parse_line(line.strip())
+        if want.setdefault(key[3], {}).setdefault(key[:3], residue) == residue:
             kept.append(line)
     path = tmp_path / "fuzz.txt"
     path.write_text("".join(line + "\n" for line in kept))
-    assert list(ResidueCache(str(path))._cells.items()) == list(want.items())
+    assert cells_of(ResidueCache(str(path))._cells) == cells_of(want)
 
     # a rejected line after the real lines, whose heads and primes the load has
     # already checked, is still reported at its own line number
@@ -678,7 +685,7 @@ def test_cache_load_checks_each_head_and_prime_once(tmp_path, monkeypatch):
     assert calls == {"is_prime": len(primes), "_parse_head": len(heads)}
     assert len(cache) == len(primes) * len(heads)
     # cells with one head share one index tuple
-    assert len({id(key[1]) for key in cache._cells}) == len(heads)
+    assert len({id(key[1]) for key, _ in cells_of(cache._cells)}) == len(heads)
 
 
 # what a load refuses, given to add: a bool entry, an unhashable entry or p, the empty
@@ -688,6 +695,8 @@ def test_cache_load_checks_each_head_and_prime_once(tmp_path, monkeypatch):
     ("zeta2", (True, 2), None, 7, 3),
     ("zeta2", [[1]], None, 7, 1),
     ("zeta2", (1,), None, [7], 1),
+    ("zeta2", 5, None, 7, 1),
+    ("euler", (1,), -1, 7, 1),
     ("zeta2", (), None, 7, 1),
     ("bogus", (1,), None, 7, 3),
     ("euler", (1, 2), (1,), 7, 3),
@@ -706,8 +715,24 @@ def test_cache_add_refuses_what_a_load_refuses(tmp_path, variant, index, signs, 
     cache.close()
     # neither a line nor a cell: the file loads, and holds what memory holds
     assert path.read_text() == "zeta,3,,11,4\n"
-    assert list(cache._cells) == [("zeta", (3,), None, 11)]
-    assert ResidueCache(str(path))._cells == cache._cells
+    assert cells_of(cache._cells) == [(("zeta", (3,), None, 11), 4)]
+    assert cells_of(ResidueCache(str(path))._cells) == cells_of(cache._cells)
+
+
+# what no cache line gives, given to get: an unhashable entry or p, and an index or signs
+# that is not a sequence
+@pytest.mark.parametrize("variant, index, signs, p", [
+    ("zeta2", [[1]], None, 7),
+    ("zeta2", (1,), None, [7]),
+    ("zeta2", 5, None, 7),
+    ("euler", (1,), -1, 7),
+])
+def test_cache_get_refuses_what_no_line_gives(variant, index, signs, p):
+    cache = ResidueCache()
+    cache.add("zeta2", (1,), None, 7, 3)
+    with pytest.raises(ValueError):
+        cache.get(variant, index, signs, p)
+    assert cache.get("zeta2", [1], None, 7) == 3 and cache.get("zeta2", (1,), None, 11) is None
 
 
 def test_cache_add_checks_each_cell_and_prime_once(tmp_path, monkeypatch):
@@ -728,13 +753,39 @@ def test_cache_add_checks_each_cell_and_prime_once(tmp_path, monkeypatch):
     cache.add("zeta2", (True, 2), None, 17, 5)
     cache.close()
     assert path.read_text().endswith("zeta,3,,13,1\nzeta2,1,2,,17,5\n")
-    assert all(type(k) is int for key in cache._cells for k in key[1])
-    assert ResidueCache(str(path))._cells == cache._cells
+    assert all(type(k) is int for key, _ in cells_of(cache._cells) for k in key[1])
+    assert cells_of(ResidueCache(str(path))._cells) == cells_of(cache._cells)
 
 
 def test_column_parallel_matches_serial():
     primes = sieve_primes(5, 40)
     assert column("zeta2", (2, 1), primes=primes, jobs=2) == column("zeta2", (2, 1), primes=primes)
+
+
+def test_two_workers_over_a_partly_filled_cache_write_what_one_process_writes(
+        tmp_path, monkeypatch):
+    # the cache holds cells at some of the run's primes and at primes outside it; a worker
+    # starts from its prime's cells and hands back only those it added, in the order read
+    monkeypatch.setattr(ev.os, "cpu_count", lambda: 2)
+    columns = [("zeta2", (2, 1)), ("zeta", (1, 2, 3)), ("euler", (1, 2), (1, -1))]
+    primes = sieve_primes(5, 60)
+    held = [("zeta2", (2, 1), None, p) for p in primes[::3] + [61, 67]]
+    held += [("zeta", (5,), None, primes[1]), ("euler", (1, 2), (1, -1), 71)]
+    files = []
+    for jobs in (1, 2):
+        path = tmp_path / ("c%d.csv" % jobs)
+        cache = ResidueCache(str(path))
+        for cell in held:
+            cache.add(*cell, ev.compute_cell(*cell))
+        cache.close()
+        cache = ResidueCache(str(path))
+        m = build_matrix(columns, primes, cache=cache, jobs=jobs)
+        cache.close()
+        files.append(path.read_bytes())
+        assert cells_of(ResidueCache(str(path))._cells) == cells_of(cache._cells)
+        assert len(cache) == len(held) + 3 * len(primes) - len(primes[::3])
+        assert m == build_matrix(columns, primes)
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("jobs, count, cpus, workers", [
@@ -876,6 +927,6 @@ def test_the_cache_file_holds_every_line_before_close(tmp_path, monkeypatch, job
     build_matrix([("zeta2", (2, 1)), ("zeta", (1, 2, 3)), ("euler", (1, 2), (1, -1))], primes,
                  cache=cache, jobs=jobs)
     assert len(path.read_text().splitlines()) == len(cache) == 1 + 3 * len(primes)
-    assert ResidueCache(str(path))._cells == cache._cells
+    assert cells_of(ResidueCache(str(path))._cells) == cells_of(cache._cells)
     assert len(flushes) == len(primes)
     cache.close()

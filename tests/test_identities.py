@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from cachecells import cells_of
 
 import fmzv
 import fmzv.evaluator as ev
@@ -459,7 +460,7 @@ def test_warm_ppt_run_makes_no_sweep(tmp_path, monkeypatch):
     cold = SUITES["ppt"].run({}, primes, cache)
     cache.close()
     assert any(v == 0 and key[0] == "zeta2" and len(key[1]) == 1
-               for key, v in ResidueCache(path)._cells.items())
+               for key, v in cells_of(ResidueCache(path)._cells))
     swept = []
     sweep = ev._sweep
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))

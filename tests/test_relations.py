@@ -37,6 +37,10 @@ def test_normalize_descriptor():
         normalize_descriptor(("euler", (1, 2)))
     with pytest.raises(ValueError):
         normalize_descriptor(("nope", (1,)))
+    with pytest.raises(ValueError):
+        normalize_descriptor(("zeta2", 5))  # an index is a sequence, not an int
+    with pytest.raises(ValueError):
+        normalize_descriptor(("euler", (2,), -1))
     for desc in [("zeta2",), ("euler", (1,), (1,), None)]:
         with pytest.raises(ValueError, match="descriptor must be"):
             normalize_descriptor(desc)
