@@ -11,9 +11,12 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
 
 A value takes one route (`value_of`): the residue cache if one is given, else
 the table the caller passes, which `plan` returned for the cells it swept at
-that prime, else a sweep of the cell alone.  The cache is the only store of
-values that outlives a call, so a repeated single-cell call without a cache
-sweeps again; pass `ResidueCache()` to serve it from memory.
+that prime, else a sweep of the cell alone.  `values_at` takes it for a prime's
+columns at once: it reads the cells held at p from the cache's dict of p
+(`ResidueCache.cells_at`), and plans, computes and caches only the others.  The
+cache is the only store of values that outlives a call, so a repeated
+single-cell call without a cache sweeps again; pass `ResidueCache()` to serve
+it from memory.
 
 A sweep (`plan`, `values_at`, `_sweep`: internal routes) evaluates many cells
 of one prime at once, and trusts them: each is checked once per run, where it
@@ -291,6 +294,10 @@ class ResidueCache:
         except TypeError:  # a cell or p that no cache line gives
             raise ValueError("cannot look up %r at p=%r" % ((variant, index, signs), p)) from None
 
+    def cells_at(self, p) -> dict:
+        """{(variant, index, signs): residue} of the cells held at p, to be read only."""
+        return self._cells.get(p, {})
+
     def add(self, variant, index, signs, p, residue):
         """Keep the cell's residue at p, and append its line if the cache has a file.
 
@@ -449,7 +456,7 @@ def plan(cells, p: int, cache: ResidueCache | None = None) -> dict:
     An internal route, like _sweep: it trusts its cells, which the caller has checked
     (check_cell); an unchecked cell gets a wrong value or a TypeError, not a ValueError.
     """
-    held, todo = {} if cache is None else cache._cells.get(p, {}), {}
+    held, todo = {} if cache is None else cache.cells_at(p), {}
     for variant, index, signs in cells:
         cell = (variant, tuple(index), None if signs is None else tuple(signs))
         if cell[1] and cell not in held:
@@ -460,7 +467,11 @@ def plan(cells, p: int, cache: ResidueCache | None = None) -> dict:
 def compute_cell(variant: str, index, signs, p: int, table=None) -> int:
     """Uncached single-cell evaluation: the cell's value in table (what plan returned)
     if it is there, else a sweep of this cell alone."""
-    key = (variant, tuple(index), None if signs is None else tuple(signs), p)
+    try:
+        key = (variant, tuple(index), None if signs is None else tuple(signs), p)
+    except TypeError:  # an index or signs that is not a sequence: check_cell says which
+        check_cell(variant, index, signs)
+        raise
     if table and key in table:
         return table[key]
     (v,) = _sweep([check_cell(*key[:3])], p).values()
@@ -491,14 +502,26 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
     return v
 
 
-def values_at(columns, p: int, cache: ResidueCache | None = None) -> tuple:
-    """Values of the (variant, index, signs) columns at one prime.
+def values_at(columns, p: int, cache: ResidueCache | None = None, table=None) -> tuple:
+    """Values of the (variant, index, signs) columns at one prime: the cache's cells at p
+    read from its dict of p, the others planned (unless the caller passes plan's table
+    of them), computed and cached in column order, and the empty index from value_of.
 
     An internal route, like plan: it trusts its columns, which the caller has checked
     (check_cell).  Library callers go through value_of, build_matrix or a suite.
     """
-    table = plan(columns, p, cache)
-    return tuple(value_of(v, ix, s, p, cache, table) for v, ix, s in columns)
+    values = list(map(({} if cache is None else cache.cells_at(p)).get, columns))
+    if None in values:  # a cell the cache does not hold, or the empty index
+        new = dict.fromkeys(c for c, v in zip(columns, values) if v is None and c[1])
+        if new and table is None:
+            table = plan(new, p)
+        for cell in new:
+            new[cell] = v = compute_cell(*cell, p, table)
+            if cache is not None:
+                cache.add(*cell, p, v)
+        values = [v if v is not None else new[c] if c[1] else value_of(*c, p)
+                  for c, v in zip(columns, values)]
+    return tuple(values)
 
 
 def _prime_task(fn, held, p):
@@ -532,7 +555,7 @@ def per_prime(fn, primes, jobs=1, cache=None) -> list:
     jobs = min(jobs, len(primes), os.cpu_count() or 1)  # a pool forks all its workers at once
     if jobs <= 1:
         return _collect(primes, ((fn(p, cache), ()) for p in primes), cache)
-    known = [{} if cache is None else cache._cells.get(p, {}) for p in primes]
+    known = [{} if cache is None else cache.cells_at(p) for p in primes]
     import concurrent.futures
 
     chunks = -(-len(primes) // (4 * jobs))  # fn, maybe a suite's rows, is pickled once a chunk

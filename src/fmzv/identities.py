@@ -138,19 +138,19 @@ def coeff_C(index) -> int:
 def _listed(rows, primes):
     """(factors, rows): the rows some prime checks (p > weight + 2), and the distinct
     factors they name, each cell checked once, at its slot.  A listed row holds its
-    sides as lists of terms (coeff, slot, ...) and the tuple of the distinct slots it
-    names, in first-named order."""
+    sides as lists of terms (coeff, slots), slots the tuple of its factors' slots, and
+    the tuple of the distinct slots it names, in first-named order."""
     top, slots, listed = max(primes, default=0), {}, []
 
     def place(terms):
-        return [(coeff, *[slots.setdefault(f, len(slots)) for f in term])
+        return [(coeff, tuple(slots.setdefault(f, len(slots)) for f in term))
                 for coeff, *term in terms]
 
     for name, k, lhs, rhs in rows:
         if k + 2 < top:
             lhs, rhs = place(lhs), place(rhs)
             listed.append((name, k, lhs, rhs, tuple(dict.fromkeys(
-                slot for term in (*lhs, *rhs) for slot in term[1:]))))
+                slot for _, term in (*lhs, *rhs) for slot in term))))
     factors = [f if f[0] in ("Zk", "L2") else check_cell(*f, None) for f in slots]
     return factors, listed
 
@@ -177,10 +177,10 @@ def _prime_rows(listed, p, cache):
 
     def side(terms):
         total = 0
-        for coeff, *term in terms:
+        for coeff, slots in terms:
             if type(coeff) is Fraction:  # not isinstance: Fraction is an ABC, slow to test
                 coeff = _frac_mod(coeff, p)
-            for slot in term:
+            for slot in slots:
                 coeff *= values[slot]
             total += coeff
         return total % p
@@ -302,9 +302,11 @@ def ppt_constants(k, primes, cache=None):
 
     The primes are taken as build_matrix takes them: each checked, repeats once, in
     ascending order.  Uses every prime p > k + 2 where the reference zeta2(k) is
-    nonzero, sweeping the reference and every composition at p once (and not at all
-    when the cache holds a zero reference); returns a dict (k, r, i) -> Fraction, or
-    None when reconstruction fails.
+    nonzero.  The cells the cache holds at p are read from its dict of p; the others,
+    reference and compositions alike, are swept at p once (and not at all when the
+    cache holds them all, or a zero reference), and the compositions are cached only
+    after a nonzero reference.  Returns a dict (k, r, i) -> Fraction, or None when
+    reconstruction fails.
     """
     if k % 2 == 0:
         raise ValueError("one-odd patterns have odd weight, got %d" % k)
@@ -312,18 +314,21 @@ def ppt_constants(k, primes, cache=None):
     primes = sorted(set(map(check_prime, primes)))
     comps = {(k, r, i): _one_odd_compositions(k, r, i)
              for r in range(1, (k + 1) // 2 + 1) for i in range(1, r + 1)}
-    cells = [("zeta2", (k,), None)] + [("zeta2", c, None) for cs in comps.values() for c in cs]
+    # the reference zeta2(k) is one of the cells: the pattern (k, 1, 1)'s one composition
+    cells = [("zeta2", c, None) for cs in comps.values() for c in cs]
     pairs = {pat: [] for pat in comps}
     for p in primes:
         if p <= k + 2 or cache is not None and cache.get("zeta2", (k,), None, p) == 0:
             continue
-        table = plan(cells, p, cache)
+        held = {} if cache is None else cache.cells_at(p)
+        missing = list(itertools.filterfalse(held.__contains__, cells))
+        table = plan(missing, p) if missing else {}
         ref = value_of("zeta2", (k,), None, p, cache, table)
         if ref:
             inv = mod_inv(ref, p)
+            values = iter(values_at(cells, p, cache, table))
             for pat, cs in comps.items():
-                lhs = sum(value_of("zeta2", c, None, p, cache, table) for c in cs)
-                pairs[pat].append((lhs * inv % p, p))
+                pairs[pat].append((sum(itertools.islice(values, len(cs))) * inv % p, p))
     return {pat: rat_reconstruct(*crt_combine(pr)) if pr else None for pat, pr in pairs.items()}
 
 

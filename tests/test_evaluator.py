@@ -843,6 +843,9 @@ BAD_CELL_CALLS = {
         IndexCombination.zero(), "zeta2", 4),
     "build_matrix": lambda: build_matrix([("zeta2", (1.5,))], [7]),
     "compute_cell": lambda: ev.compute_cell("zeta2", (1, 2), (1, 1), 7),
+    # an index or signs that is not a sequence, which the table key cannot take
+    "compute_cell index not a sequence": lambda: ev.compute_cell("zeta2", 5, None, 7),
+    "compute_cell signs not a sequence": lambda: ev.compute_cell("zeta2", (1,), 5, 7),
     "suite rows": lambda: SUITES["key"]._replace(
         rows=lambda wmax: [("bad", 1, [(1, ("zeta2", (0,)))], [])]).run({}, [7]),
 }

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -416,11 +417,11 @@ def test_listed_rows_name_their_factors_by_slot():
             ("b", 2, [(1, ("zeta", (3,)), ("zeta2", (1, 2)))], [])]
     factors, listed = _listed(rows, (5, 7))
     assert factors == [("zeta2", (1, 2), None), ("Zk", 3), ("zeta", (3,), None), ("L2",)]
-    assert listed == [("a", 3, [(1, 0), (2, 1, 2)], [(1, 3)], (0, 1, 2, 3)),
-                      ("b", 2, [(1, 2, 0)], [], (2, 0))]
+    assert listed == [("a", 3, [(1, (0,)), (2, (1, 2))], [(1, (3,))], (0, 1, 2, 3)),
+                      ("b", 2, [(1, (2, 0))], [], (2, 0))]
     # a row no prime checks is dropped before it takes a slot
     assert _listed(rows, (5,)) == ([("zeta", (3,), None), ("zeta2", (1, 2), None)],
-                                   [("b", 2, [(1, 0, 1)], [], (0, 1))])
+                                   [("b", 2, [(1, (0, 1))], [], (0, 1))])
 
 
 def test_prime_rows_checks_a_row_exactly_when_p_exceeds_its_weight_plus_two():
@@ -461,14 +462,58 @@ def test_warm_ppt_run_makes_no_sweep(tmp_path, monkeypatch):
     cache.close()
     assert any(v == 0 and key[0] == "zeta2" and len(key[1]) == 1
                for key, v in cells_of(ResidueCache(path)._cells))
-    swept = []
-    sweep = ev._sweep
+    swept, planned = [], []
+    sweep, plan = ev._sweep, ev.plan
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    # nor a plan: a prime whose cells the cache holds is read from its dict alone
+    for module in (ev, ids):
+        monkeypatch.setattr(module, "plan", lambda *args: planned.append(args[1]) or plan(*args))
     warm_cache = ResidueCache(path)
     warm = SUITES["ppt"].run({}, primes, warm_cache)
     warm_cache.close()
-    assert swept == []
+    assert swept == [] and planned == []
     assert warm.to_json() == cold.to_json()
+
+
+# sha256 of the key --wmax 4 and ppt --rmax 2 text reports over 5..60, run in that order
+# over a partly warm cache, and of the cache file they leave, recorded before a prime's
+# held cells were read from its dict: the report is the cold one, and the file ends with
+# each missing cell, added in column order (a prime's compositions after a nonzero
+# reference only)
+PARTLY_WARM_REPORT = "3fcc6addfe220107f11d88d784850f6a5f432aa3568cec8a33b3c0c5a22321c6"
+PARTLY_WARM_CACHE = {
+    # ppt's cells held at 7, 13, ..., 53, so at 37, where zeta2(5) = 0
+    1: "14721cf59fb0d8660a4c4839940ca484cfec0140a4e76e32d3580d50a3238d1f",
+    # held at 5, 11, ..., 59, so 37's zero reference is computed, then cached alone
+    0: "d3bd33ee73bd676e8445b506b4fdce82f80d9cb9cbbf847244501ecb6384556d",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("half", sorted(PARTLY_WARM_CACHE))
+def test_partly_warm_cache_gives_the_cold_report_and_appends_in_column_order(
+        tmp_path, half, jobs):
+    runs = (("key", {"wmax": 4}), ("ppt", {"rmax": 2}))
+    lines = {}
+    for name, bounds in runs:
+        cold = ResidueCache(tmp_path / name)
+        SUITES[name].run(bounds, PRIMES, cold)
+        cold.close()
+        lines[name] = (tmp_path / name).read_text().splitlines(keepends=True)
+    assert "zeta2,5,,37,0\n" in lines["ppt"]
+    # every other cell of key's, and all of ppt's at every other prime
+    held = set(PRIMES[half::2])
+    path = tmp_path / "partly.csv"
+    path.write_text("".join(lines["key"][::2] + [
+        line for line in lines["ppt"] if int(line.rsplit(",", 2)[1]) in held]))
+    cache = ResidueCache(path)
+    out = "".join(SUITES[name].run(bounds, PRIMES, cache, jobs).to_text()
+                  for name, bounds in runs)
+    cache.close()
+    assert hashlib.sha256(out.encode()).hexdigest() == PARTLY_WARM_REPORT
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PARTLY_WARM_CACHE[half]
+    # the cells of the two cold runs, which share some, each once
+    assert len(ResidueCache(path)) == len(set(lines["key"] + lines["ppt"]))
 
 
 def test_identical_runs_make_identical_sweeps(monkeypatch):
