@@ -11,12 +11,11 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
 
 A value takes one route (`value_of`): the residue cache if one is given, else
 the table the caller passes, which `plan` returned for the cells it swept at
-that prime, else a sweep of the cell alone.  `values_at` takes it for a prime's
-columns at once: it reads the cells held at p from the cache's dict of p
-(`ResidueCache.cells_at`), and plans, computes and caches only the others.  The
-cache is the only store of values that outlives a call, so a repeated
-single-cell call without a cache sweeps again; pass `ResidueCache()` to serve
-it from memory.
+that prime, else a sweep of the cell alone.  `values_at` reads a prime's columns
+held in the cache from its dict of p (`ResidueCache.cells_at`), and plans only
+the others, which then take that route.  The cache is the only store of values
+that outlives a call, so a repeated single-cell call without a cache sweeps
+again; pass `ResidueCache()` to serve it from memory.
 
 A sweep (`plan`, `values_at`, `_sweep`: internal routes) evaluates many cells
 of one prime at once, and trusts them: each is checked once per run, where it
@@ -504,22 +503,18 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
 
 def values_at(columns, p: int, cache: ResidueCache | None = None, table=None) -> tuple:
     """Values of the (variant, index, signs) columns at one prime: the cache's cells at p
-    read from its dict of p, the others planned (unless the caller passes plan's table
-    of them), computed and cached in column order, and the empty index from value_of.
+    read from its dict of p, the others (and the empty index) through value_of in column
+    order, with plan's table of them (planned here unless the caller passes it).
 
     An internal route, like plan: it trusts its columns, which the caller has checked
     (check_cell).  Library callers go through value_of, build_matrix or a suite.
     """
     values = list(map(({} if cache is None else cache.cells_at(p)).get, columns))
     if None in values:  # a cell the cache does not hold, or the empty index
-        new = dict.fromkeys(c for c, v in zip(columns, values) if v is None and c[1])
-        if new and table is None:
-            table = plan(new, p)
-        for cell in new:
-            new[cell] = v = compute_cell(*cell, p, table)
-            if cache is not None:
-                cache.add(*cell, p, v)
-        values = [v if v is not None else new[c] if c[1] else value_of(*c, p)
+        missing = [c for c, v in zip(columns, values) if v is None and c[1]]
+        if missing and table is None:
+            table = plan(missing, p)
+        values = [v if v is not None else value_of(*c, p, cache, table)
                   for c, v in zip(columns, values)]
     return tuple(values)
 
