@@ -9,18 +9,18 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
   zeta2star  level 2, non-strict (<=) sum up to (p-1)/2
   euler      level 1 with numerator signs eps_i^(m_i), eps_i in {+1,-1}
 
-A value takes one route (`value_of`): the residue cache if one is given, else
-the table the caller passes, which `plan` returned for the cells it swept at
-that prime, else a sweep of the cell alone.  `values_at` reads a prime's columns
-held in the cache from its dict of p (`ResidueCache.cells_at`), and plans only
-the others, which then take that route.  The cache is the only store of values
-that outlives a call, so a repeated single-cell call without a cache sweeps
-again; pass `ResidueCache()` to serve it from memory.
+A value takes one route, `values_at`: the cells the residue cache holds at p
+are read from its dict of p (`ResidueCache.cells_at`); each distinct other one
+is computed once, by `compute_cell` from the table `plan` returns for them from
+one sweep, and added to the cache in column order.  `value_of` is that route
+for one cell.  The cache is the only store of values that outlives a call, so
+a repeated single-cell call without a cache sweeps again; pass `ResidueCache()`
+to serve it from memory.
 
 A sweep (`plan`, `values_at`, `_sweep`: internal routes) evaluates many cells
 of one prime at once, and trusts them: each is checked once per run, where it
 enters (`build_matrix`, `Suite.run`, `ppt_constants`, `evaluate_combination`,
-`compute_cell`, and `value_of` without a table).  The requested indices and all
+a one-cell `compute_cell`, and `value_of`).  The requested indices and all
 their prefixes form a trie whose shape does not depend on the prime: `_shape`
 keeps the shapes of the last few cell tuples swept, which a run sweeps again at
 prime after prime, and holds no value; each sweep keeps its node sums in a list
@@ -448,73 +448,62 @@ def _sweep(cells, p) -> dict:
     return out
 
 
-def plan(cells, p: int, cache: ResidueCache | None = None) -> dict:
-    """{(variant, index, signs, p): value}, from one sweep, of every (variant, index,
-    signs) cell that value_of will be asked for at p and the cache does not hold.
+def plan(cells, p: int) -> dict:
+    """{(variant, index, signs): value} of the cells with a nonempty index, from one
+    sweep at p, for compute_cell to read.
 
     An internal route, like _sweep: it trusts its cells, which the caller has checked
     (check_cell); an unchecked cell gets a wrong value or a TypeError, not a ValueError.
     """
-    held, todo = {} if cache is None else cache.cells_at(p), {}
-    for variant, index, signs in cells:
-        cell = (variant, tuple(index), None if signs is None else tuple(signs))
-        if cell[1] and cell not in held:
-            todo[cell] = None
-    return {(*cell, p): v for cell, v in _sweep(todo, p).items()} if todo else {}
+    todo = dict.fromkeys(cell for cell in cells if cell[1])
+    return _sweep(todo, p) if todo else {}
 
 
 def compute_cell(variant: str, index, signs, p: int, table=None) -> int:
-    """Uncached single-cell evaluation: the cell's value in table (what plan returned)
-    if it is there, else a sweep of this cell alone."""
+    """Uncached single-cell evaluation: the cell's value in table (what plan returned
+    at p) if it is there, else a sweep of this cell alone."""
     try:
-        key = (variant, tuple(index), None if signs is None else tuple(signs), p)
+        cell = (variant, tuple(index), None if signs is None else tuple(signs))
     except TypeError:  # an index or signs that is not a sequence: check_cell says which
         check_cell(variant, index, signs)
         raise
-    if table and key in table:
-        return table[key]
-    (v,) = _sweep([check_cell(*key[:3])], p).values()
+    if table and cell in table:
+        return table[cell]
+    (v,) = _sweep([check_cell(*cell)], p).values()
     return v
 
 
-def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None,
-             table=None) -> int:
-    """Single-cell evaluation: the cache's value if given, else compute_cell's, which
-    the cache then keeps.  The empty index is 1, at a checked cell and prime.
+def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None) -> int:
+    """Single-cell evaluation at a checked cell and prime: 1 for the empty index, else
+    values_at's value, which the cache, if given, holds or then keeps.
 
-    Without a table, the public single-cell call, the cell is checked (check_cell)
-    before the cache is read, so a cell refused cold is refused warm too.  With
-    plan's table the caller has checked its cells, as values_at's callers do.
+    The cell is checked (check_cell) before the cache is read, so a cell refused cold
+    is refused warm too.
     """
-    if table is None or not index:
-        variant, index, signs = check_cell(variant, index, signs)
-        if not index:
-            check_prime(p)
-            return 1
-    else:
-        index, signs = tuple(index), None if signs is None else tuple(signs)
-    v = None if cache is None else cache.get(variant, index, signs, p)
-    if v is None:
-        v = compute_cell(variant, index, signs, p, table)
-        if cache is not None:
-            cache.add(variant, index, signs, p, v)
-    return v
+    cell = check_cell(variant, index, signs)
+    check_prime(p)
+    return values_at([cell], p, cache)[0] if cell[1] else 1
 
 
 def values_at(columns, p: int, cache: ResidueCache | None = None, table=None) -> tuple:
     """Values of the (variant, index, signs) columns at one prime: the cache's cells at p
-    read from its dict of p, the others (and the empty index) through value_of in column
-    order, with plan's table of them (planned here unless the caller passes it).
+    read from its dict of p; each distinct other one computed once, by compute_cell from
+    plan's table of them (planned here unless the caller passes it), and added to the
+    cache in column order; the empty index through value_of.
 
     An internal route, like plan: it trusts its columns, which the caller has checked
     (check_cell).  Library callers go through value_of, build_matrix or a suite.
     """
     values = list(map(({} if cache is None else cache.cells_at(p)).get, columns))
     if None in values:  # a cell the cache does not hold, or the empty index
-        missing = [c for c, v in zip(columns, values) if v is None and c[1]]
-        if missing and table is None:
-            table = plan(missing, p)
-        values = [v if v is not None else value_of(*c, p, cache, table)
+        new = dict.fromkeys(c for c, v in zip(columns, values) if v is None and c[1])
+        if new and table is None:
+            table = plan(new, p)
+        for cell in new:
+            v = new[cell] = compute_cell(*cell, p, table)
+            if cache is not None:
+                cache.add(*cell, p, v)
+        values = [v if v is not None else new[c] if c[1] else value_of(*c, p)
                   for c, v in zip(columns, values)]
     return tuple(values)
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 
-from .evaluator import check_index, plan, value_of
+from .evaluator import check_index, values_at
+from .evaluator import value_of  # noqa: F401  bound here for perfbench/tracing.py's LOOKUPS
 from .modmath import check_prime, mod_inv
 
 __all__ = [
@@ -288,18 +289,17 @@ def evaluate_combination(comb: IndexCombination, variant: str, p: int, cache=Non
 
     Signed (euler) variants are not supported here: a bare index carries no
     sign vector.  Raises if p is not a prime >= 5, even for the zero combination,
-    or if a coefficient denominator vanishes mod p.
+    or if a coefficient denominator vanishes mod p, before any value is read.
     """
     if variant not in ("zeta", "zeta2", "zeta2star"):
         raise ValueError("evaluate_combination takes an unsigned variant, got %r" % (variant,))
     check_prime(p)
-    table = plan([(variant, check_index(index), None) for index, _ in comb.terms()], p, cache)
-    total = 0
-    for index, coeff in comb.terms():
+    terms = [(check_index(index), coeff) for index, coeff in comb.terms()]
+    for index, coeff in terms:
         if coeff.denominator % p == 0:
             raise ValueError(
                 "coefficient %s of term %r has denominator divisible by %d" % (coeff, index, p)
             )
-        c = coeff.numerator * mod_inv(coeff.denominator, p) % p
-        total = (total + c * value_of(variant, index, None, p, cache, table)) % p
-    return total
+    values = values_at([(variant, index, None) for index, _ in terms], p, cache)
+    return sum(coeff.numerator * mod_inv(coeff.denominator, p) * v
+               for (_, coeff), v in zip(terms, values)) % p

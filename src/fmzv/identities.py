@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import partial
 
 from .bernoulli import L2, Zk
-from .evaluator import check_cell, check_index, per_prime, plan, value_of, values_at
+from .evaluator import check_cell, check_index, per_prime, plan, values_at
+from .evaluator import value_of  # noqa: F401  bound here for perfbench/tracing.py's LOOKUPS
 from .harmonic import (
     R_terms,
     all_compositions,
@@ -323,7 +324,7 @@ def ppt_constants(k, primes, cache=None):
         held = {} if cache is None else cache.cells_at(p)
         missing = list(itertools.filterfalse(held.__contains__, cells))
         table = plan(missing, p) if missing else {}
-        ref = value_of("zeta2", (k,), None, p, cache, table)
+        (ref,) = values_at([("zeta2", (k,), None)], p, cache, table)
         if ref:
             inv = mod_inv(ref, p)
             values = iter(values_at(cells, p, cache, table))

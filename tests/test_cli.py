@@ -611,6 +611,22 @@ def test_cold_parity_cache_bytes(tmp_path, capsys):
                 == "f5716ac7149b37a8f3c4698412c071a5b2e9f40c94f95f0bbd38df43bd5bc3a6")
 
 
+def test_compute_cache_bytes_cold_and_warm(tmp_path, capsys):
+    # sha256 of compute's stdout and of its cache file, recorded before values_at computed
+    # its missing cells itself; the warm run reads the file and leaves it as it was
+    for jobs in ("1", "2"):
+        path = tmp_path / ("euler%s.csv" % jobs)
+        for _ in ("cold", "warm"):
+            code, out, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "compute",
+                               "--variant", "euler", "--index", "3,1,2", "--signs=+,-,-",
+                               "--primes", "5..400")
+            assert code == 0
+            assert (hashlib.sha256(out.encode()).hexdigest()
+                    == "15da5d9f03edd62360625b901e149a2919615b25bb9560078117591745f2ad05")
+            assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                    == "3759da2f1df326bce6e4a31126ab444e2538e336b89f872453a2a203f7946fd2")
+
+
 # LC_ALL=C-sorted sha256 of the cache file a cold `verify --suite S --primes 5..60`
 # writes at default bounds, recorded before the suites' rows named their own cells
 COLD_CACHE_SORTED_5_60 = {

@@ -338,36 +338,67 @@ def test_unplanned_cell_is_swept_alone():
         ev.compute_cell("zeta", (1,), None, 9)
 
 
-def test_plan_skips_known_cells_and_holds_one_prime(tmp_path, monkeypatch):
+def test_values_at_sweeps_only_the_cells_the_cache_lacks(tmp_path, monkeypatch):
     sweeps = []
     sweep = ev._sweep
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
-    cache = ResidueCache(str(tmp_path / "c.txt"))
+    path = tmp_path / "c.txt"
+    cache = ResidueCache(str(path))
     cache.add("zeta2", (1,), None, 7, 3)
-    # the cached cell and the empty index are not swept, the others take one sweep
-    table = ev.plan([("zeta2", (1,), None), ("zeta", (1, 2), None), ("zeta2", (2, 1), None),
-                     ("zeta", (), None)], 7, cache)
+    # the cached cell and the empty index are not swept, the others take one sweep and
+    # are added to the cache in column order
+    columns = [("zeta2", (1,), None), ("zeta", (1, 2), None), ("zeta2", (2, 1), None),
+               ("zeta", (), None)]
+    assert ev.values_at(columns, 7, cache) == (3, eval_zeta((1, 2), 7), eval_zeta2((2, 1), 7), 1)
     assert sweeps == [{("zeta", (1, 2), None), ("zeta2", (2, 1), None)}]
-    assert table == {("zeta", (1, 2), None, 7): eval_zeta((1, 2), 7),
-                     ("zeta2", (2, 1), None, 7): eval_zeta2((2, 1), 7)}
-    # value_of reads a planned cell from the table, and sweeps an unplanned one alone
-    assert ev.value_of("zeta2", (2, 1), None, 7, None, table) == eval_zeta2((2, 1), 7)
+    cache.close()
+    assert path.read_text() == "zeta2,1,,7,3\nzeta,1,2,,7,%d\nzeta2,2,1,,7,%d\n" % (
+        eval_zeta((1, 2), 7), eval_zeta2((2, 1), 7))
+    # columns the cache holds, and the empty index, make no sweep
+    assert ev.values_at(columns, 7, cache) == (3, eval_zeta((1, 2), 7), eval_zeta2((2, 1), 7), 1)
     assert len(sweeps) == 1
-    assert ev.value_of("zeta2", (3,), None, 7, None, table) == eval_zeta2((3,), 7)
+
+
+def test_plan_sweeps_its_cells_once_at_its_prime(monkeypatch):
+    sweeps = []
+    sweep = ev._sweep
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
+    # the empty index is not swept, the others take one sweep, keyed by their cells
+    table = ev.plan([("zeta", (1, 2), None), ("zeta2", (2, 1), None), ("zeta", (), None)], 7)
+    assert sweeps == [{("zeta", (1, 2), None), ("zeta2", (2, 1), None)}]
+    assert table == {("zeta", (1, 2), None): eval_zeta((1, 2), 7),
+                     ("zeta2", (2, 1), None): eval_zeta2((2, 1), 7)}
+    # compute_cell reads a planned cell from the table, and sweeps an unplanned one alone
+    assert ev.compute_cell("zeta2", (2, 1), None, 7, table) == eval_zeta2((2, 1), 7)
+    assert len(sweeps) == 1
+    assert ev.compute_cell("zeta2", (3,), None, 7, table) == eval_zeta2((3,), 7)
     assert sweeps[1:] == [{("zeta2", (3,), None)}]
     # each plan is one sweep of its own cells, at its own prime
-    table = ev.plan([("zeta2", (2, 1), None), ("zeta2", (1,), None)], 11, cache)
+    table = ev.plan([("zeta2", (2, 1), None), ("zeta2", (1,), None)], 11)
     assert sweeps[2:] == [{("zeta2", (2, 1), None), ("zeta2", (1,), None)}]
-    assert table == {("zeta2", (2, 1), None, 11): eval_zeta2((2, 1), 11),
-                     ("zeta2", (1,), None, 11): eval_zeta2((1,), 11)}
-    # a plan over cached cells alone makes no sweep
-    assert ev.plan([("zeta2", (1,), None), ("zeta", (), None)], 7, cache) == {}
+    assert table == {("zeta2", (2, 1), None): eval_zeta2((2, 1), 11),
+                     ("zeta2", (1,), None): eval_zeta2((1,), 11)}
+    # a plan of the empty index alone makes no sweep
+    assert ev.plan([("zeta", (), None)], 7) == {}
     assert len(sweeps) == 3
-    cache.close()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_values_at_computes_a_repeated_missing_column_once(monkeypatch, cached):
+    computed, added = [], []
+    compute, add = ev.compute_cell, ResidueCache.add
+    monkeypatch.setattr(ev, "compute_cell", lambda *args: computed.append(args[:4]) or compute(*args))
+    monkeypatch.setattr(ResidueCache, "add", lambda self, *args: added.append(args) or add(self, *args))
+    cache = ResidueCache() if cached else None
+    cell, other = ("zeta2", (2, 1), None), ("zeta", (3,), None)
+    want = (eval_zeta2((2, 1), 11), eval_zeta((3,), 11))
+    assert ev.values_at([cell, other, cell, other, cell], 11, cache) == want + want + want[:1]
+    assert computed == [(*cell, 11), (*other, 11)]
+    assert added == ([(*cell, 11, want[0]), (*other, 11, want[1])] if cached else [])
 
 
 def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
-    # each plan of a run over many primes returns its own prime's cells, and the
+    # each plan of a run over many primes holds its own prime's cells, and the
     # module keeps nothing: a repeated cell without a cache is swept again
     tables, sweeps = [], []
     plan, sweep = ev.plan, ev._sweep
@@ -375,7 +406,7 @@ def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
     monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(p) or sweep(cells, p))
     primes = sieve_primes(5, 120)
     column("zeta2", (2, 1), primes=primes)
-    assert tables == [{("zeta2", (2, 1), None, p): eval_zeta2((2, 1), p)} for p in primes]
+    assert tables == [{("zeta2", (2, 1), None): eval_zeta2((2, 1), p)} for p in primes]
     for p in primes:
         ev.compute_cell("zeta2star", (1, 2), None, p)
         ev.compute_cell("zeta2star", (1, 2), None, p)
@@ -388,13 +419,12 @@ def test_signs_may_be_any_sequence():
     want = eval_euler((1, 2), (1, -1), 7)
     assert ev.compute_cell("euler", [1, 2], [1, -1], 7) == want
     assert ev.value_of("euler", (1, 2), [1, -1], 7) == want
+    assert ev.value_of("euler", [1, 2], [1, -1], 7) == want
     cache = ResidueCache()
     assert ev.value_of("euler", (1, 2), [1, -1], 7, cache) == want
     assert cache.get("euler", (1, 2), (1, -1), 7) == want
-    assert ev.value_of("euler", (1, 2), [1, -1], 7, cache) == want
-    table = ev.plan([("euler", [1, 2], [1, -1])], 7)
-    assert table == {("euler", (1, 2), (1, -1), 7): want}
-    assert ev.value_of("euler", [1, 2], [1, -1], 7, None, table) == want
+    assert ev.value_of("euler", [1, 2], [1, -1], 7, cache) == want
+    assert len(cache) == 1
 
 
 def test_cache_round_trip_with_list_signs(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fmzv.evaluator import eval_zeta, eval_zeta2, eval_zeta2_star
+from fmzv.evaluator import ResidueCache, eval_zeta, eval_zeta2, eval_zeta2_star
 from fmzv.harmonic import (
     IndexCombination,
     all_compositions,
@@ -194,6 +194,15 @@ def test_evaluate_combination_denominator_error():
     assert "1/7" in str(err.value)
     with pytest.raises(ValueError):
         evaluate_combination(comb, "euler", 11)
+
+
+def test_evaluate_combination_checks_every_denominator_before_reading_a_value():
+    # the first term's value is not read, nor cached, before the second term's 1/7 is refused
+    comb = IndexCombination({(1,): 1, (2,): Fraction(1, 7)})
+    cache = ResidueCache()
+    with pytest.raises(ValueError, match="1/7"):
+        evaluate_combination(comb, "zeta2", 7, cache)
+    assert len(cache) == 0
 
 
 def test_combination_equality_hash_and_truth():
