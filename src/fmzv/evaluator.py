@@ -11,16 +11,17 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
 
 A value takes one route, `values_at`: the cells the residue cache holds at p
 are read from its dict of p (`ResidueCache.cells_at`); each distinct other one
-is computed once, by `compute_cell` from the table `plan` returns for them from
-one sweep, and added to the cache in column order.  `value_of` is that route
-for one cell.  The cache is the only store of values that outlives a call, so
-a repeated single-cell call without a cache sweeps again; pass `ResidueCache()`
-to serve it from memory.
+is computed once, by `compute_cell`, its read of the table `plan` returns for
+them from one sweep, and added to the cache in column order; the empty index
+is 1.  `value_of` is that route for one cell, and the one single-cell
+evaluation that checks its cell and prime.  The cache is the only store of
+values that outlives a call, so a repeated single-cell call without a cache
+sweeps again; pass `ResidueCache()` to serve it from memory.
 
-A sweep (`plan`, `values_at`, `_sweep`: internal routes) evaluates many cells
-of one prime at once, and trusts them: each is checked once per run, where it
-enters (`build_matrix`, `Suite.run`, `ppt_constants`, `evaluate_combination`,
-a one-cell `compute_cell`, and `value_of`).  The requested indices and all
+A sweep (`plan`, `values_at`, `compute_cell`, `_sweep`: internal routes)
+evaluates many cells of one prime at once, and trusts them: each is checked
+once per run, where it enters (`build_matrix`, `Suite.run`, `ppt_constants`,
+`evaluate_combination`, and `value_of`).  The requested indices and all
 their prefixes form a trie whose shape does not depend on the prime: `_shape`
 keeps the shapes of the last few cell tuples swept, which a run sweeps again at
 prime after prime, and holds no value; each sweep keeps its node sums in a list
@@ -459,37 +460,28 @@ def plan(cells, p: int) -> dict:
     return _sweep(todo, p) if todo else {}
 
 
-def compute_cell(variant: str, index, signs, p: int, table=None) -> int:
-    """Uncached single-cell evaluation: the cell's value in table (what plan returned
-    at p) if it is there, else a sweep of this cell alone."""
-    try:
-        cell = (variant, tuple(index), None if signs is None else tuple(signs))
-    except TypeError:  # an index or signs that is not a sequence: check_cell says which
-        check_cell(variant, index, signs)
-        raise
-    if table and cell in table:
-        return table[cell]
-    (v,) = _sweep([check_cell(*cell)], p).values()
-    return v
+def compute_cell(variant: str, index, signs, p: int, table) -> int:
+    """values_at's read of one computed cell from table, what plan returned at p."""
+    return table[variant, index, signs]
 
 
 def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = None) -> int:
-    """Single-cell evaluation at a checked cell and prime: 1 for the empty index, else
-    values_at's value, which the cache, if given, holds or then keeps.
+    """Single-cell evaluation, the one that checks its cell and prime: values_at's value,
+    which the cache, if given, holds or then keeps, and 1 for the empty index.
 
     The cell is checked (check_cell) before the cache is read, so a cell refused cold
     is refused warm too.
     """
     cell = check_cell(variant, index, signs)
     check_prime(p)
-    return values_at([cell], p, cache)[0] if cell[1] else 1
+    return values_at([cell], p, cache)[0]
 
 
 def values_at(columns, p: int, cache: ResidueCache | None = None, table=None) -> tuple:
     """Values of the (variant, index, signs) columns at one prime: the cache's cells at p
     read from its dict of p; each distinct other one computed once, by compute_cell from
     plan's table of them (planned here unless the caller passes it), and added to the
-    cache in column order; the empty index through value_of.
+    cache in column order; 1 for the empty index.
 
     An internal route, like plan: it trusts its columns, which the caller has checked
     (check_cell).  Library callers go through value_of, build_matrix or a suite.
@@ -503,8 +495,7 @@ def values_at(columns, p: int, cache: ResidueCache | None = None, table=None) ->
             v = new[cell] = compute_cell(*cell, p, table)
             if cache is not None:
                 cache.add(*cell, p, v)
-        values = [v if v is not None else new[c] if c[1] else value_of(*c, p)
-                  for c, v in zip(columns, values)]
+        values = [new.get(c, 1) if v is None else v for c, v in zip(columns, values)]
     return tuple(values)
 
 

@@ -13,7 +13,7 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .bernoulli import L2, Zk
 from .evaluator import check_cell, check_index, per_prime, plan, values_at
@@ -277,10 +277,11 @@ def _sum_formula_rows(kmax):
                 for i, cs in odd1.items() if i <= r for c in cs]
 
 
+@lru_cache(maxsize=None)  # read by ppt_constants, then by the held-out rows: built once
 def _one_odd_compositions(k, r, i):
     """Compositions of the odd k into r parts with part i odd and every other part even:
     doubling each part of a composition of (k + 1) / 2 and taking 1 from part i is a
-    bijection onto them that keeps the lexicographic order."""
+    bijection onto them that keeps the lexicographic order.  To be read only."""
     return [(*d[:i - 1], d[i - 1] - 1, *d[i:])
             for d in (tuple(2 * x for x in c) for c in compositions((k + 1) // 2, r))]
 
@@ -464,13 +465,16 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
     the bounds."""
 
     def resolve(self, bounds):
-        """(args, report params) of the bounds; one that is None or missing takes its
-        default, and one the suite does not take is a ValueError."""
+        """(args, report params) of the bounds; one that is None or missing takes its default;
+        one the suite does not take, or a bool or non-int for an int default, is a ValueError."""
         unknown = sorted(set(bounds) - {p.name for p in self.params})
         if unknown:
             raise ValueError("suite %s does not take %s" % (self.name, ", ".join(unknown)))
         values = [p.default if bounds.get(p.name) is None else bounds[p.name]
                   for p in self.params]
+        for p, v in zip(self.params, values):
+            if isinstance(p.default, int) and (isinstance(v, bool) or not isinstance(v, int)):
+                raise ValueError("suite %s: %s must be an int, got %r" % (self.name, p.name, v))
         if self.setup is None:
             return values, {p.name: v for p, v in zip(self.params, values)}
         return self.setup(*values)

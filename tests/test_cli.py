@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -514,6 +516,17 @@ def test_ci_pins(capsys, tmp_path, argv, want):
     if None in argv:  # the cache pin: its ascii lines sort as LC_ALL=C sorts them
         out = "".join(sorted(path.read_text().splitlines(keepends=True)))
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_every_ci_pin_is_pinned_in_the_tests_or_the_benchmark_record():
+    # a sha256 changed in the workflow but not where the tests or perfbench read it (or the
+    # other way round) leaves the two checking different bytes
+    root = Path(__file__).resolve().parent.parent
+    pins = set(re.findall(r"\b[0-9a-f]{64}\b",
+                          (root / ".github" / "workflows" / "tests.yml").read_text()))
+    known = "".join(path.read_text() for path in sorted((root / "tests").glob("*.py")))
+    known += (root / "perfbench" / "expected.json").read_text()
+    assert pins and sorted(pin for pin in pins if pin not in known) == []
 
 
 def test_zero_case_suite_fails(capsys):

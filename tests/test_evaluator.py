@@ -214,8 +214,6 @@ def test_signs_on_a_non_euler_cell_raise():
     for variant in ("zeta", "zeta2", "zeta2star"):
         with pytest.raises(ValueError):
             ev.value_of(variant, (1, 2), (1, 1), 7)
-        with pytest.raises(ValueError):
-            ev.compute_cell(variant, (1, 2), (1, 1), 7)
 
 
 def test_serialization_round_trip():
@@ -327,15 +325,15 @@ def test_inverse_table():
 
 
 def test_unplanned_cell_is_swept_alone():
-    assert ev.compute_cell("zeta2star", (2, 1), None, 11) == eval_zeta2_star((2, 1), 11)
-    assert ev.compute_cell("euler", (1, 2), (-1, 1), 7) == eval_euler((1, 2), (-1, 1), 7)
-    assert ev.compute_cell("zeta", (), None, 7) == 1
+    assert ev.value_of("zeta2star", (2, 1), None, 11) == eval_zeta2_star((2, 1), 11)
+    assert ev.value_of("euler", (1, 2), (-1, 1), 7) == eval_euler((1, 2), (-1, 1), 7)
+    assert ev.value_of("zeta", (), None, 7) == 1
     with pytest.raises(ValueError):
-        ev.compute_cell("zeta3", (1,), None, 7)
+        ev.value_of("zeta3", (1,), None, 7)
     with pytest.raises(ValueError):
-        ev.compute_cell("euler", (1, 2), (1,), 7)
+        ev.value_of("euler", (1, 2), (1,), 7)
     with pytest.raises(ValueError):
-        ev.compute_cell("zeta", (1,), None, 9)
+        ev.value_of("zeta", (1,), None, 9)
 
 
 def test_values_at_sweeps_only_the_cells_the_cache_lacks(tmp_path, monkeypatch):
@@ -368,19 +366,17 @@ def test_plan_sweeps_its_cells_once_at_its_prime(monkeypatch):
     assert sweeps == [{("zeta", (1, 2), None), ("zeta2", (2, 1), None)}]
     assert table == {("zeta", (1, 2), None): eval_zeta((1, 2), 7),
                      ("zeta2", (2, 1), None): eval_zeta2((2, 1), 7)}
-    # compute_cell reads a planned cell from the table, and sweeps an unplanned one alone
+    # compute_cell reads a planned cell from the table, and sweeps nothing
     assert ev.compute_cell("zeta2", (2, 1), None, 7, table) == eval_zeta2((2, 1), 7)
     assert len(sweeps) == 1
-    assert ev.compute_cell("zeta2", (3,), None, 7, table) == eval_zeta2((3,), 7)
-    assert sweeps[1:] == [{("zeta2", (3,), None)}]
     # each plan is one sweep of its own cells, at its own prime
     table = ev.plan([("zeta2", (2, 1), None), ("zeta2", (1,), None)], 11)
-    assert sweeps[2:] == [{("zeta2", (2, 1), None), ("zeta2", (1,), None)}]
+    assert sweeps[1:] == [{("zeta2", (2, 1), None), ("zeta2", (1,), None)}]
     assert table == {("zeta2", (2, 1), None): eval_zeta2((2, 1), 11),
                      ("zeta2", (1,), None): eval_zeta2((1,), 11)}
     # a plan of the empty index alone makes no sweep
     assert ev.plan([("zeta", (), None)], 7) == {}
-    assert len(sweeps) == 3
+    assert len(sweeps) == 2
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -397,6 +393,26 @@ def test_values_at_computes_a_repeated_missing_column_once(monkeypatch, cached):
     assert added == ([(*cell, 11, want[0]), (*other, 11, want[1])] if cached else [])
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_values_at_gives_the_empty_index_1_unchecked(monkeypatch, cached):
+    # beside a held and a missing cell, each column of the empty index is 1, warm and
+    # cold: values_at trusts it, with no check_cell and no value_of; the one check is
+    # the cache's own, of the cell it adds
+    held, missing, empty = ("zeta2", (1,), None), ("zeta", (2, 1), None), ("zeta2", (), None)
+    cache = None
+    if cached:
+        cache = ResidueCache()
+        cache.add(*held, 11, eval_zeta2((1,), 11))
+    checked, check = [], ev.check_cell
+    monkeypatch.setattr(ev, "check_cell", lambda *cell: checked.append(cell) or check(*cell))
+    monkeypatch.setattr(ev, "value_of", lambda *args: pytest.fail("values_at called value_of"))
+    columns = [empty, held, empty, missing, ("zeta", (), None), empty]
+    want = (1, eval_zeta2((1,), 11), 1, eval_zeta((2, 1), 11), 1, 1)
+    for _ in range(2):
+        assert ev.values_at(columns, 11, cache) == want
+    assert checked == ([missing] if cached else [])
+
+
 def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
     # each plan of a run over many primes holds its own prime's cells, and the
     # module keeps nothing: a repeated cell without a cache is swept again
@@ -408,8 +424,8 @@ def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
     column("zeta2", (2, 1), primes=primes)
     assert tables == [{("zeta2", (2, 1), None): eval_zeta2((2, 1), p)} for p in primes]
     for p in primes:
-        ev.compute_cell("zeta2star", (1, 2), None, p)
-        ev.compute_cell("zeta2star", (1, 2), None, p)
+        ev.value_of("zeta2star", (1, 2), None, p)
+        ev.value_of("zeta2star", (1, 2), None, p)
     assert sweeps == primes + [p for p in primes for _ in range(2)]
     assert [name for name, v in vars(ev).items()
             if not name.startswith("__") and isinstance(v, (dict, list, set))] == []
@@ -417,7 +433,6 @@ def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
 
 def test_signs_may_be_any_sequence():
     want = eval_euler((1, 2), (1, -1), 7)
-    assert ev.compute_cell("euler", [1, 2], [1, -1], 7) == want
     assert ev.value_of("euler", (1, 2), [1, -1], 7) == want
     assert ev.value_of("euler", [1, 2], [1, -1], 7) == want
     cache = ResidueCache()
@@ -492,7 +507,7 @@ def test_cache_round_trip(tmp_path):
     for line in lines:
         key, residue = parse_line(line)
         variant, index, signs, p = key
-        assert ev.compute_cell(variant, index, signs, p) == residue
+        assert ev.value_of(variant, index, signs, p) == residue
 
 
 def test_cache_blank_lines_are_skipped(tmp_path):
@@ -610,7 +625,7 @@ def _real_cache_lines(tmp_path):
              ("euler", (3, 1), (-1, 1)), ("euler", (2,), (-1,))]
     for p in (7, 11, 13, 101):
         for variant, index, signs in cells:
-            cache.add(variant, index, signs, p, ev.compute_cell(variant, index, signs, p))
+            cache.add(variant, index, signs, p, ev.value_of(variant, index, signs, p))
     cache.close()
     return path.read_text().splitlines()
 
@@ -806,7 +821,7 @@ def test_two_workers_over_a_partly_filled_cache_write_what_one_process_writes(
         path = tmp_path / ("c%d.csv" % jobs)
         cache = ResidueCache(str(path))
         for cell in held:
-            cache.add(*cell, ev.compute_cell(*cell))
+            cache.add(*cell, ev.value_of(*cell))
         cache.close()
         cache = ResidueCache(str(path))
         m = build_matrix(columns, primes, cache=cache, jobs=jobs)
@@ -872,10 +887,9 @@ BAD_CELL_CALLS = {
     "evaluate_combination zero prime": lambda: evaluate_combination(
         IndexCombination.zero(), "zeta2", 4),
     "build_matrix": lambda: build_matrix([("zeta2", (1.5,))], [7]),
-    "compute_cell": lambda: ev.compute_cell("zeta2", (1, 2), (1, 1), 7),
-    # an index or signs that is not a sequence, which the table key cannot take
-    "compute_cell index not a sequence": lambda: ev.compute_cell("zeta2", 5, None, 7),
-    "compute_cell signs not a sequence": lambda: ev.compute_cell("zeta2", (1,), 5, 7),
+    # an index or signs that is not a sequence, which no cache line or table key takes
+    "value_of index not a sequence": lambda: ev.value_of("zeta2", 5, None, 7),
+    "value_of signs not a sequence": lambda: ev.value_of("euler", (1,), 5, 7),
     "suite rows": lambda: SUITES["key"]._replace(
         rows=lambda wmax: [("bad", 1, [(1, ("zeta2", (0,)))], [])]).run({}, [7]),
 }
@@ -903,13 +917,11 @@ def _warm_value_of(variant, index):
 @pytest.mark.parametrize("entry", [
     lambda v, ix: ev.value_of(v, ix, None, 7),
     _warm_value_of,
-    lambda v, ix: ev.compute_cell(v, ix, None, 7),
     lambda v, ix: build_matrix([(v, ix)], [7]),
     lambda v, ix: evaluate_combination(IndexCombination.term(ix), v, 7),
     lambda v, ix: SUITES["key"]._replace(rows=lambda wmax: [("bad", 1, [(1, (v, ix))], [])]).run(
         {}, [7]),
-], ids=["value_of", "value_of warm", "compute_cell", "build_matrix", "evaluate_combination",
-        "suite row"])
+], ids=["value_of", "value_of warm", "build_matrix", "evaluate_combination", "suite row"])
 def test_every_entry_refuses_the_cells_the_internal_routes_trust(entry, variant, index):
     with pytest.raises(ValueError):
         entry(variant, index)

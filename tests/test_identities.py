@@ -530,8 +530,8 @@ def test_identical_runs_make_identical_sweeps(monkeypatch):
 
 
 def test_a_suite_run_checks_each_cell_it_names_once(monkeypatch):
-    # the rows are listed once per run, and each prime checks nothing but the one empty
-    # index the rows name, which value_of returns as 1 once its cell and prime pass
+    # the rows are listed once per run, which checks each cell they name, the empty
+    # index too; no prime checks a cell again
     listed, swept = [], []
     check = ev.check_cell
     monkeypatch.setattr(ids, "check_cell", lambda *cell: listed.append(cell) or check(*cell))
@@ -539,7 +539,28 @@ def test_a_suite_run_checks_each_cell_it_names_once(monkeypatch):
     assert SUITES["key"].run({"wmax": 4}, PRIMES).passed
     named = {(v, ix, None) for *_, lhs, rhs in ids._key_rows(4)
              for term in (*lhs, *rhs) for v, ix in term[1:]}
-    assert sorted(listed) == sorted(named) and swept == [("zeta2", (), None)] * len(PRIMES)
+    assert ("zeta2", (), None) in named
+    assert sorted(listed) == sorted(named) and swept == []
+
+
+@pytest.mark.parametrize("suite, bounds", [("key", {"wmax": True}), ("weighted2", {"dmax": 2.0}),
+                                           ("key", {"wmax": "3"}), ("sumformula", {"kmax": 3.0})])
+def test_a_bound_that_is_not_an_int_is_refused(suite, bounds):
+    with pytest.raises(ValueError):
+        SUITES[suite].run(bounds, PRIMES)
+
+
+def test_a_ppt_run_builds_each_pattern_once(monkeypatch):
+    # a pattern (k, r, i) is built from the compositions of (k + 1) / 2 into r parts, once
+    # for ppt_constants and the held-out rows alike
+    built = []
+    comps = ids.compositions
+    monkeypatch.setattr(ids, "compositions", lambda *args: built.append(args) or comps(*args))
+    ids._one_odd_compositions.cache_clear()
+    assert SUITES["ppt"].run({"rmax": 3}, PRIMES).total
+    patterns = [(k, r, i) for k in (3, 5, 7) for r in range(1, (k + 1) // 2 + 1)
+                for i in range(1, r + 1)]
+    assert sorted(built) == sorted(((k + 1) // 2, r) for k, r, _ in patterns)
 
 
 def test_weighted_sums_C_only_for_a_row_some_prime_checks(monkeypatch):
