@@ -10,16 +10,16 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
   euler      level 1 with numerator signs eps_i^(m_i), eps_i in {+1,-1}
 
 A value takes one route, `values_at`: the cells the residue cache holds at p
-are read from its dict of p (`ResidueCache.cells_at`); each distinct other one
-is computed once, by `compute_cell`, its read of the table `plan` returns for
-them from one sweep, and added to the cache in column order; the empty index
-is 1.  `value_of` is that route for one cell, and the one single-cell
-evaluation that checks its cell and prime.  The cache is the only store of
-values that outlives a call, so a repeated single-cell call without a cache
-sweeps again; pass `ResidueCache()` to serve it from memory.
+are read from its dict of p (`ResidueCache.cells_at`); the other ones, the empty
+index aside, are swept together once, by `_sweep`, and each distinct one is read
+from that table by `compute_cell` and added to the cache in column order; the
+empty index is 1.  `value_of` is that route for one cell, and the one
+single-cell evaluation that checks its cell and prime.  The cache is the only
+store of values that outlives a call, so a repeated single-cell call without a
+cache sweeps again; pass `ResidueCache()` to serve it from memory.
 
-A sweep (`plan`, `values_at`, `compute_cell`, `_sweep`: internal routes)
-evaluates many cells of one prime at once, and trusts them: each is checked
+A sweep (`values_at`, `compute_cell`, `_sweep`: internal routes) evaluates many
+cells of one prime at once, and trusts them and their prime: each is checked
 once per run, where it enters (`build_matrix`, `Suite.run`, `ppt_constants`,
 `evaluate_combination`, and `value_of`).  The requested indices and all
 their prefixes form a trie whose shape does not depend on the prime: `_shape`
@@ -29,12 +29,11 @@ of its own.  The node sums obey
 T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the
 node's last entry k, times (-1)^m for a - sign; as m^(p-1) = 1 mod p, an entry
 k >= p enters the trie as its residue in 1..p-1, in a trie built for that sweep
-alone.  The sweep walks the trie
-depth first, column by column, over blocks of at most _BLOCK values of m,
-carrying each node's sum from one block to the next: an inner node is one
-prefix-sum column of T_node over the block, reduced mod p only if another
-column is summed from it, and a leaf is one dot product of its parent's
-column with w.  The inverses of 1..p-1 come from the recurrence
+alone.  The sweep walks the trie depth first, column by column, over blocks of
+at most _BLOCK values of m, carrying each node's sum from one block to the
+next: an inner node is one prefix-sum column of T_node over the block, reduced
+mod p only if another column is summed from it, and a leaf is one dot product
+of its parent's column with w.  The inverses of 1..p-1 come from the recurrence
 1/i = -(p // i) / (p % i).  zeta and euler share a trie; zeta2 is that trie
 read at m = (p-1)/2, where a leaf read at both ends splits its dot product;
 zeta2star has its own trie, whose nodes read their parent at m itself, one
@@ -394,8 +393,7 @@ _shape = lru_cache(maxsize=8)(_trie)
 
 def _sweep(cells, p) -> dict:
     """{(variant, index, signs): value mod p} for the cells, from one walk of their tries
-    per block of m.  Each cell is a tuple that check_cell passed; none is checked here."""
-    check_prime(p)
+    per block of m.  It trusts its cells, each with a nonempty index, and p: none is checked."""
     cells = tuple(cells)
     shape = _shape(cells)
     if shape[4] >= p:  # a trie of the entries' residues, for this sweep alone
@@ -449,19 +447,9 @@ def _sweep(cells, p) -> dict:
     return out
 
 
-def plan(cells, p: int) -> dict:
-    """{(variant, index, signs): value} of the cells with a nonempty index, from one
-    sweep at p, for compute_cell to read.
-
-    An internal route, like _sweep: it trusts its cells, which the caller has checked
-    (check_cell); an unchecked cell gets a wrong value or a TypeError, not a ValueError.
-    """
-    todo = dict.fromkeys(cell for cell in cells if cell[1])
-    return _sweep(todo, p) if todo else {}
-
-
-def compute_cell(variant: str, index, signs, p: int, table) -> int:
-    """values_at's read of one computed cell from table, what plan returned at p."""
+def compute_cell(variant: str, index, signs, table) -> int:
+    """values_at's read of one computed cell from _sweep's table: a function, not an
+    inline read, so that each computed cell is one call that a tracer counts and times."""
     return table[variant, index, signs]
 
 
@@ -480,19 +468,20 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
 def values_at(columns, p: int, cache: ResidueCache | None = None, table=None) -> tuple:
     """Values of the (variant, index, signs) columns at one prime: the cache's cells at p
     read from its dict of p; each distinct other one computed once, by compute_cell from
-    plan's table of them (planned here unless the caller passes it), and added to the
-    cache in column order; 1 for the empty index.
+    one _sweep of them (made here unless the caller, ppt_constants, passes its table),
+    and added to the cache in column order; 1 for the empty index.
 
-    An internal route, like plan: it trusts its columns, which the caller has checked
-    (check_cell).  Library callers go through value_of, build_matrix or a suite.
+    An internal route, like _sweep: it trusts its columns and p, which the caller has
+    checked (check_cell, check_prime).  Library callers go through value_of,
+    build_matrix or a suite.
     """
     values = list(map(({} if cache is None else cache.cells_at(p)).get, columns))
     if None in values:  # a cell the cache does not hold, or the empty index
         new = dict.fromkeys(c for c, v in zip(columns, values) if v is None and c[1])
         if new and table is None:
-            table = plan(new, p)
+            table = _sweep(new, p)
         for cell in new:
-            v = new[cell] = compute_cell(*cell, p, table)
+            v = new[cell] = compute_cell(*cell, table)
             if cache is not None:
                 cache.add(*cell, p, v)
         values = [new.get(c, 1) if v is None else v for c, v in zip(columns, values)]

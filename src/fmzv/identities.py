@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .bernoulli import L2, Zk
-from .evaluator import check_cell, check_index, per_prime, plan, values_at
+from .evaluator import _sweep, check_cell, check_index, per_prime, values_at
 from .evaluator import value_of  # noqa: F401  bound here for perfbench/tracing.py's LOOKUPS
 from .harmonic import (
     R_terms,
@@ -324,7 +324,7 @@ def ppt_constants(k, primes, cache=None):
             continue
         held = {} if cache is None else cache.cells_at(p)
         missing = list(itertools.filterfalse(held.__contains__, cells))
-        table = plan(missing, p) if missing else {}
+        table = _sweep(missing, p) if missing else {}
         (ref,) = values_at([("zeta2", (k,), None)], p, cache, table)
         if ref:
             inv = mod_inv(ref, p)

@@ -6,6 +6,7 @@ import pytest
 from cachecells import cells_of
 
 import fmzv.evaluator as ev
+import fmzv.identities as ids
 from fmzv.evaluator import (
     VARIANTS,
     CacheError,
@@ -357,25 +358,35 @@ def test_values_at_sweeps_only_the_cells_the_cache_lacks(tmp_path, monkeypatch):
     assert len(sweeps) == 1
 
 
-def test_plan_sweeps_its_cells_once_at_its_prime(monkeypatch):
-    sweeps = []
+def test_values_at_sweeps_its_misses_once_at_their_prime(monkeypatch):
+    sweeps, tables = [], []
     sweep = ev._sweep
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append((set(cells), p)) or
+                        tables.append(sweep(cells, p)) or tables[-1])
     # the empty index is not swept, the others take one sweep, keyed by their cells
-    table = ev.plan([("zeta", (1, 2), None), ("zeta2", (2, 1), None), ("zeta", (), None)], 7)
-    assert sweeps == [{("zeta", (1, 2), None), ("zeta2", (2, 1), None)}]
-    assert table == {("zeta", (1, 2), None): eval_zeta((1, 2), 7),
-                     ("zeta2", (2, 1), None): eval_zeta2((2, 1), 7)}
-    # compute_cell reads a planned cell from the table, and sweeps nothing
-    assert ev.compute_cell("zeta2", (2, 1), None, 7, table) == eval_zeta2((2, 1), 7)
+    columns = [("zeta", (1, 2), None), ("zeta2", (2, 1), None), ("zeta", (), None)]
+    assert ev.values_at(columns, 7) == (eval_zeta((1, 2), 7), eval_zeta2((2, 1), 7), 1)
+    assert sweeps == [({("zeta", (1, 2), None), ("zeta2", (2, 1), None)}, 7)]
+    assert tables == [{("zeta", (1, 2), None): eval_zeta((1, 2), 7),
+                       ("zeta2", (2, 1), None): eval_zeta2((2, 1), 7)}]
+    # compute_cell reads a swept cell from the table, and values_at given the table reads
+    # its cells from it: neither sweeps
+    assert ev.compute_cell("zeta2", (2, 1), None, tables[0]) == eval_zeta2((2, 1), 7)
+    assert ev.values_at(columns[1::-1], 7, None, tables[0]) == (eval_zeta2((2, 1), 7),
+                                                                eval_zeta((1, 2), 7))
     assert len(sweeps) == 1
-    # each plan is one sweep of its own cells, at its own prime
-    table = ev.plan([("zeta2", (2, 1), None), ("zeta2", (1,), None)], 11)
-    assert sweeps[1:] == [{("zeta2", (2, 1), None), ("zeta2", (1,), None)}]
-    assert table == {("zeta2", (2, 1), None): eval_zeta2((2, 1), 11),
-                     ("zeta2", (1,), None): eval_zeta2((1,), 11)}
-    # a plan of the empty index alone makes no sweep
-    assert ev.plan([("zeta", (), None)], 7) == {}
+    # each values_at is one sweep of its own misses, at its own prime
+    assert ev.values_at([("zeta2", (2, 1), None), ("zeta2", (1,), None)], 11) == (
+        eval_zeta2((2, 1), 11), eval_zeta2((1,), 11))
+    assert sweeps[1:] == [({("zeta2", (2, 1), None), ("zeta2", (1,), None)}, 11)]
+    assert tables[1:] == [{("zeta2", (2, 1), None): eval_zeta2((2, 1), 11),
+                           ("zeta2", (1,), None): eval_zeta2((1,), 11)}]
+    # columns the cache holds and the empty index alone make no sweep
+    cache = ResidueCache()
+    cache.add("zeta2", (3,), None, 7, eval_zeta2((3,), 7))
+    assert ev.values_at([("zeta", (), None)], 7) == (1,)
+    assert ev.values_at([("zeta2", (), None), ("zeta2", (3,), None)], 7, cache) == (
+        1, eval_zeta2((3,), 7))
     assert len(sweeps) == 2
 
 
@@ -383,13 +394,13 @@ def test_plan_sweeps_its_cells_once_at_its_prime(monkeypatch):
 def test_values_at_computes_a_repeated_missing_column_once(monkeypatch, cached):
     computed, added = [], []
     compute, add = ev.compute_cell, ResidueCache.add
-    monkeypatch.setattr(ev, "compute_cell", lambda *args: computed.append(args[:4]) or compute(*args))
+    monkeypatch.setattr(ev, "compute_cell", lambda *args: computed.append(args[:3]) or compute(*args))
     monkeypatch.setattr(ResidueCache, "add", lambda self, *args: added.append(args) or add(self, *args))
     cache = ResidueCache() if cached else None
     cell, other = ("zeta2", (2, 1), None), ("zeta", (3,), None)
     want = (eval_zeta2((2, 1), 11), eval_zeta((3,), 11))
     assert ev.values_at([cell, other, cell, other, cell], 11, cache) == want + want + want[:1]
-    assert computed == [(*cell, 11), (*other, 11)]
+    assert computed == [cell, other]
     assert added == ([(*cell, 11, want[0]), (*other, 11, want[1])] if cached else [])
 
 
@@ -414,12 +425,12 @@ def test_values_at_gives_the_empty_index_1_unchecked(monkeypatch, cached):
 
 
 def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
-    # each plan of a run over many primes holds its own prime's cells, and the
+    # each sweep of a run over many primes holds its own prime's cells, and the
     # module keeps nothing: a repeated cell without a cache is swept again
     tables, sweeps = [], []
-    plan, sweep = ev.plan, ev._sweep
-    monkeypatch.setattr(ev, "plan", lambda *args: tables.append(plan(*args)) or tables[-1])
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(p) or sweep(cells, p))
+    sweep = ev._sweep
+    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(p) or
+                        tables.append(sweep(cells, p)) or tables[-1])
     primes = sieve_primes(5, 120)
     column("zeta2", (2, 1), primes=primes)
     assert tables == [{("zeta2", (2, 1), None): eval_zeta2((2, 1), p)} for p in primes]
@@ -909,7 +920,7 @@ def _warm_value_of(variant, index):
     return ev.value_of(variant, index, None, 7, cache)
 
 
-# cells that plan and values_at, internal routes, take unchecked: a wrong variant, which
+# cells that values_at and _sweep, internal routes, take unchecked: a wrong variant, which
 # they would sweep as zeta, an entry 0, and an entry True, which a cache line would hold
 # as "True", refused by the next load; every public entry refuses them, cold and warm
 @pytest.mark.parametrize("variant, index", [("bogus", (1, 2)), ("zeta2", (0,)),
@@ -925,6 +936,35 @@ def _warm_value_of(variant, index):
 def test_every_entry_refuses_the_cells_the_internal_routes_trust(entry, variant, index):
     with pytest.raises(ValueError):
         entry(variant, index)
+
+
+def _warm_value_of_at(p):
+    # the cache holds (1, 2) at 7, which 7.0 equals as a key, from the oracle: the
+    # sweep is stubbed
+    cache = ResidueCache()
+    cache.add("zeta2", (1, 2), None, 7, eval_zeta2((1, 2), 7))
+    return ev.value_of("zeta2", (1, 2), None, p, cache)
+
+
+# primes that values_at and _sweep, internal routes, take unchecked: 4 and 9, which a
+# sweep would sum over as if prime, and 7.0, which finds the cache's cells at 7; every
+# entry refuses them, after good primes too, before any sweep in either binding
+@pytest.mark.parametrize("p", [4, 9, 7.0])
+@pytest.mark.parametrize("entry", [
+    lambda p: ev.value_of("zeta2", (1, 2), None, p),
+    _warm_value_of_at,
+    lambda p: evaluate_combination(IndexCombination.term((1, 2)), "zeta2", p),
+    lambda p: build_matrix([("zeta2", (1, 2))], [11, 13, p]),
+    lambda p: SUITES["key"].run({"wmax": 3}, [11, 13, p]),
+    lambda p: SUITES["ppt"].run({"rmax": 1}, [11, 13, p]),
+    lambda p: ppt_constants(3, [11, 13, p]),
+], ids=["value_of", "value_of warm", "evaluate_combination", "build_matrix", "suite",
+        "ppt suite", "ppt_constants"])
+def test_every_entry_refuses_a_bad_prime_before_any_sweep(monkeypatch, entry, p):
+    for module in (ev, ids):
+        monkeypatch.setattr(module, "_sweep", lambda cells, q: pytest.fail("swept at %r" % (q,)))
+    with pytest.raises(ValueError, match="p must be a prime >= 5, got %r" % (p,)):
+        entry(p)
 
 
 def test_cache_add_after_close_keeps_the_lines_added_since_the_load(tmp_path):

@@ -385,9 +385,11 @@ def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
     args, _ = suite.resolve({})
     sweeps, computed = [], []
     sweep, compute = ev._sweep, ev.compute_cell
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
+    for module in (ev, ids):
+        monkeypatch.setattr(module, "_sweep",
+                            lambda cells, p: sweeps.append((set(cells), p)) or sweep(cells, p))
     monkeypatch.setattr(ev, "compute_cell",
-                        lambda *args: computed.append(args[:4]) or compute(*args))
+                        lambda *args: computed.append(args[:3]) or compute(*args))
     rows = _listed(suite.rows(*args), PRIMES)
     for p in PRIMES:
         sweeps.clear()
@@ -395,7 +397,8 @@ def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
         _prime_rows(rows, p, None)
         assert len(sweeps) <= 1
         assert len(computed) == len(set(computed))
-        assert set(computed) == {(*cell, p) for cell in (sweeps[0] if sweeps else ())}
+        assert set(computed) == (sweeps[0][0] if sweeps else set())
+        assert [q for _, q in sweeps] == [p] * len(sweeps)
 
 
 @pytest.mark.parametrize("name", [n for n, s in SUITES.items() if s.rows is not None])
@@ -440,16 +443,20 @@ def test_prime_rows_checks_a_row_exactly_when_p_exceeds_its_weight_plus_two():
 
 
 def test_ppt_sweeps_once_per_prime_and_weight(monkeypatch):
-    # the per-prime rows take one sweep at each prime, and the reconstruction one
-    # per (weight, prime) for the depth-1 reference and all patterns of that weight
+    # the per-prime rows take one sweep at each prime, and each weight below p - 2 one
+    # more: a training prime's reconstruction sweep, of the depth-1 reference and all
+    # patterns of that weight, or a held-out prime's sweep of the check rows; ppt_constants
+    # sweeps through the identities binding, the rows through the evaluator's
     swept = []
     sweep = ev._sweep
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    for module in (ev, ids):
+        monkeypatch.setattr(module, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
     assert SUITES["ppt"].run({}, PRIMES).passed
     args, _ = SUITES["ppt"].resolve({})
     weights = range(3, args[1] + 1, 2)
-    for p in PRIMES:
-        assert swept.count(p) <= 1 + sum(1 for k in weights if p > k + 2), p
+    assert {p: swept.count(p) for p in PRIMES} == {
+        p: 1 + sum(1 for k in weights if p > k + 2) for p in PRIMES}
+    assert len(swept) == len(PRIMES) + sum(1 for k in weights for p in PRIMES if p > k + 2)
 
 
 def test_warm_ppt_run_makes_no_sweep(tmp_path, monkeypatch):
@@ -462,16 +469,15 @@ def test_warm_ppt_run_makes_no_sweep(tmp_path, monkeypatch):
     cache.close()
     assert any(v == 0 and key[0] == "zeta2" and len(key[1]) == 1
                for key, v in cells_of(ResidueCache(path)._cells))
-    swept, planned = [], []
-    sweep, plan = ev._sweep, ev.plan
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
-    # nor a plan: a prime whose cells the cache holds is read from its dict alone
+    # in either binding: a prime whose cells the cache holds is read from its dict alone
+    swept = []
+    sweep = ev._sweep
     for module in (ev, ids):
-        monkeypatch.setattr(module, "plan", lambda *args: planned.append(args[1]) or plan(*args))
+        monkeypatch.setattr(module, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
     warm_cache = ResidueCache(path)
     warm = SUITES["ppt"].run({}, primes, warm_cache)
     warm_cache.close()
-    assert swept == [] and planned == []
+    assert swept == []
     assert warm.to_json() == cold.to_json()
 
 
