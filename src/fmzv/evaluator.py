@@ -9,45 +9,46 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
   zeta2star  level 2, non-strict (<=) sum up to (p-1)/2
   euler      level 1 with numerator signs eps_i^(m_i), eps_i in {+1,-1}
 
-A value takes one route, `values_at`: the cells the residue cache holds at p
-are read from its dict of p (`ResidueCache.cells_at`); the other ones, the empty
-index aside, are swept together once, by `_sweep`, and each distinct one is read
-from that table by `compute_cell` and added to the cache in column order; the
-empty index is 1.  `value_of` is that route for one cell, and the one
-single-cell evaluation that checks its cell and prime.  The cache is the only
-store of values that outlives a call, so a repeated single-cell call without a
-cache sweeps again; pass `ResidueCache()` to serve it from memory.
+A value takes one route, `per_prime` (`values_at` for one prime, `value_of` for
+one cell, the one single-cell evaluation that checks its cell and prime): its
+primes go in groups of _GROUP consecutive ones; a prime's cells held by the
+residue cache are read once from its dict of p (`ResidueCache.cells_at`), the
+primes that miss a cell, the empty index aside, are swept together once, by
+`_sweep`, whose tables stream out in prime order, and each distinct missing cell
+is read from its prime's table by `compute_cell` and added to the cache in column
+order; the empty index is 1.  The cache is the only store of values that
+outlives a call, so a repeated call without one sweeps again.
 
-A sweep (`values_at`, `compute_cell`, `_sweep`: internal routes) evaluates many
-cells of one prime at once, and trusts them and their prime: each is checked
-once per run, where it enters (`build_matrix`, `Suite.run`, `ppt_constants`,
-`evaluate_combination`, and `value_of`).  The requested indices and all
-their prefixes form a trie whose shape does not depend on the prime: `_shape`
-keeps the shapes of the last few cell tuples swept, which a run sweeps again at
-prime after prime, and holds no value; each sweep keeps its node sums in a list
-of its own.  The node sums obey
-T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the
-node's last entry k, times (-1)^m for a - sign; as m^(p-1) = 1 mod p, an entry
-k >= p enters the trie as its residue in 1..p-1, in a trie built for that sweep
-alone.  The sweep walks the trie depth first, column by column, over blocks of
-at most _BLOCK values of m, carrying each node's sum from one block to the
-next: an inner node is one prefix-sum column of T_node over the block, reduced
-mod p only if another column is summed from it, and a leaf is one dot product
-of its parent's column with w.  The inverses of 1..p-1 come from the recurrence
-1/i = -(p // i) / (p % i).  zeta and euler share a trie; zeta2 is that trie
-read at m = (p-1)/2, where a leaf read at both ends splits its dot product;
-zeta2star has its own trie, whose nodes read their parent at m itself, one
-place later in its column.
+A sweep (`values_at`, `compute_cell`, `_sweep`: internal routes) trusts its cells
+and primes: each is checked once per run, where it enters (`build_matrix`,
+`Suite.run`, `ppt_constants`, `evaluate_combination`, and `value_of`).  A group
+of primes is one ring Z/MZ, M their product, so one exact walk over m serves it.
+Its cells and their prefixes form one trie, whose node sums obey
+T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the node's
+last entry k, times (-1)^m for a - sign.  The sums are held mod the product of
+the primes still to be read at m or later, all above m, so m is a unit and the
+modulus shrinks as primes are read: zeta and euler cells at m = p-1, zeta2 and
+zeta2star cells at m = (p-1)/2, each reduced mod p.  1/m comes from the
+recurrence 1/i = -(n // i) / (n % i), n that modulus.  The walk goes depth
+first, column by column, over blocks of m; a block ends where its read primes
+make up half its modulus' bits, and a column holds at most _BLOCK 30-bit words.
+An inner node is one prefix-sum column over the block, reduced only if another
+column is summed from it, a leaf one dot product, split where it is read inside
+the block.  An entry below the group's smallest prime takes a chain of power
+columns, any other one a column of its own, one pow per m.  zeta2star has its
+own trie, whose nodes read their parent at m itself, one place later.
 
 `eval_*` evaluate one cell on their own, each by one pass of the textbook DP
 `_dp_sum` over its summation range, with one batched inverse (`batch_inv`) of
 the whole range; they are kept as the independent oracle route the tests
-compare against, and no production path calls them.  `_BLOCK` is the sweep's.
+compare against, and no production path calls them.  `_BLOCK` and `_GROUP` are
+the sweep's.
 """
 
 import os
-from functools import lru_cache, partial
-from itertools import accumulate, islice
+from functools import partial
+from itertools import accumulate, chain, islice
+from math import prod
 from operator import mul
 
 from .modmath import batch_inv, check_prime, is_prime
@@ -73,6 +74,7 @@ __all__ = [
 VARIANTS = ("zeta", "zeta2", "zeta2star", "euler")
 
 _BLOCK = 4096
+_GROUP = 32
 
 
 class CacheError(Exception):
@@ -344,111 +346,155 @@ class ResidueCache:
         return sum(map(len, self._cells.values()))
 
 
-def _inverses(n, p) -> list:
-    """[0, 1, 1/2, ..., 1/n] mod p for 1 <= n < p, from 1/i = -(p // i) / (p % i)."""
-    inv = [0, 1]
-    for i in range(2, n + 1):
-        inv.append((p - p // i) * inv[p % i] % p)
-    return inv
-
-
-def _trie(cells, p=None) -> tuple:
-    """The shape of the cells' tries, the same at every prime: (strict root, star root,
-    finals, node count, largest letter, any - sign, any final read at p-1).  Given p, an
-    index entry k >= p enters as its residue in 1..p-1."""
-    # a node is [letter, read at p-1 (else at (p-1)/2 only), kids, cells read at (p-1)/2
-    # before its last m, slot of its running sum, whether a kid has kids]; letter k weighs
-    # m by m^-k, -k by (-1)^m m^-k
-    strict, star = [0, False, {}, [], 0, False], [0, False, {}, [], 1, False]
-    nodes, finals, emax, level2 = [strict, star], [], 0, ("zeta2", "zeta2star")
-    # cells read at p-1 go first, so that a node made for a read at (p-1)/2 has none below
-    for cell in sorted(cells, key=lambda c: c[0] in level2):
+def _trie(cells) -> tuple:
+    """(strict root, star root, {cell: slot of its node}, the parent slot of each slot, the
+    letters) of the cells' tries.  A node is [letter, kids, slot of its running sum, whether
+    a kid has kids]; letter k weighs m by m^-k, -k by (-1)^m m^-k."""
+    strict, star = [0, {}, 0, False], [0, {}, 1, False]
+    nodes, parent, slot_of = [strict, star], [0, 1], {}
+    for cell in cells:
         variant, index, signs = cell
-        if p is not None:  # m^(p-1) = 1 mod p: letter k weighs m as its residue in 1..p-1 does
-            index = [(k - 1) % (p - 1) + 1 for k in index]
-        emax = max(emax, max(index, default=0))
-        full, node = variant not in level2, star if variant == "zeta2star" else strict
+        node = star if variant == "zeta2star" else strict
         for e in index if signs is None else map(mul, index, signs):
-            kid = node[2].get(e)
+            kid = node[1].get(e)
             if kid is None:
-                kid = node[2][e] = [e, full, {}, [], len(nodes), False]
+                kid = node[1][e] = [e, {}, len(nodes), False]
                 nodes.append(kid)
+                parent.append(node[2])
             node = kid
-        # a read before the node's last m is taken during the walk, any other after it
-        if node[1] and not full:
-            node[3].append(cell)
-        else:
-            finals.append((cell, node[4]))
+        slot_of[cell] = node[2]
     for node in nodes:
-        node[2] = tuple(node[2].values())
-        node[5] = any(kid[2] for kid in node[2])
-    signed = any(-1 in signs for _, _, signs in cells if signs)
-    return strict, star, finals, len(nodes), emax, signed, any(nodes[s][1] for _, s in finals)
+        node[1] = tuple(node[1].values())
+        node[3] = any(kid[1] for kid in node[1])
+    return strict, star, slot_of, parent, {node[0] for node in nodes[2:]}
 
 
-# the shapes of the last few cell tuples swept: a run sweeps the same cells at prime
-# after prime; a shape holds no value
-_shape = lru_cache(maxsize=8)(_trie)
+def _inverses(inv, stop, n):
+    """Extend inv, [0, 1, 1/2, ...], up to 1/(stop - 1) mod n, every prime factor of n
+    above stop - 1, from 1/i = -(n // i) / (n % i); an entry made mod a multiple of n
+    serves as it is."""
+    for i in range(len(inv), stop):
+        inv.append((n - n // i) * inv[n % i] % n)
 
 
-def _sweep(cells, p) -> dict:
-    """{(variant, index, signs): value mod p} for the cells, from one walk of their tries
-    per block of m.  It trusts its cells, each with a nonempty index, and p: none is checked."""
-    cells = tuple(cells)
-    shape = _shape(cells)
-    if shape[4] >= p:  # a trie of the entries' residues, for this sweep alone
-        shape = _trie(cells, p)
-    strict, star, finals, size, emax, signed, to_end = shape
-    half = (p - 1) // 2
-    top = p - 1 if to_end else half
-    sums, out = [1, 1] + [0] * (size - 2), {}  # each node's running sum, by slot
-    inv = _inverses(top, p)
-    for m0 in range(1, top + 1, _BLOCK):
-        m1 = min(m0 + _BLOCK, top + 1)
-        powers = [inv[m0:m1]]
-        for _ in range(emax - 1):
-            powers.append([x * y % p for x, y in zip(powers[-1], powers[0])])
-        # weights[e][i] is letter e's weight at m = m0 + i
-        weights = [None] + powers + [[p - x if (m0 + i) & 1 else x for i, x in enumerate(w)]
-                                     for w in (reversed(powers) if signed else ())]
-        at_half, h = m0 <= half < m1, half - m0 + 1
+def _sweep(cells, primes):
+    """Yield {(variant, index, signs): value mod p} for each p of primes in order, cells[i]
+    being the cells read at primes[i], from one walk of the union of their tries over the
+    blocks of m up to the last read; the empty index reads 1.  It trusts its cells and its
+    primes, ascending: none is checked."""
+    strict, star, slot_of, parent, letters = _trie(dict.fromkeys(chain.from_iterable(cells)))
+    reads, done, tops = {}, {}, {}  # read point -> [(p, cells, their slots)]; p -> its last
+    prev = None
+    for p, cs in zip(primes, cells):
+        if cs != prev:  # equal cells at prime after prime share their slot lists
+            prev, parts = cs, []
+            for half in (True, False):
+                part = [c for c in cs if (c[0] in ("zeta2", "zeta2star")) == half]
+                parts.append((part, [slot_of[c] for c in part]))
+        for r, (part, slots) in zip(((p - 1) // 2, p - 1), parts):
+            if part:
+                reads.setdefault(r, []).append((p, part, slots))
+                done[p], tops[id(slots)] = r, (r, slots)
+    # last[s]: the last m at which node s, or a node below it, is read
+    last = [0] * len(parent)
+    for r, slots in tops.values():
+        for s in slots:
+            last[s] = max(last[s], r)
+    for s in range(len(parent) - 1, 1, -1):
+        last[parent[s]] = max(last[parent[s]], last[s])
+    # letters below the smallest prime take a chain of power columns, each other one a pow
+    chain_top = max((e for e in map(abs, letters) if e < primes[0]), default=1)
+    large = {abs(e) for e in letters if abs(e) >= primes[0]}
+    points, exits = sorted(reads), sorted((r, p) for p, r in done.items())
+    tables, sums = {p: {} for p in primes}, [1, 1] + [0] * (len(parent) - 2)
+    m0, at, gone, cut, k, inv, N = 1, 0, 0, 0, 0, [0, 1], prod(done)
+    while gone < len(exits):
+        live = [p for _, p in exits[gone:]]
+        M = prod(live)
+        # a block's column holds at most _BLOCK 30-bit words, so _BLOCK values of m mod
+        # one prime; it ends where the primes it has read make up half of M's bits, and
+        # the next block works mod the product of the others
+        m1, dead = min(m0 + max(1, _BLOCK // -(-M.bit_length() // 30)), exits[-1][0] + 1), 0
+        for r, p in exits[gone:]:
+            if r + 1 >= m1:
+                break
+            dead += p.bit_length()
+            if 2 * dead >= M.bit_length():
+                m1 = r + 1
+                break
+        # 1/m mod the product of the primes read at m or later, which all exceed m
+        while len(inv) < m1:
+            while exits[cut][0] < len(inv):
+                N //= exits[cut][1]
+                cut += 1
+            _inverses(inv, min(m1, exits[cut][0] + 1), N)
+        w1 = inv[m0:m1]
+        weights, w = {}, w1
+        for e in range(1, chain_top + 1):
+            weights[e] = w = w1 if e == 1 else [a * b % M for a, b in zip(w, w1)]
+        for e in large:
+            weights[e] = [pow(a, e, M) for a in w1]
+        for e in letters:
+            if e < 0:
+                weights[e] = [M - a if m & 1 else a for m, a in zip(range(m0, m1), weights[-e])]
+        # the reads inside the block are taken from the columns of the nodes they read,
+        # each reduced mod the primes read there; those at its end from the sums
+        block = []
+        while at < len(points) and points[at] < m1:
+            block.append(points[at])
+            at += 1
+        mids = [r for r in block if r < m1 - 1]
+        where = [(r - m0 + 1, prod(p for p, _, _ in reads[r])) for r in mids]
+        readers = set()
+        for r in mids:
+            for slots in {id(slots): slots for _, _, slots in reads[r]}.values():
+                readers.update(slots)
+        snaps = dict.fromkeys((0, 1), [1] * len(where))  # a root's sum is 1 at every m
         for root, shift in ((strict, 0), (star, 1)):
             # column c of a node holds its sums at m0 - 1 .. m1 - 1; a strict child reads
             # its parent at m - 1, c[i], a star child at m, c[i + 1]
             stack = [(root, [1] * (m1 - m0 + 1))]
             while stack:
                 node, col = stack.pop()
-                for kid in node[2]:
-                    e, full, kids, halves, slot, fold = kid
-                    if not full and half < m0:
+                for kid in node[1]:
+                    e, kids, slot, fold = kid
+                    if last[slot] < m0:
                         continue
-                    # a node whose last m is (p-1)/2, inside the block, stops there
-                    w = weights[e] if full or half >= m1 - 1 else islice(weights[e], h)
-                    src = islice(col, 1, None) if shift else col
-                    if kids:
-                        # a column is reduced mod p only if another column is summed from it
+                    w, src = weights[e], islice(col, 1, None) if shift else col
+                    if kids or slot in readers and len(where) > 1:
+                        # a column is reduced mod M only if another column is summed from it
                         c = accumulate(map(mul, src, w), initial=sums[slot])
-                        c = [x % p for x in c] if fold else list(c)
-                        sums[slot] = c[-1] % p
-                        if at_half:
-                            for cell in halves:
-                                out[cell] = c[h] % p
-                        stack.append((kid, c))
-                    elif halves and at_half:
-                        # a leaf read at both ends: its dot product splits at (p-1)/2
-                        s = sums[slot] + sum(map(mul, col, islice(w, h)))
-                        for cell in halves:
-                            out[cell] = s % p
-                        sums[slot] = (s + sum(map(mul, islice(col, h, None), islice(w, h, None)))) % p
-                    else:
-                        sums[slot] = (sums[slot] + sum(map(mul, src, w))) % p
-    for cell, slot in finals:
-        out[cell] = sums[slot]
-    return out
+                        c = [x % M for x in c] if fold else list(c)
+                        sums[slot] = c[-1] % M
+                        if slot in readers:
+                            snaps[slot] = [c[j] % q for j, q in where]
+                        if kids:
+                            stack.append((kid, c))
+                    elif slot in readers:  # a leaf read once inside: its dot product splits
+                        ((j, q),), src = where, iter(src)
+                        s = sums[slot] + sum(map(mul, islice(src, j), islice(w, j)))
+                        snaps[slot] = [s % q]
+                        sums[slot] = (s + sum(map(mul, src, islice(w, j, None)))) % M
+                    else:  # any other leaf is one dot product
+                        sums[slot] = (sums[slot] + sum(map(mul, src, w))) % M
+        for j, r in enumerate(block):
+            for p, part, slots in reads[r]:
+                if r < m1 - 1:
+                    tables[p].update(zip(part, [snaps[s][j] % p for s in slots]))
+                else:
+                    tables[p].update(zip(part, [sums[s] % p for s in slots]))
+        while gone < len(exits) and exits[gone][0] < m1:
+            gone += 1
+        while k < len(primes) and done.get(primes[k], 0) < m1:
+            yield tables.pop(primes[k])
+            k += 1
+        m0 = m1
+    for p in primes[k:]:
+        yield tables.pop(p)
 
 
 def compute_cell(variant: str, index, signs, table) -> int:
-    """values_at's read of one computed cell from _sweep's table: a function, not an
+    """A read of one computed cell from its prime's _sweep table: a function, not an
     inline read, so that each computed cell is one call that a tracer counts and times."""
     return table[variant, index, signs]
 
@@ -465,65 +511,102 @@ def value_of(variant: str, index, signs, p: int, cache: ResidueCache | None = No
     return values_at([cell], p, cache)[0]
 
 
-def values_at(columns, p: int, cache: ResidueCache | None = None, table=None) -> tuple:
-    """Values of the (variant, index, signs) columns at one prime: the cache's cells at p
-    read from its dict of p; each distinct other one computed once, by compute_cell from
-    one _sweep of them (made here unless the caller, ppt_constants, passes its table),
-    and added to the cache in column order; 1 for the empty index.
+def values_at(columns, p: int, cache: ResidueCache | None = None) -> tuple:
+    """Values of the (variant, index, signs) columns at one prime: per_prime's route for
+    one prime, without a flush.
 
     An internal route, like _sweep: it trusts its columns and p, which the caller has
     checked (check_cell, check_prime).  Library callers go through value_of,
     build_matrix or a suite.
     """
-    values = list(map(({} if cache is None else cache.cells_at(p)).get, columns))
-    if None in values:  # a cell the cache does not hold, or the empty index
-        new = dict.fromkeys(c for c, v in zip(columns, values) if v is None and c[1])
-        if new and table is None:
-            table = _sweep(new, p)
+    return next(_group(partial(_plan_all, columns), [p], cache))
+
+
+def _plan_all(columns, p):
+    # per_prime's plan of a caller that wants every column's value
+    return columns, _finish_all
+
+
+def _finish_all(read):
+    return read()
+
+
+def _read(columns, values, p, cache, table, computed, n=None) -> tuple:
+    """The values of the first n columns (all by default): values[i], the cache's, unless
+    None; else, for a nonempty index, the cell computed once, by compute_cell from table,
+    and added to the cache in column order; else 1."""
+    values = values[:n]
+    if None in values:
+        new = dict.fromkeys(c for c, v in zip(columns, values)
+                            if v is None and c[1] and c not in computed)
         for cell in new:
-            v = new[cell] = compute_cell(*cell, table)
+            v = computed[cell] = compute_cell(*cell, table)
             if cache is not None:
                 cache.add(*cell, p, v)
-        values = [new.get(c, 1) if v is None else v for c, v in zip(columns, values)]
+        values = [computed.get(c, 1) if v is None else v for c, v in zip(columns, values)]
     return tuple(values)
 
 
-def _prime_task(fn, held, p):
-    # an in-memory cache of held, the worker's own (pickled) copy of the parent's cells at p
-    cache, known = ResidueCache(), len(held)
-    cache._cells[p] = held
-    return fn(p, cache), list(islice(held.items(), known, None))
+def _group(plan, primes, cache):
+    """Yield finish(read) for each p of primes in order, where columns, finish = plan(p)
+    and read(n) gives the values of the first n columns (see _read).  The cache's cells
+    are read once per prime; the primes that miss a cell are swept together, once."""
+    steps, misses = [], {}
+    for p in primes:
+        columns, finish = plan(p)
+        values = list(map(({} if cache is None else cache.cells_at(p)).get, columns))
+        if None in values:
+            new = [c for c, v in zip(columns, values) if v is None and c[1]]
+            if new:
+                misses[p] = new
+        steps.append((p, columns, finish, values))
+    tables = _sweep(list(misses.values()), list(misses)) if misses else None
+    for p, columns, finish, values in steps:
+        table = next(tables) if p in misses else None
+        yield finish(partial(_read, columns, values, p, cache, table, {}))
 
 
-def _collect(primes, results, cache) -> list:
-    # per_prime's results; a prime's new cells, a worker's or the parent's, are flushed at once
-    out = []
-    for p, (result, cells) in zip(primes, results):
-        out.append(result)
-        if cache is not None:
-            for cell, v in cells:
-                cache.add(*cell, p, v)
-            cache.flush()
-    return out
+def _group_task(plan, primes, held):
+    # an in-memory cache of held, the worker's own (pickled) copies of the parent's cells
+    # at its primes; each prime's result, and the cells added to its dict
+    cache, known = ResidueCache(), [len(cells) for cells in held]
+    cache._cells.update(zip(primes, held))
+    results = list(_group(plan, primes, cache))
+    return [(result, list(islice(cells.items(), n, None)))
+            for result, cells, n in zip(results, held, known)]
 
 
-def per_prime(fn, primes, jobs=1, cache=None) -> list:
-    """[fn(p, cache) for p in primes]; the primes go to a pool of min(jobs, primes, CPUs)
-    workers when that is above 1.
+def per_prime(plan, primes, jobs=1, cache=None) -> list:
+    """[finish(read) for p in primes], where columns, finish = plan(p) and read(n) gives
+    the values of the first n columns (all by default), through the cache if one is
+    given; the cache's lines are flushed once per prime.
 
-    A worker starts from an in-memory cache that holds a copy of the parent cache's
-    dict of cells at its prime, and sends back the cells it added to that dict, in
-    the order it read them; the parent, the only writer, adds them to its cache.
+    The primes go in groups of _GROUP consecutive ones, each swept once (_group); the
+    groups go to a pool of min(jobs, groups, CPUs) workers when that is above 1.  A
+    worker starts from an in-memory cache that holds a copy of the parent cache's dicts
+    of cells at its primes, and sends back the cells it added to each, in the order it
+    read them; the parent, the only writer, adds them to its cache.
     """
     primes = list(primes)
-    jobs = min(jobs, len(primes), os.cpu_count() or 1)  # a pool forks all its workers at once
+    groups = [primes[i:i + _GROUP] for i in range(0, len(primes), _GROUP)]
+    jobs = min(jobs, len(groups), os.cpu_count() or 1)  # a pool forks all its workers at once
+    out = []
     if jobs <= 1:
-        return _collect(primes, ((fn(p, cache), ()) for p in primes), cache)
-    known = [{} if cache is None else cache.cells_at(p) for p in primes]
+        for group in groups:
+            for result in _group(plan, group, cache):
+                out.append(result)
+                if cache is not None:
+                    cache.flush()
+        return out
     import concurrent.futures
 
-    chunks = -(-len(primes) // (4 * jobs))  # fn, maybe a suite's rows, is pickled once a chunk
+    held = [[{} if cache is None else cache.cells_at(p) for p in group] for group in groups]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _collect(primes, pool.map(partial(_prime_task, fn), known, primes,
-                                         chunksize=chunks), cache)
-
+        for group, results in zip(groups, pool.map(partial(_group_task, plan), groups, held)):
+            for p, (result, cells) in zip(group, results):
+                out.append(result)
+                if cache is not None:
+                    for cell, v in cells:
+                        cache.add(*cell, p, v)
+                    cache.flush()
+    return out

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .bernoulli import L2, Zk
-from .evaluator import _sweep, check_cell, check_index, per_prime, values_at
+from .evaluator import _finish_all, check_cell, check_index, per_prime
 from .evaluator import value_of  # noqa: F401  bound here for perfbench/tracing.py's LOOKUPS
 from .harmonic import (
     R_terms,
@@ -156,24 +156,29 @@ def _listed(rows, primes):
     return factors, listed
 
 
-def _prime_rows(listed, p, cache):
-    """The Cases at p of the listed rows (see _listed) of weight below p - 2; each
-    distinct cell is read once, in first-named order, and each constant evaluated
-    once, the Zk from the largest weight down (see bernoulli.Zk)."""
+def _prime_rows(listed, p):
+    """per_prime's plan of the Cases at p of the listed rows (see _listed) of weight below
+    p - 2: the distinct cells they name, in first-named order, and the finish that reads
+    them once each and evaluates each constant once, the Zk from the largest weight down
+    (see bernoulli.Zk)."""
     factors, rows = listed
     rows = [row for row in rows if p > row[1] + 2]
-    values, cells, zks = [None] * len(factors), [], []
+    cells, consts = [], []
     for slot in dict.fromkeys(itertools.chain.from_iterable(row[4] for row in rows)):
-        factor = factors[slot]
-        if factor[0] == "Zk":
-            zks.append((factor[1], slot))
-        elif factor[0] == "L2":
-            values[slot] = L2(p)
+        (consts if factors[slot][0] in ("Zk", "L2") else cells).append(slot)
+    return [factors[slot] for slot in cells], partial(_cases, factors, rows, p, cells, consts)
+
+
+def _cases(factors, rows, p, cells, consts, read):
+    values, zks = [None] * len(factors), []
+    for slot in consts:
+        if factors[slot][0] == "Zk":
+            zks.append((factors[slot][1], slot))
         else:
-            cells.append(slot)
+            values[slot] = L2(p)
     for k, slot in sorted(zks, reverse=True):
         values[slot] = Zk(k, p)
-    for slot, v in zip(cells, values_at([factors[slot] for slot in cells], p, cache)):
+    for slot, v in zip(cells, read()):
         values[slot] = v
 
     def side(terms):
@@ -305,10 +310,10 @@ def ppt_constants(k, primes, cache=None):
     The primes are taken as build_matrix takes them: each checked, repeats once, in
     ascending order.  Uses every prime p > k + 2 where the reference zeta2(k) is
     nonzero.  The cells the cache holds at p are read from its dict of p; the others,
-    reference and compositions alike, are swept at p once (and not at all when the
-    cache holds them all, or a zero reference), and the compositions are cached only
-    after a nonzero reference.  Returns a dict (k, r, i) -> Fraction, or None when
-    reconstruction fails.
+    reference and compositions alike, are swept once, with those of the other primes
+    of p's group (per_prime), and not at all when the cache holds them all, or a zero
+    reference; the compositions are cached only after a nonzero reference.  Returns a
+    dict (k, r, i) -> Fraction, or None when reconstruction fails.
     """
     if k % 2 == 0:
         raise ValueError("one-odd patterns have odd weight, got %d" % k)
@@ -319,19 +324,27 @@ def ppt_constants(k, primes, cache=None):
     # the reference zeta2(k) is one of the cells: the pattern (k, 1, 1)'s one composition
     cells = [("zeta2", c, None) for cs in comps.values() for c in cs]
     pairs = {pat: [] for pat in comps}
-    for p in primes:
-        if p <= k + 2 or cache is not None and cache.get("zeta2", (k,), None, p) == 0:
-            continue
-        held = {} if cache is None else cache.cells_at(p)
-        missing = list(itertools.filterfalse(held.__contains__, cells))
-        table = _sweep(missing, p) if missing else {}
-        (ref,) = values_at([("zeta2", (k,), None)], p, cache, table)
-        if ref:
-            inv = mod_inv(ref, p)
-            values = iter(values_at(cells, p, cache, table))
-            for pat, cs in comps.items():
-                pairs[pat].append((sum(itertools.islice(values, len(cs))) * inv % p, p))
+    for pat, pair in itertools.chain.from_iterable(
+            per_prime(partial(_ppt_plan, k, comps, cells, cache), primes, 1, cache)):
+        pairs[pat].append(pair)
     return {pat: rat_reconstruct(*crt_combine(pr)) if pr else None for pat, pr in pairs.items()}
+
+
+def _ppt_plan(k, comps, cells, cache, p):
+    # ppt_constants' plan at p: no cell at a prime <= k + 2 or with a cached zero reference
+    if p <= k + 2 or cache is not None and cache.get("zeta2", (k,), None, p) == 0:
+        return (), _finish_all
+    return cells, partial(_ppt_pairs, comps, p)
+
+
+def _ppt_pairs(comps, p, read):
+    # (pattern, (its constant mod p, p)) for each pattern, after a nonzero reference
+    (ref,) = read(1)
+    if not ref:
+        return ()
+    inv, values = mod_inv(ref, p), iter(read())
+    return [(pat, (sum(itertools.islice(values, len(cs))) * inv % p, p))
+            for pat, cs in comps.items()]
 
 
 def _ppt_setup(rmax):
@@ -458,7 +471,7 @@ class Suite(namedtuple("Suite", "name params rows fixed setup",
     ("Zk", k) and ("L2",).  The term stands for coeff times the product of its
     factors' values mod p; (c,) is the constant c and [] is 0.  A row passes iff its
     sides agree mod p; the cells the rows name are all the cells they read at p,
-    each read once, in one sweep.
+    each read once, in one sweep of p's group of primes.
     fixed(*args, primes, cache) gives the other cases: symbolic checks, and ppt's
     reconstruction with its held-out rows.
     setup(*bounds) turns the bounds into (args, report params); by default both are

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .evaluator import check_cell, per_prime, signs_to_str, values_at
+from .evaluator import _plan_all, check_cell, per_prime, signs_to_str
 from .harmonic import all_compositions
 from .lattice import congruence_cut, lll_reduce
 from .modmath import check_prime
@@ -75,8 +75,8 @@ def build_matrix(descriptors, primes, cache=None, jobs=1) -> ValueMatrix:
     """The descriptors' values at every prime: the API for values over primes.
 
     The primes are sorted and de-duplicated, and any prime >= 5 will do: the
-    p > weight + 2 floor is relation_lattice's.  Each prime is one sweep of
-    all the columns, through the cache if one is given.
+    p > weight + 2 floor is relation_lattice's.  Each group of consecutive primes is
+    one sweep of the columns they miss, through the cache if one is given.
     """
     descs = [normalize_descriptor(d) for d in descriptors]
     if not descs:
@@ -86,7 +86,7 @@ def build_matrix(descriptors, primes, cache=None, jobs=1) -> ValueMatrix:
         raise ValueError("need at least one prime")
     # canonical column order: by (weight, depth, index, variant, signs), stable
     columns = tuple(sorted(descs, key=lambda d: (sum(d[1]), len(d[1]), d[1], d[0], d[2] or ())))
-    cells = tuple(per_prime(partial(values_at, columns), primes, jobs, cache))
+    cells = tuple(per_prime(partial(_plan_all, columns), primes, jobs, cache))
     return ValueMatrix(columns=columns, primes=tuple(primes), cells=cells)
 
 

@@ -184,15 +184,19 @@ def test_discover_anchor_12(capsys):
 
 
 def test_discover_sweeps_once_per_prime(capsys, monkeypatch):
-    # the two half-range fits slice the rows of the full fit's matrix
+    # the two half-range fits slice the rows of the full fit's matrix, whose primes are
+    # swept once each, in groups of consecutive ones
     swept = []
     sweep = ev._sweep
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    monkeypatch.setattr(ev, "_sweep", lambda cells, primes: swept.append(list(primes)) or
+                        sweep(cells, primes))
     monkeypatch.delenv("FMZV_CACHE", raising=False)
     code, out, _ = run(capsys, "discover", "--target", "1,2", "--basis", "odd",
                        "--primes", "7..199")
     assert code == 0
-    assert swept == json.loads(out)["primes"]
+    primes = json.loads(out)["primes"]
+    assert len(primes) > ev._GROUP
+    assert swept == [primes[i:i + ev._GROUP] for i in range(0, len(primes), ev._GROUP)]
 
 
 def test_discover_builds_one_matrix(capsys, monkeypatch):
@@ -505,6 +509,9 @@ CI_PINS = [
      "27064256b250ebd6fa910b628ede9edb43fa3e919dbf0a9943051239adb48f58"),
     (("--cache", None, "verify", "--suite", "ppt", "--primes", "5..200"),
      "315d8d901768a6dcdb1c8cedac4be1f6b28524c05576d94dc2efcb8d0cf468e5"),
+    # an entry of 10**12 over groups of primes, pinned before the primes were swept in groups
+    (("compute", "--index", "1000000000000,3", "--primes", "5..400"),
+     "14c2f5c0f5481182e7405375760c6bae0f851ee07e170aa7b5a5d0b6fad01bcb"),
 ]
 
 
@@ -612,6 +619,20 @@ def test_cold_cache_bytes_when_lines_are_flushed_once_per_prime(tmp_path, capsys
                 == "f41e9df8f62614608f89200797ea62fc01c475c58cd1ee361fae50bd0771e0e0")
 
 
+def test_cold_key_cache_bytes_at_both_job_counts(tmp_path, capsys):
+    # sha256 of the cache file, in the order written, recorded before the primes were
+    # swept in groups: 18832 cells, each added once, in column order, prime by prime
+    for jobs in ("1", "2"):
+        path = tmp_path / ("key%s.csv" % jobs)
+        code, _, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "verify", "--suite", "key",
+                         "--wmax", "7", "--primes", "5..400")
+        assert code == 0
+        data = path.read_bytes()
+        assert data.count(b"\n") == 18832
+        assert (hashlib.sha256(data).hexdigest()
+                == "6a852b870be48ea44aca1056c44ba34aab7cf1b276e49a21d536a10eb27b23ef")
+
+
 def test_cold_parity_cache_bytes(tmp_path, capsys):
     # sha256 of the cache file, in the order written, recorded before a run's sweeps
     # shared one trie shape; parity sweeps zeta, zeta2 and zeta2star cells together
@@ -705,7 +726,7 @@ SRC = os.path.dirname(os.path.dirname(fmzv.__file__))
 
 def test_compute_of_a_huge_index_entry_costs_what_its_residue_does(capsys, tmp_path):
     # m^(p-1) = 1 mod p, so 10**12 weighs m as 4 does at p = 5 and at p = 7, and the sweep
-    # makes at most p - 1 power columns, whatever the entries
+    # makes one power column of it, by pow, not a chain of products up to the entry
     code, want, _ = run(capsys, "compute", "--index", "4", "--primes", "5..7")
     assert code == 0
 

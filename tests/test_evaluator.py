@@ -226,20 +226,29 @@ def test_serialization_round_trip():
         parse_signs("+,x")
 
 
-# --- the per-prime sweep against the oracle route ---
+# --- the group sweep against the oracle route ---
 
 ORACLES = {"zeta": eval_zeta, "zeta2": eval_zeta2, "zeta2star": eval_zeta2_star}
 
 
+def sweep_at(cells, p):
+    """The table of a sweep of the cells at a group of one prime."""
+    (table,) = ev._sweep([cells], [p])
+    return table
+
+
 def test_sweep_matches_oracles():
-    # every composition of weight <= 6, every euler sign vector; the small primes
-    # have p <= weight + 2, which compute and build_matrix can ask for
+    # every composition of weight <= 6, every euler sign vector, over one group of all
+    # the primes and over groups of one; the small primes have p <= weight + 2, which
+    # compute and build_matrix can ask for
     cells = []
     for index in all_indices(6):
         cells += [(variant, index, None) for variant in ORACLES]
         cells += [("euler", index, s) for s in itertools.product((1, -1), repeat=len(index))]
-    for p in sieve_primes(5, 113):
-        swept = ev._sweep(cells, p)
+    primes = sieve_primes(5, 113)
+    tables = list(ev._sweep([cells] * len(primes), primes))
+    assert tables[::len(primes) - 1] == [sweep_at(cells, p) for p in primes[::len(primes) - 1]]
+    for p, swept in zip(primes, tables):
         assert len(swept) == len(cells)
         for (variant, index, signs), v in swept.items():
             want = eval_euler(index, signs, p) if signs else ORACLES[variant](index, p)
@@ -269,12 +278,13 @@ MIXED = [("zeta", (1, 2), None), ("zeta2", (1, 2), None), ("euler", (1, 2), (1, 
 def test_sweep_over_blocks_matches_oracles(monkeypatch, p, block):
     want = {cell: oracle(cell, p) for cell in MIXED}
     monkeypatch.setattr(ev, "_BLOCK", block)
-    assert ev._sweep(MIXED, p) == want
+    assert sweep_at(MIXED, p) == want
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_sweep_of_entries_from_p_minus_1_up_matches_oracles(p):
-    # m^(p-1) = 1 mod p, so the sweep weighs an entry k >= p as its residue in 1..p-1
+    # an entry below the group's smallest prime takes a chain of power columns, and
+    # each one at or above it, k >= p here, a column of its own
     entries = (1, 2, p - 2, p - 1, p, 2 * (p - 1), 2 * p - 1, 3 * p + 4)
     cells = []
     for r in (1, 2, 3):
@@ -282,47 +292,110 @@ def test_sweep_of_entries_from_p_minus_1_up_matches_oracles(p):
             cells += [(variant, index, None) for variant in ORACLES]
             cells += [("euler", index, s) for s in itertools.product((1, -1), repeat=r)]
     assert len(cells) == 6120
-    assert ev._sweep(cells, p) == {cell: oracle(cell, p) for cell in cells}
+    assert sweep_at(cells, p) == {cell: oracle(cell, p) for cell in cells}
 
 
 def test_sweep_at_depth_30():
     index = (1, 2) * 14 + (3, 1)
     cells = [("zeta", index, None), ("zeta2", index, None), ("zeta2star", index, None),
              ("euler", index, (1, -1) * 15), ("zeta2", index[:29], None)]
-    assert ev._sweep(cells, 8209) == {cell: oracle(cell, 8209) for cell in cells}
+    assert sweep_at(cells, 8209) == {cell: oracle(cell, 8209) for cell in cells}
 
 
-# MIXED with entries of 5 and up: none reduces at 13 and 17, where the sweeps share one
-# shape, and every one reduces at 5, where the sweep builds its own trie
+# MIXED with entries of 5 and up: a chain of power columns at 13 and 17, a column each
+# at 5, alone or in a group with them
 MIXED_LARGE = MIXED + [("zeta", (7, 2), None), ("zeta2", (5, 1, 6), None),
                        ("zeta2star", (2, 5), None), ("euler", (6, 1), (-1, 1))]
 
 
 def test_sweeps_of_one_cell_tuple_at_prime_after_prime_match_oracles():
     for p in (13, 17, 13, 5, 17):
-        assert ev._sweep(MIXED_LARGE, p) == {cell: oracle(cell, p) for cell in MIXED_LARGE}, p
-
-
-def test_the_shape_memo_holds_no_value():
-    # a shape swept at several primes, and beside a trie reduced at 5, equals a fresh one
-    cells = tuple(MIXED_LARGE)
-    for p in (13, 5, 17):
-        ev._sweep(cells, p)
-    assert ev._shape(cells) == ev._trie(cells)
-    assert ev._trie(cells, 5) != ev._trie(cells)
+        assert sweep_at(MIXED_LARGE, p) == {cell: oracle(cell, p) for cell in MIXED_LARGE}, p
+    assert list(ev._sweep([MIXED_LARGE] * 3, [5, 13, 17])) == [
+        {cell: oracle(cell, p) for cell in MIXED_LARGE} for p in (5, 13, 17)]
 
 
 def test_sweep_of_the_depth2_cells_at_large_primes():
-    # the cells verify --suite depth2 --kmax 9 sweeps at each prime
+    # the cells verify --suite depth2 --kmax 9 sweeps at each prime, in one group and alone
     cells = [("zeta2", (a, k - a), None) for k in (3, 5, 7, 9) for a in range(1, k)]
-    for p in sieve_primes(1000, 1400)[::9]:
-        assert ev._sweep(cells, p) == {cell: oracle(cell, p) for cell in cells}
+    primes = sieve_primes(1000, 1400)[::9]
+    want = [{cell: oracle(cell, p) for cell in cells} for p in primes]
+    assert list(ev._sweep([cells] * len(primes), primes)) == want
+    assert [sweep_at(cells, p) for p in primes] == want
 
 
 def test_inverse_table():
     for p in sieve_primes(5, 2000):
-        assert ev._inverses(p - 1, p) == [0] + [pow(i, -1, p) for i in range(1, p)]
-        assert ev._inverses((p - 1) // 2, p) == [0] + [pow(i, -1, p) for i in range(1, (p + 1) // 2)]
+        inv = [0, 1]
+        ev._inverses(inv, (p + 1) // 2, p)
+        assert inv == [0] + [pow(i, -1, p) for i in range(1, (p + 1) // 2)]
+        ev._inverses(inv, p, p)
+        assert inv == [0] + [pow(i, -1, p) for i in range(1, p)]
+    # mod a product of primes above the entries, and on mod a divisor of it: each entry
+    # is the inverse mod the modulus it was made with
+    n, inv = 1009 * 1013 * 1019, [0, 1]
+    ev._inverses(inv, 500, n)
+    ev._inverses(inv, 1011, n // 1009)
+    assert inv == [0] + [pow(i, -1, n if i < 500 else n // 1009) for i in range(1, 1011)]
+
+
+# groups that mix 5 and 7 with primes above 1000, and a group of one
+GROUPS = [(5, 7), (5, 7, 1009), (5, 7, 11, 1013, 1019), (7, 1009, 1013), (1013,)]
+
+
+def group_cells(primes):
+    """Every variant, euler with mixed signs, entries from 1 up to 10**12, each cell read at
+    some primes of the group only."""
+    entries = (1, 2, 3, 5, 7, 8, 1009, 10 ** 12)
+    cells = []
+    for r, count in ((1, 8), (2, 20), (3, 12)):
+        for index in random.Random(r).sample(list(itertools.product(entries, repeat=r)), count):
+            cells += [(variant, index, None) for variant in ORACLES]
+            cells += [("euler", index, s) for s in itertools.product((1, -1), repeat=r)]
+    rng = random.Random(len(primes))
+    return [[cell for cell in cells if rng.random() < 0.6] for _ in primes]
+
+
+@pytest.mark.parametrize("primes", GROUPS, ids=lambda g: "-".join(map(str, g)))
+@pytest.mark.parametrize("block", [4096, 1, 7])
+def test_group_sweep_matches_oracles(monkeypatch, primes, block):
+    monkeypatch.setattr(ev, "_BLOCK", block)
+    cells = group_cells(primes)
+    assert all(cells) and len(set(map(len, cells))) == len(primes)
+    assert list(ev._sweep(cells, primes)) == [
+        {cell: oracle(cell, p) for cell in cs} for p, cs in zip(primes, cells)]
+
+
+def test_sweep_hands_out_each_table_once_its_prime_is_read(monkeypatch):
+    # the tables stream out in prime order, each at the end of the block of m where its
+    # prime is last read: with blocks of 64 values, 5's, read at 4, before the walk
+    # reaches 1009's last read, at 1008; a prime with nothing to read gets an empty table
+    monkeypatch.setattr(ev, "_BLOCK", 64)
+    stops, inverses = [], ev._inverses
+    monkeypatch.setattr(ev, "_inverses", lambda inv, stop, n: stops.append(stop) or
+                        inverses(inv, stop, n))
+    cells = [("zeta", (1, 2), None), ("zeta2", (3,), None)]
+    tables = ev._sweep([cells, [], cells], [5, 7, 1009])
+    assert next(tables) == {cell: oracle(cell, 5) for cell in cells}
+    assert max(stops) < 1009
+    assert next(tables) == {}
+    assert next(tables) == {cell: oracle(cell, 1009) for cell in cells}
+    assert max(stops) == 1009
+    assert next(tables, None) is None
+
+
+def test_a_group_sweep_of_a_huge_entry_makes_one_power_column_of_it(monkeypatch):
+    # 10**12 weighs m as m^-(10**12) mod the group's primes: one pow per m, not a chain
+    # of products up to the entry
+    primes = sieve_primes(5, 400)
+    cell = ("zeta", (10 ** 12, 3), None)
+    want = [{cell: oracle(cell, p)} for p in primes]
+    pows = []
+    monkeypatch.setattr(ev, "pow", lambda *args: pows.append(args[1:]) or pow(*args),
+                        raising=False)
+    assert list(ev._sweep([[cell]] * len(primes), primes)) == want
+    # m = 1 .. 396, the last read, at p = 397
+    assert [e for e, _ in pows] == [10 ** 12] * 396
 
 
 def test_unplanned_cell_is_swept_alone():
@@ -340,7 +413,8 @@ def test_unplanned_cell_is_swept_alone():
 def test_values_at_sweeps_only_the_cells_the_cache_lacks(tmp_path, monkeypatch):
     sweeps = []
     sweep = ev._sweep
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(set(cells)) or sweep(cells, p))
+    monkeypatch.setattr(ev, "_sweep", lambda cells, primes: sweeps.append(
+        ([set(cs) for cs in cells], primes)) or sweep(cells, primes))
     path = tmp_path / "c.txt"
     cache = ResidueCache(str(path))
     cache.add("zeta2", (1,), None, 7, 3)
@@ -349,7 +423,7 @@ def test_values_at_sweeps_only_the_cells_the_cache_lacks(tmp_path, monkeypatch):
     columns = [("zeta2", (1,), None), ("zeta", (1, 2), None), ("zeta2", (2, 1), None),
                ("zeta", (), None)]
     assert ev.values_at(columns, 7, cache) == (3, eval_zeta((1, 2), 7), eval_zeta2((2, 1), 7), 1)
-    assert sweeps == [{("zeta", (1, 2), None), ("zeta2", (2, 1), None)}]
+    assert sweeps == [([{("zeta", (1, 2), None), ("zeta2", (2, 1), None)}], [7])]
     cache.close()
     assert path.read_text() == "zeta2,1,,7,3\nzeta,1,2,,7,%d\nzeta2,2,1,,7,%d\n" % (
         eval_zeta((1, 2), 7), eval_zeta2((2, 1), 7))
@@ -358,27 +432,34 @@ def test_values_at_sweeps_only_the_cells_the_cache_lacks(tmp_path, monkeypatch):
     assert len(sweeps) == 1
 
 
+def recording_sweep(monkeypatch, sweeps, tables):
+    """Patch _sweep to record ([its cells as sets], primes) and each table it yields."""
+    sweep = ev._sweep
+
+    def recording(cells, primes):
+        sweeps.append(([set(cs) for cs in cells], list(primes)))
+        for table in sweep(cells, primes):
+            tables.append(table)
+            yield table
+    monkeypatch.setattr(ev, "_sweep", recording)
+
+
 def test_values_at_sweeps_its_misses_once_at_their_prime(monkeypatch):
     sweeps, tables = [], []
-    sweep = ev._sweep
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append((set(cells), p)) or
-                        tables.append(sweep(cells, p)) or tables[-1])
+    recording_sweep(monkeypatch, sweeps, tables)
     # the empty index is not swept, the others take one sweep, keyed by their cells
     columns = [("zeta", (1, 2), None), ("zeta2", (2, 1), None), ("zeta", (), None)]
     assert ev.values_at(columns, 7) == (eval_zeta((1, 2), 7), eval_zeta2((2, 1), 7), 1)
-    assert sweeps == [({("zeta", (1, 2), None), ("zeta2", (2, 1), None)}, 7)]
+    assert sweeps == [([{("zeta", (1, 2), None), ("zeta2", (2, 1), None)}], [7])]
     assert tables == [{("zeta", (1, 2), None): eval_zeta((1, 2), 7),
                        ("zeta2", (2, 1), None): eval_zeta2((2, 1), 7)}]
-    # compute_cell reads a swept cell from the table, and values_at given the table reads
-    # its cells from it: neither sweeps
+    # compute_cell reads a swept cell from the table: it does not sweep
     assert ev.compute_cell("zeta2", (2, 1), None, tables[0]) == eval_zeta2((2, 1), 7)
-    assert ev.values_at(columns[1::-1], 7, None, tables[0]) == (eval_zeta2((2, 1), 7),
-                                                                eval_zeta((1, 2), 7))
     assert len(sweeps) == 1
     # each values_at is one sweep of its own misses, at its own prime
     assert ev.values_at([("zeta2", (2, 1), None), ("zeta2", (1,), None)], 11) == (
         eval_zeta2((2, 1), 11), eval_zeta2((1,), 11))
-    assert sweeps[1:] == [({("zeta2", (2, 1), None), ("zeta2", (1,), None)}, 11)]
+    assert sweeps[1:] == [([{("zeta2", (2, 1), None), ("zeta2", (1,), None)}], [11])]
     assert tables[1:] == [{("zeta2", (2, 1), None): eval_zeta2((2, 1), 11),
                            ("zeta2", (1,), None): eval_zeta2((1,), 11)}]
     # columns the cache holds and the empty index alone make no sweep
@@ -425,19 +506,19 @@ def test_values_at_gives_the_empty_index_1_unchecked(monkeypatch, cached):
 
 
 def test_table_holds_one_prime_after_a_run_over_many(monkeypatch):
-    # each sweep of a run over many primes holds its own prime's cells, and the
-    # module keeps nothing: a repeated cell without a cache is swept again
+    # a run over many primes sweeps them as one group, whose table of each prime holds
+    # that prime's cells, and the module keeps nothing: a repeated cell without a cache
+    # is swept again
     tables, sweeps = [], []
-    sweep = ev._sweep
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(p) or
-                        tables.append(sweep(cells, p)) or tables[-1])
+    recording_sweep(monkeypatch, sweeps, tables)
     primes = sieve_primes(5, 120)
+    assert len(primes) <= ev._GROUP
     column("zeta2", (2, 1), primes=primes)
     assert tables == [{("zeta2", (2, 1), None): eval_zeta2((2, 1), p)} for p in primes]
     for p in primes:
         ev.value_of("zeta2star", (1, 2), None, p)
         ev.value_of("zeta2star", (1, 2), None, p)
-    assert sweeps == primes + [p for p in primes for _ in range(2)]
+    assert [q for _, q in sweeps] == [primes] + [[p] for p in primes for _ in range(2)]
     assert [name for name, v in vars(ev).items()
             if not name.startswith("__") and isinstance(v, (dict, list, set))] == []
 
@@ -850,10 +931,11 @@ def test_two_workers_over_a_partly_filled_cache_write_what_one_process_writes(
 ])
 def test_per_prime_caps_its_pool(monkeypatch, jobs, count, cpus, workers):
     # a pool forks all its workers at its first task, so it gets no more than there are
-    # primes and CPUs, and none at all when that is 1; a fake pool records its size
+    # groups of primes (count) and CPUs, and none at all when that is 1; a fake pool
+    # records its size and its tasks, one group each
     import concurrent.futures
 
-    started = []
+    started, tasks = [], []
 
     class Pool:
         def __init__(self, max_workers):
@@ -865,17 +947,54 @@ def test_per_prime_caps_its_pool(monkeypatch, jobs, count, cpus, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *args, chunksize=1):
-            return map(fn, *args)
+        def map(self, fn, groups, *args):
+            tasks.extend(groups)
+            return map(fn, groups, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(ev.os, "cpu_count", lambda: cpus)
-    primes = sieve_primes(5, 1000)[:count]
+    primes = sieve_primes(5, 3000)[:count * ev._GROUP - 1]
     cache = ResidueCache()
-    got = ev.per_prime(partial(ev.value_of, "zeta2", (2, 1), None), primes, jobs, cache)
+    got = ev.per_prime(partial(ev._plan_all, [("zeta2", (2, 1), None)]), primes, jobs, cache)
     assert started == ([] if workers is None else [workers])
-    assert got == [eval_zeta2((2, 1), p) for p in primes]
-    assert len(cache) == count
+    assert tasks == ([] if workers is None else
+                     [primes[i:i + ev._GROUP] for i in range(0, len(primes), ev._GROUP)])
+    assert got == [(eval_zeta2((2, 1), p),) for p in primes]
+    assert len(cache) == len(primes)
+
+
+def test_per_prime_sweeps_only_the_primes_that_miss_a_cell(tmp_path, monkeypatch):
+    # each prime's held cells are read once, from its dict; the primes that miss a cell
+    # are swept together, once, each for its missing cells alone; the cache file gains
+    # the missing cells in column order, prime by prime
+    columns = [("zeta2", (2, 1), None), ("zeta", (1, 2), None), ("euler", (1, 2), (1, -1))]
+    primes = sieve_primes(5, 60)
+    path = tmp_path / "c.csv"
+    cache = ResidueCache(str(path))
+    full, part = primes[::3], primes[1::3]
+    for p in full:
+        for cell in columns:
+            cache.add(*cell, p, oracle(cell, p))
+    for p in part:
+        cache.add(*columns[1], p, oracle(columns[1], p))
+    cache.flush()
+    start = path.read_text()
+    reads, sweeps, tables = [], [], []
+    cells_at = ResidueCache.cells_at
+    monkeypatch.setattr(ResidueCache, "cells_at", lambda self, p: reads.append(p) or
+                        cells_at(self, p))
+    recording_sweep(monkeypatch, sweeps, tables)
+    m = build_matrix(columns, primes, cache)
+    cache.close()
+    assert m.cells == tuple(tuple(oracle(cell, p) for cell in m.columns) for p in primes)
+    assert reads == primes
+    missing = [[c for c in columns if p not in full and (p not in part or c != columns[1])]
+               for p in primes]
+    assert sweeps == [([set(cs) for cs in missing if cs], [p for p in primes if p not in full])]
+    assert path.read_text() == start + "".join(
+        "%s,%s,%s,%d,%d\n" % (v, ",".join(map(str, ix)), "" if s is None else
+                              ",".join("+" if e > 0 else "-" for e in s), p, oracle((v, ix, s), p))
+        for p, cs in zip(primes, missing) for v, ix, s in m.columns if (v, ix, s) in cs)
 
 
 BAD_CELL_CALLS = {
@@ -948,7 +1067,7 @@ def _warm_value_of_at(p):
 
 # primes that values_at and _sweep, internal routes, take unchecked: 4 and 9, which a
 # sweep would sum over as if prime, and 7.0, which finds the cache's cells at 7; every
-# entry refuses them, after good primes too, before any sweep in either binding
+# entry refuses them, after good primes too, before any sweep
 @pytest.mark.parametrize("p", [4, 9, 7.0])
 @pytest.mark.parametrize("entry", [
     lambda p: ev.value_of("zeta2", (1, 2), None, p),
@@ -961,8 +1080,7 @@ def _warm_value_of_at(p):
 ], ids=["value_of", "value_of warm", "evaluate_combination", "build_matrix", "suite",
         "ppt suite", "ppt_constants"])
 def test_every_entry_refuses_a_bad_prime_before_any_sweep(monkeypatch, entry, p):
-    for module in (ev, ids):
-        monkeypatch.setattr(module, "_sweep", lambda cells, q: pytest.fail("swept at %r" % (q,)))
+    monkeypatch.setattr(ev, "_sweep", lambda cells, primes: pytest.fail("swept at %r" % (primes,)))
     with pytest.raises(ValueError, match="p must be a prime >= 5, got %r" % (p,)):
         entry(p)
 

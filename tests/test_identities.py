@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -27,8 +28,15 @@ from fmzv.identities import (
 from fmzv.bernoulli import L2, Zk
 from fmzv.identities import SUITES, _listed, _one_odd_compositions, _prime_rows
 from fmzv.modmath import mod_inv, sieve_primes
+from fmzv.relations import _train_split
 
 PRIMES = sieve_primes(5, 60)
+
+
+def prime_rows(listed, p):
+    """The Cases at p of the listed rows, through per_prime without a cache."""
+    (cases,) = ev.per_prime(functools.partial(_prime_rows, listed), [p])
+    return cases
 
 
 def get_row(report, case, prime):
@@ -379,26 +387,31 @@ def test_cache_reuse_is_invisible(tmp_path):
 
 @pytest.mark.parametrize("name", [n for n, s in SUITES.items() if s.rows is not None])
 def test_planned_cells_are_the_cells_the_rows_compute(monkeypatch, name):
-    # one sweep per prime serves every computed cell: none falls back to a
-    # one-cell sweep, no planned cell is left unread, and no cell is read twice
+    # one sweep of the group serves every computed cell: none falls back to a one-cell
+    # sweep, no planned cell is left unread, no cell is read twice, and a prime that
+    # reads no cell is not swept
     suite = SUITES[name]
     args, _ = suite.resolve({})
     sweeps, computed = [], []
     sweep, compute = ev._sweep, ev.compute_cell
-    for module in (ev, ids):
-        monkeypatch.setattr(module, "_sweep",
-                            lambda cells, p: sweeps.append((set(cells), p)) or sweep(cells, p))
+
+    def recording(cells, primes):
+        tables = list(sweep(cells, primes))
+        sweeps.append((list(primes), [set(cs) for cs in cells], tables))
+        return iter(tables)
+    monkeypatch.setattr(ev, "_sweep", recording)
     monkeypatch.setattr(ev, "compute_cell",
-                        lambda *args: computed.append(args[:3]) or compute(*args))
-    rows = _listed(suite.rows(*args), PRIMES)
-    for p in PRIMES:
-        sweeps.clear()
-        computed.clear()
-        _prime_rows(rows, p, None)
-        assert len(sweeps) <= 1
-        assert len(computed) == len(set(computed))
-        assert set(computed) == (sweeps[0][0] if sweeps else set())
-        assert [q for _, q in sweeps] == [p] * len(sweeps)
+                        lambda *args: computed.append((args[:3], args[3])) or compute(*args))
+    listed = _listed(suite.rows(*args), PRIMES)
+    ev.per_prime(functools.partial(_prime_rows, listed), PRIMES)
+    assert len(sweeps) == 1
+    primes, cells, tables = sweeps[0]
+    assert primes == [p for p in PRIMES if any(c[1] for c in _prime_rows(listed, p)[0])]
+    for p, swept, table in zip(primes, cells, tables):
+        read = [cell for cell, t in computed if t is table]
+        assert len(read) == len(set(read))
+        assert set(read) == swept, p
+    assert len(computed) == sum(map(len, cells))
 
 
 @pytest.mark.parametrize("name", [n for n, s in SUITES.items() if s.rows is not None])
@@ -431,7 +444,7 @@ def test_prime_rows_checks_a_row_exactly_when_p_exceeds_its_weight_plus_two():
     rows = [("w3", 3, [(1, ("Zk", 3))], [(Fraction(1, 2), ("L2",))]),
             ("w5", 5, [(Fraction(1, 2),)], [(1, ("zeta2", (5,)))])]
     for p in (5, 7, 11, 13):
-        cases = {c.case: c for c in _prime_rows(_listed(rows, (5, 7, 11, 13)), p, None)}
+        cases = {c.case: c for c in prime_rows(_listed(rows, (5, 7, 11, 13)), p)}
         assert sorted(cases) == [name for name, k, _, _ in rows if p > k + 2]
         if "w3" in cases:
             assert cases["w3"].lhs == str(Zk(3, p))
@@ -443,20 +456,23 @@ def test_prime_rows_checks_a_row_exactly_when_p_exceeds_its_weight_plus_two():
 
 
 def test_ppt_sweeps_once_per_prime_and_weight(monkeypatch):
-    # the per-prime rows take one sweep at each prime, and each weight below p - 2 one
-    # more: a training prime's reconstruction sweep, of the depth-1 reference and all
-    # patterns of that weight, or a held-out prime's sweep of the check rows; ppt_constants
-    # sweeps through the identities binding, the rows through the evaluator's
+    # the special rows take one group sweep of every prime, and each weight one sweep of
+    # its training primes, of the depth-1 reference and all patterns of that weight, and
+    # one of its held-out primes, of the check rows: each prime is swept once per weight
+    # below p - 2, 89 prime sweeps in all, as when each prime took a sweep of its own
     swept = []
     sweep = ev._sweep
-    for module in (ev, ids):
-        monkeypatch.setattr(module, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    monkeypatch.setattr(ev, "_sweep", lambda cells, primes: swept.append(list(primes)) or
+                        sweep(cells, primes))
     assert SUITES["ppt"].run({}, PRIMES).passed
     args, _ = SUITES["ppt"].resolve({})
-    weights = range(3, args[1] + 1, 2)
-    assert {p: swept.count(p) for p in PRIMES} == {
-        p: 1 + sum(1 for k in weights if p > k + 2) for p in PRIMES}
-    assert len(swept) == len(PRIMES) + sum(1 for k in weights for p in PRIMES if p > k + 2)
+    want = [PRIMES]
+    for k in range(3, args[1] + 1, 2):
+        train, held = _train_split([p for p in PRIMES if p > k + 2])
+        want += [train] + ([held] if held else [])
+    assert swept == want
+    assert len(swept) == 13
+    assert sum(map(len, swept)) == 89
 
 
 def test_warm_ppt_run_makes_no_sweep(tmp_path, monkeypatch):
@@ -469,11 +485,11 @@ def test_warm_ppt_run_makes_no_sweep(tmp_path, monkeypatch):
     cache.close()
     assert any(v == 0 and key[0] == "zeta2" and len(key[1]) == 1
                for key, v in cells_of(ResidueCache(path)._cells))
-    # in either binding: a prime whose cells the cache holds is read from its dict alone
+    # a prime whose cells the cache holds is read from its dict alone
     swept = []
     sweep = ev._sweep
-    for module in (ev, ids):
-        monkeypatch.setattr(module, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    monkeypatch.setattr(ev, "_sweep", lambda cells, primes: swept.append(primes) or
+                        sweep(cells, primes))
     warm_cache = ResidueCache(path)
     warm = SUITES["ppt"].run({}, primes, warm_cache)
     warm_cache.close()
@@ -526,7 +542,8 @@ def test_identical_runs_make_identical_sweeps(monkeypatch):
     # no table outlives a run: the second run sweeps as the first did
     swept = []
     sweep = ev._sweep
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: swept.append(p) or sweep(cells, p))
+    monkeypatch.setattr(ev, "_sweep", lambda cells, primes: swept.append(primes) or
+                        sweep(cells, primes))
     counts = []
     for _ in range(2):
         swept.clear()

@@ -102,7 +102,8 @@ def test_the_floor_is_checked_before_any_sweep(monkeypatch):
     # a prime range below the floor, or a non-prime in it, raises before any value is swept
     sweeps = []
     sweep = ev._sweep
-    monkeypatch.setattr(ev, "_sweep", lambda cells, p: sweeps.append(p) or sweep(cells, p))
+    monkeypatch.setattr(ev, "_sweep", lambda cells, primes: sweeps.append(list(primes)) or
+                        sweep(cells, primes))
     msg = re.escape("smallest prime 7 must exceed max weight + 2 = 7")
     with pytest.raises(ValueError, match=msg):
         express_in_basis(("zeta2", (1, 4)), [("zeta2", (5,))], sieve_primes(7, 60))
@@ -111,9 +112,9 @@ def test_the_floor_is_checked_before_any_sweep(monkeypatch):
     with pytest.raises(ValueError, match="must be a prime"):
         express_in_basis(("zeta2", (1, 2)), [("zeta2", (3,))], [11, 13, 15])
     assert sweeps == []
-    # primes given as an iterator are read once, then swept
+    # primes given as an iterator are read once, then swept as one group
     assert dimension_estimate(3, primes=iter(sieve_primes(7, 100))) == (2, 2)
-    assert sweeps == sieve_primes(7, 100)
+    assert sweeps == [sieve_primes(7, 100)]
 
 
 def test_relation_lattice_weight3():
