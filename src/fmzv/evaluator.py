@@ -25,18 +25,19 @@ and primes: each is checked once per run, where it enters (`build_matrix`,
 of primes is one ring Z/MZ, M their product, so one exact walk over m serves it.
 Its cells and their prefixes form one trie, whose node sums obey
 T_node(m) = T_node(m-1) + T_parent(m-1) * w(m), with w(m) = m^(-k) for the node's
-last entry k, times (-1)^m for a - sign.  The sums are held mod the product of
-the primes still to be read at m or later, all above m, so m is a unit and the
-modulus shrinks as primes are read: zeta and euler cells at m = p-1, zeta2 and
-zeta2star cells at m = (p-1)/2, each reduced mod p.  1/m comes from the
-recurrence 1/i = -(n // i) / (n % i), n that modulus.  The walk goes depth
+last entry k, times (-1)^m for a - sign.  1/m is taken mod n, the product of the
+primes still to be read at m or later, all above m, from the recurrence
+1/i = -(n // i) / (n % i), and a block's sums mod that product at its start, so
+the modulus shrinks as primes are read: zeta and euler cells at m = p-1, zeta2
+and zeta2star cells at m = (p-1)/2, each reduced mod p.  The walk goes depth
 first, column by column, over blocks of m; a block ends where its read primes
 make up half its modulus' bits, and a column holds at most _BLOCK 30-bit words.
 An inner node is one prefix-sum column over the block, reduced only if another
 column is summed from it, a leaf one dot product, split where it is read inside
-the block.  An entry below the group's smallest prime takes a chain of power
-columns, any other one a column of its own, one pow per m.  zeta2star has its
-own trie, whose nodes read their parent at m itself, one place later.
+the block, or a column if the block holds more read points than one.  An entry
+below the group's smallest prime takes a chain of power columns, any other one a
+column of its own, one pow per m.  zeta2star has its own trie, whose nodes read
+their parent at m itself, one place later.
 
 `eval_*` evaluate one cell on their own, each by one pass of the textbook DP
 `_dp_sum` over its summation range, with one batched inverse (`batch_inv`) of
@@ -470,7 +471,7 @@ def _sweep(cells, primes):
                             snaps[slot] = [c[j] % q for j, q in where]
                         if kids:
                             stack.append((kid, c))
-                    elif slot in readers:  # a leaf read once inside: its dot product splits
+                    elif slot in readers:  # the block's one read point splits a leaf's dot product
                         ((j, q),), src = where, iter(src)
                         s = sums[slot] + sum(map(mul, islice(src, j), islice(w, j)))
                         snaps[slot] = [s % q]

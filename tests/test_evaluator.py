@@ -6,7 +6,6 @@ import pytest
 from cachecells import cells_of
 
 import fmzv.evaluator as ev
-import fmzv.identities as ids
 from fmzv.evaluator import (
     VARIANTS,
     CacheError,
