@@ -11,8 +11,9 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
 
 A value takes one route, `per_prime` (`values_at` for one prime, `value_of` for
 one cell, the one single-cell evaluation that checks its cell and prime): its
-primes go in groups of _GROUP consecutive ones; a prime's cells held by the
-residue cache are read once from its dict of p (`ResidueCache.cells_at`), the
+primes go in groups of consecutive ones (`_groups`), at most _GROUP, fewer to
+spread them over the workers, and fewer where a group's table of inverses
+would pass _WORDS words; a prime's cells held by the residue cache are read once from its dict of p (`ResidueCache.cells_at`), the
 primes that miss a cell, the empty index aside, are swept together once, by
 `_sweep`, whose tables stream out in prime order, and each distinct missing cell
 is read from its prime's table by `compute_cell` and added to the cache in column
@@ -42,8 +43,8 @@ their parent at m itself, one place later.
 `eval_*` evaluate one cell on their own, each by one pass of the textbook DP
 `_dp_sum` over its summation range, with one batched inverse (`batch_inv`) of
 the whole range; they are kept as the independent oracle route the tests
-compare against, and no production path calls them.  `_BLOCK` and `_GROUP` are
-the sweep's.
+compare against, and no production path calls them.  `_BLOCK`, `_GROUP` and
+`_WORDS` are the sweep's.
 """
 
 import os
@@ -76,6 +77,7 @@ VARIANTS = ("zeta", "zeta2", "zeta2star", "euler")
 
 _BLOCK = 4096
 _GROUP = 32
+_WORDS = 1 << 16
 
 
 class CacheError(Exception):
@@ -384,10 +386,12 @@ def _sweep(cells, primes):
     blocks of m up to the last read; the empty index reads 1.  It trusts its cells and its
     primes, ascending: none is checked."""
     strict, star, slot_of, parent, letters = _trie(dict.fromkeys(chain.from_iterable(cells)))
-    reads, done, tops = {}, {}, {}  # read point -> [(p, cells, their slots)]; p -> its last
+    reads, done = {}, {}  # read point -> [(p, cells, their slots)]; p -> its last
+    # equal cells at prime after prime share their lists, as comparing them costs a
+    # tenth of rebuilding them (0.5 ms against 5 ms over the key run's 76 primes)
     prev = None
     for p, cs in zip(primes, cells):
-        if cs != prev:  # equal cells at prime after prime share their slot lists
+        if cs != prev:
             prev, parts = cs, []
             for half in (True, False):
                 part = [c for c in cs if (c[0] in ("zeta2", "zeta2star")) == half]
@@ -395,12 +399,13 @@ def _sweep(cells, primes):
         for r, (part, slots) in zip(((p - 1) // 2, p - 1), parts):
             if part:
                 reads.setdefault(r, []).append((p, part, slots))
-                done[p], tops[id(slots)] = r, (r, slots)
+                done[p] = r
     # last[s]: the last m at which node s, or a node below it, is read
     last = [0] * len(parent)
-    for r, slots in tops.values():
-        for s in slots:
-            last[s] = max(last[s], r)
+    for r in sorted(reads):
+        for _, _, slots in reads[r]:
+            for s in slots:
+                last[s] = r
     for s in range(len(parent) - 1, 1, -1):
         last[parent[s]] = max(last[parent[s]], last[s])
     # letters below the smallest prime take a chain of power columns, each other one a pow
@@ -448,7 +453,7 @@ def _sweep(cells, primes):
         where = [(r - m0 + 1, prod(p for p, _, _ in reads[r])) for r in mids]
         readers = set()
         for r in mids:
-            for slots in {id(slots): slots for _, _, slots in reads[r]}.values():
+            for _, _, slots in reads[r]:
                 readers.update(slots)
         snaps = dict.fromkeys((0, 1), [1] * len(where))  # a root's sum is 1 at every m
         for root, shift in ((strict, 0), (star, 1)):
@@ -577,20 +582,38 @@ def _group_task(plan, primes, held):
             for result, cells, n in zip(results, held, known)]
 
 
+def _groups(primes, size) -> list:
+    """The ascending primes cut into runs of consecutive ones, each of at most size and
+    _GROUP primes.  A group's sweep keeps about its largest prime's count of inverses,
+    each of its product's 30-bit words, so a group of more than one prime also closes
+    before that count times those words would pass _WORDS."""
+    groups, bits = [], 0
+    for p in primes:
+        bits += p.bit_length()
+        if groups and len(groups[-1]) < min(size, _GROUP) and -(-bits // 30) * p <= _WORDS:
+            groups[-1].append(p)
+        else:
+            groups.append([p])
+            bits = p.bit_length()
+    return groups
+
+
 def per_prime(plan, primes, jobs=1, cache=None) -> list:
     """[finish(read) for p in primes], where columns, finish = plan(p) and read(n) gives
     the values of the first n columns (all by default), through the cache if one is
     given; the cache's lines are flushed once per prime.
 
-    The primes go in groups of _GROUP consecutive ones, each swept once (_group); the
-    groups go to a pool of min(jobs, groups, CPUs) workers when that is above 1.  A
+    The primes go in groups of consecutive ones (_groups), each swept once (_group), at
+    most ceil(len(primes) / min(jobs, CPUs)) to a group, so that every worker gets one;
+    the groups go to a pool of min(jobs, groups, CPUs) workers when that is above 1.  A
     worker starts from an in-memory cache that holds a copy of the parent cache's dicts
     of cells at its primes, and sends back the cells it added to each, in the order it
     read them; the parent, the only writer, adds them to its cache.
     """
     primes = list(primes)
-    groups = [primes[i:i + _GROUP] for i in range(0, len(primes), _GROUP)]
-    jobs = min(jobs, len(groups), os.cpu_count() or 1)  # a pool forks all its workers at once
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    groups = _groups(primes, -(-len(primes) // jobs))
+    jobs = min(jobs, len(groups))  # a pool forks all its workers at once
     out = []
     if jobs <= 1:
         for group in groups:

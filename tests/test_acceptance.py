@@ -164,7 +164,7 @@ def test_criterion_11_basis_experiments():
     _done(11, "odd-basis expression stable across prime sets; dims match fib")
 
 
-def test_criterion_12_determinism(tmp_path):
+def test_criterion_12_determinism(tmp_path, pools):
     cache = str(tmp_path / "acc.csv")
     args = ("--cache", cache, "verify", "--suite", "depth2", "--kmax", "7",
             "--primes", "5..60", "--format", "json")
@@ -179,5 +179,6 @@ def test_criterion_12_determinism(tmp_path):
     code2, parallel = _cli("--jobs", "2", *pargs)
     assert code1 == code2 == 0
     assert serial == parallel
+    assert pools == [2]
     assert json.loads(serial)["summary"]["failed"] == 0
     _done(12, "warm-cache and parallel runs byte-identical")

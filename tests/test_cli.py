@@ -199,7 +199,7 @@ def test_discover_sweeps_once_per_prime(capsys, monkeypatch):
     assert swept == [primes[i:i + ev._GROUP] for i in range(0, len(primes), ev._GROUP)]
 
 
-def test_discover_builds_one_matrix(capsys, monkeypatch):
+def test_discover_builds_one_matrix(capsys, monkeypatch, pools):
     # one per_prime call, so --jobs N starts one pool, and its output is the serial one
     calls = []
     per_prime = rel.per_prime
@@ -211,6 +211,7 @@ def test_discover_builds_one_matrix(capsys, monkeypatch):
     code, pooled, _ = run(capsys, "--jobs", "2", *argv)
     assert code == 0 and len(calls) == 2
     assert pooled == serial
+    assert pools == [2]
 
 
 def test_discover_odd3_basis_is_level_two(capsys):
@@ -396,7 +397,7 @@ def test_warm_cache_byte_identical(tmp_path, capsys):
     assert first == second
 
 
-def test_jobs_parallel_identical(capsys):
+def test_jobs_parallel_identical(capsys, pools):
     args = ("verify", "--suite", "prop21", "--kmax", "6", "--primes", "5..60",
             "--format", "json")
     code, serial, _ = run(capsys, *args)
@@ -404,6 +405,7 @@ def test_jobs_parallel_identical(capsys):
     code, parallel, _ = run(capsys, "--jobs", "2", *args)
     assert code == 0
     assert serial == parallel
+    assert pools == [2]
 
 
 def test_corrupt_cache_is_io_error(tmp_path, capsys):
@@ -596,7 +598,7 @@ def test_non_ascii_cache_is_corrupt(tmp_path, capsys):
     assert str(path) in err and "not ASCII" in err
 
 
-def test_cold_cache_bytes(tmp_path, capsys):
+def test_cold_cache_bytes(tmp_path, capsys, pools):
     # sha256 of the cache file a cold run writes, recorded before the per-prime
     # sweep: the same cells, in the same order, with or without workers
     for jobs in ("1", "2"):
@@ -606,9 +608,10 @@ def test_cold_cache_bytes(tmp_path, capsys):
         assert code == 0
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == "44f227cca8db77406bf56fba5c2c6b2cee6934a9f343515435dde7e745cdcac6")
+    assert pools == [2]
 
 
-def test_cold_cache_bytes_when_lines_are_flushed_once_per_prime(tmp_path, capsys):
+def test_cold_cache_bytes_when_lines_are_flushed_once_per_prime(tmp_path, capsys, pools):
     # sha256 of the cache file, recorded when every line was flushed as it was added
     for jobs in ("1", "2"):
         path = tmp_path / ("new%s.csv" % jobs)
@@ -617,9 +620,10 @@ def test_cold_cache_bytes_when_lines_are_flushed_once_per_prime(tmp_path, capsys
         assert code == 0
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == "f41e9df8f62614608f89200797ea62fc01c475c58cd1ee361fae50bd0771e0e0")
+    assert pools == [2]
 
 
-def test_cold_key_cache_bytes_at_both_job_counts(tmp_path, capsys):
+def test_cold_key_cache_bytes_at_both_job_counts(tmp_path, capsys, pools):
     # sha256 of the cache file, in the order written, recorded before the primes were
     # swept in groups: 18832 cells, each added once, in column order, prime by prime
     for jobs in ("1", "2"):
@@ -631,9 +635,10 @@ def test_cold_key_cache_bytes_at_both_job_counts(tmp_path, capsys):
         assert data.count(b"\n") == 18832
         assert (hashlib.sha256(data).hexdigest()
                 == "6a852b870be48ea44aca1056c44ba34aab7cf1b276e49a21d536a10eb27b23ef")
+    assert pools == [2]
 
 
-def test_cold_parity_cache_bytes(tmp_path, capsys):
+def test_cold_parity_cache_bytes(tmp_path, capsys, pools):
     # sha256 of the cache file, in the order written, recorded before a run's sweeps
     # shared one trie shape; parity sweeps zeta, zeta2 and zeta2star cells together
     for jobs in ("1", "2"):
@@ -643,9 +648,10 @@ def test_cold_parity_cache_bytes(tmp_path, capsys):
         assert code == 0
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == "f5716ac7149b37a8f3c4698412c071a5b2e9f40c94f95f0bbd38df43bd5bc3a6")
+    assert pools == [2]
 
 
-def test_compute_cache_bytes_cold_and_warm(tmp_path, capsys):
+def test_compute_cache_bytes_cold_and_warm(tmp_path, capsys, pools):
     # sha256 of compute's stdout and of its cache file, recorded before values_at computed
     # its missing cells itself; the warm run reads the file and leaves it as it was
     for jobs in ("1", "2"):
@@ -659,6 +665,7 @@ def test_compute_cache_bytes_cold_and_warm(tmp_path, capsys):
                     == "15da5d9f03edd62360625b901e149a2919615b25bb9560078117591745f2ad05")
             assert (hashlib.sha256(path.read_bytes()).hexdigest()
                     == "3759da2f1df326bce6e4a31126ab444e2538e336b89f872453a2a203f7946fd2")
+    assert pools == [2, 2]  # the cold and the warm run under --jobs 2
 
 
 # LC_ALL=C-sorted sha256 of the cache file a cold `verify --suite S --primes 5..60`
@@ -688,7 +695,7 @@ def test_cold_cache_sorted_lines(tmp_path, capsys, suite):
             == COLD_CACHE_SORTED_5_60[suite])
 
 
-def test_cold_ppt_cache_lines(tmp_path, capsys):
+def test_cold_ppt_cache_lines(tmp_path, capsys, pools):
     # ppt writes its cells prime by prime, so only the sorted lines keep the
     # sha256 recorded before that; workers write the same bytes as one process,
     # in the order pinned before the one-odd patterns were mapped from compositions
@@ -700,6 +707,7 @@ def test_cold_ppt_cache_lines(tmp_path, capsys):
         assert code == 0
         data.append(path.read_bytes())
     assert data[0] == data[1]
+    assert pools == [2]
     assert (hashlib.sha256(data[0]).hexdigest()
             == "fcc9d8ad22fb06f8bee4090bc28757678a8f5b74e5e7c01c21b8eff500637baf")
     lines = data[0].splitlines(keepends=True)

@@ -893,16 +893,16 @@ def test_cache_add_checks_each_cell_and_prime_once(tmp_path, monkeypatch):
     assert cells_of(ResidueCache(str(path))._cells) == cells_of(cache._cells)
 
 
-def test_column_parallel_matches_serial():
+def test_column_parallel_matches_serial(pools):
     primes = sieve_primes(5, 40)
     assert column("zeta2", (2, 1), primes=primes, jobs=2) == column("zeta2", (2, 1), primes=primes)
+    assert pools == [2]
 
 
 def test_two_workers_over_a_partly_filled_cache_write_what_one_process_writes(
-        tmp_path, monkeypatch):
+        tmp_path, pools):
     # the cache holds cells at some of the run's primes and at primes outside it; a worker
-    # starts from its prime's cells and hands back only those it added, in the order read
-    monkeypatch.setattr(ev.os, "cpu_count", lambda: 2)
+    # starts from its group's cells and hands back only those it added, in the order read
     columns = [("zeta2", (2, 1)), ("zeta", (1, 2, 3)), ("euler", (1, 2), (1, -1))]
     primes = sieve_primes(5, 60)
     held = [("zeta2", (2, 1), None, p) for p in primes[::3] + [61, 67]]
@@ -922,6 +922,11 @@ def test_two_workers_over_a_partly_filled_cache_write_what_one_process_writes(
         assert len(cache) == len(held) + 3 * len(primes) - len(primes[::3])
         assert m == build_matrix(columns, primes)
     assert files[0] == files[1]
+    assert pools == [2]
+
+
+# the group sizes of count primes spread over min(jobs, cpus) workers
+POOL_GROUPS = {(5000, 2, 64): [1, 1], (3, 10, 2): [5, 5], (4, 10, 8): [3, 3, 3, 1]}
 
 
 @pytest.mark.parametrize("jobs, count, cpus, workers", [
@@ -930,8 +935,9 @@ def test_two_workers_over_a_partly_filled_cache_write_what_one_process_writes(
 ])
 def test_per_prime_caps_its_pool(monkeypatch, jobs, count, cpus, workers):
     # a pool forks all its workers at its first task, so it gets no more than there are
-    # groups of primes (count) and CPUs, and none at all when that is 1; a fake pool
-    # records its size and its tasks, one group each
+    # groups of the count primes and CPUs, and none at all when that is 1; the primes are
+    # spread over the workers in groups of consecutive ones; a fake pool records its size
+    # and its tasks, one group each
     import concurrent.futures
 
     started, tasks = [], []
@@ -952,14 +958,32 @@ def test_per_prime_caps_its_pool(monkeypatch, jobs, count, cpus, workers):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(ev.os, "cpu_count", lambda: cpus)
-    primes = sieve_primes(5, 3000)[:count * ev._GROUP - 1]
+    primes = sieve_primes(5, 3000)[:count]
     cache = ResidueCache()
     got = ev.per_prime(partial(ev._plan_all, [("zeta2", (2, 1), None)]), primes, jobs, cache)
     assert started == ([] if workers is None else [workers])
-    assert tasks == ([] if workers is None else
-                     [primes[i:i + ev._GROUP] for i in range(0, len(primes), ev._GROUP)])
+    sizes = POOL_GROUPS.get((jobs, count, cpus), [])
+    assert tasks == [primes[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
     assert got == [(eval_zeta2((2, 1), p),) for p in primes]
     assert len(cache) == len(primes)
+
+
+@pytest.mark.parametrize("start, stop, size, sizes", [
+    (5, 400, 32, [32, 32, 12]), (5, 400, 38, [32, 32, 12]), (5, 400, 26, [26, 26, 24]),
+    (5, 400, 1, [1] * 76), (1000, 1400, 27, [27, 27]), (10000, 10400, 32, [12, 12, 12, 9]),
+    (30000, 30400, 32, [4] * 9 + [3]), (100000, 100400, 32, [1] * 32),
+])
+def test_groups_are_bounded_by_size_and_by_their_table_of_inverses(start, stop, size, sizes):
+    # a group's sweep keeps about its largest prime's count of inverses, each of its
+    # product's 30-bit words: at most _WORDS words for a group of more than one prime, so
+    # that at large primes its memory stays that of one prime's sweep
+    primes = sieve_primes(start, stop)
+    groups = ev._groups(primes, size)
+    assert [len(g) for g in groups] == sizes
+    assert list(itertools.chain.from_iterable(groups)) == primes
+    for g in groups:
+        assert len(g) == 1 or -(-sum(p.bit_length() for p in g) // 30) * g[-1] <= ev._WORDS
+    assert ev._groups([], 0) == []
 
 
 def test_per_prime_sweeps_only_the_primes_that_miss_a_cell(tmp_path, monkeypatch):
@@ -1113,7 +1137,7 @@ def test_cache_formats_each_head_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_the_cache_file_holds_every_line_before_close(tmp_path, monkeypatch, jobs):
+def test_the_cache_file_holds_every_line_before_close(tmp_path, monkeypatch, pools, jobs):
     # add() buffers its line; per_prime flushes once per prime, so the lines of a matrix
     # are in the file when build_matrix returns, with the cache still open
     path = tmp_path / "c.csv"
@@ -1131,4 +1155,5 @@ def test_the_cache_file_holds_every_line_before_close(tmp_path, monkeypatch, job
     assert len(path.read_text().splitlines()) == len(cache) == 1 + 3 * len(primes)
     assert cells_of(ResidueCache(str(path))._cells) == cells_of(cache._cells)
     assert len(flushes) == len(primes)
+    assert pools == ([] if jobs == 1 else [2])
     cache.close()

@@ -366,10 +366,11 @@ def test_rows_sorted_canonically():
     assert keys == sorted(keys)
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(pools):
     serial = SUITES["prop21"].run({"kmax": 7}, sieve_primes(5, 40), jobs=1)
     parallel = SUITES["prop21"].run({"kmax": 7}, sieve_primes(5, 40), jobs=2)
     assert serial.to_json() == parallel.to_json()
+    assert pools == [2]
 
 
 def test_cache_reuse_is_invisible(tmp_path):
@@ -514,7 +515,7 @@ PARTLY_WARM_CACHE = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("half", sorted(PARTLY_WARM_CACHE))
 def test_partly_warm_cache_gives_the_cold_report_and_appends_in_column_order(
-        tmp_path, half, jobs):
+        tmp_path, pools, half, jobs):
     runs = (("key", {"wmax": 4}), ("ppt", {"rmax": 2}))
     lines = {}
     for name, bounds in runs:
@@ -534,6 +535,7 @@ def test_partly_warm_cache_gives_the_cold_report_and_appends_in_column_order(
     cache.close()
     assert hashlib.sha256(out.encode()).hexdigest() == PARTLY_WARM_REPORT
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PARTLY_WARM_CACHE[half]
+    assert pools == ([] if jobs == 1 else [2, 2])  # one per suite run
     # the cells of the two cold runs, which share some, each once
     assert len(ResidueCache(path)) == len(set(lines["key"] + lines["ppt"]))
 

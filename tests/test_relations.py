@@ -56,11 +56,12 @@ def test_build_matrix_weight3_row():
     assert row[3] == 6
 
 
-def test_build_matrix_parallel_matches_serial():
+def test_build_matrix_parallel_matches_serial(pools):
     descs = [("zeta", ix) for ix in all_compositions(4)] + [("euler", (1, 2), (1, -1))]
     primes = sieve_primes(7, 60)
     serial = build_matrix(descs, primes)
     assert build_matrix(descs, primes, jobs=2) == serial
+    assert pools == [2]
 
 
 def test_build_matrix_single_cell_and_errors():
