@@ -13,11 +13,12 @@ A value takes one route, `per_prime` (`values_at` for one prime, `value_of` for
 one cell, the one single-cell evaluation that checks its cell and prime): its
 primes go in groups of consecutive ones (`_groups`), at most _GROUP, fewer to
 spread them over the workers, and fewer where a group's table of inverses
-would pass _WORDS words; a prime's cells held by the residue cache are read once from its dict of p (`ResidueCache.cells_at`), the
-primes that miss a cell, the empty index aside, are swept together once, by
-`_sweep`, whose tables stream out in prime order, and each distinct missing cell
-is read from its prime's table by `compute_cell` and added to the cache in column
-order; the empty index is 1.  The cache is the only store of values that
+would pass _WORDS words; a prime's cells held by the residue cache are read
+once from its dict of p (`ResidueCache.cells_at`), the primes that miss a cell,
+the empty index aside, are swept together once, by `_sweep`, whose tables
+stream out in prime order, and each distinct missing cell is read from its
+prime's table by `compute_cell` and added to the cache in column order; the
+empty index is 1.  The cache is the only store of values that
 outlives a call, so a repeated call without one sweeps again.
 
 A sweep (`values_at`, `compute_cell`, `_sweep`: internal routes) trusts its cells
