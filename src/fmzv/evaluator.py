@@ -11,15 +11,14 @@ smallest summation variable, so the sum runs over 0 < m_1 < ... < m_r < p
 
 A value takes one route, `per_prime` (`values_at` for one prime, `value_of` for
 one cell, the one single-cell evaluation that checks its cell and prime): its
-primes go in groups of consecutive ones (`_groups`), at most _GROUP, fewer to
-spread them over the workers, and fewer where a group's table of inverses
-would pass _WORDS words; a prime's cells held by the residue cache are read
-once from its dict of p (`ResidueCache.cells_at`), the primes that miss a cell,
-the empty index aside, are swept together once, by `_sweep`, whose tables
-stream out in prime order, and each distinct missing cell is read from its
-prime's table by `compute_cell` and added to the cache in column order; the
-empty index is 1.  The cache is the only store of values that
-outlives a call, so a repeated call without one sweeps again.
+primes go in groups of consecutive ones (`_groups`), at most _GROUP, and fewer
+where a group's table of inverses would pass _WORDS words; a prime's cells held
+by the residue cache are read once from its dict of p (`ResidueCache.cells_at`),
+the primes that miss a cell, the empty index aside, are swept together once, by
+`_sweep`, whose tables stream out in prime order, and each distinct missing cell
+is read from its prime's table by `compute_cell` and added to the cache in column
+order; the empty index is 1.  The cache is the only store of values that outlives
+a call, so a repeated call without one sweeps again.
 
 A sweep (`values_at`, `compute_cell`, `_sweep`: internal routes) trusts its cells
 and primes: each is checked once per run, where it enters (`build_matrix`,
@@ -35,11 +34,10 @@ and zeta2star cells at m = (p-1)/2, each reduced mod p.  The walk goes depth
 first, column by column, over blocks of m; a block ends where its read primes
 make up half its modulus' bits, and a column holds at most _BLOCK 30-bit words.
 An inner node is one prefix-sum column over the block, reduced only if another
-column is summed from it, a leaf one dot product, split where it is read inside
-the block, or a column if the block holds more read points than one.  An entry
-below the group's smallest prime takes a chain of power columns, any other one a
-column of its own, one pow per m.  zeta2star has its own trie, whose nodes read
-their parent at m itself, one place later.
+column is summed from it, a leaf one dot product, or a column if it is read
+inside the block.  An entry below the group's smallest prime takes a chain of
+power columns, any other one a column of its own, one pow per m.  zeta2star has
+its own trie, whose nodes read their parent at m itself, one place later.
 
 `eval_*` evaluate one cell on their own, each by one pass of the textbook DP
 `_dp_sum` over its summation range, with one batched inverse (`batch_inv`) of
@@ -468,7 +466,7 @@ def _sweep(cells, primes):
                     if last[slot] < m0:
                         continue
                     w, src = weights[e], islice(col, 1, None) if shift else col
-                    if kids or slot in readers and len(where) > 1:
+                    if kids or slot in readers:
                         # a column is reduced mod M only if another column is summed from it
                         c = accumulate(map(mul, src, w), initial=sums[slot])
                         c = [x % M for x in c] if fold else list(c)
@@ -477,11 +475,6 @@ def _sweep(cells, primes):
                             snaps[slot] = [c[j] % q for j, q in where]
                         if kids:
                             stack.append((kid, c))
-                    elif slot in readers:  # the block's one read point splits a leaf's dot product
-                        ((j, q),), src = where, iter(src)
-                        s = sums[slot] + sum(map(mul, islice(src, j), islice(w, j)))
-                        snaps[slot] = [s % q]
-                        sums[slot] = (s + sum(map(mul, src, islice(w, j, None)))) % M
                     else:  # any other leaf is one dot product
                         sums[slot] = (sums[slot] + sum(map(mul, src, w))) % M
         for j, r in enumerate(block):
@@ -583,15 +576,15 @@ def _group_task(plan, primes, held):
             for result, cells, n in zip(results, held, known)]
 
 
-def _groups(primes, size) -> list:
-    """The ascending primes cut into runs of consecutive ones, each of at most size and
-    _GROUP primes.  A group's sweep keeps about its largest prime's count of inverses,
-    each of its product's 30-bit words, so a group of more than one prime also closes
-    before that count times those words would pass _WORDS."""
+def _groups(primes) -> list:
+    """The ascending primes cut into runs of consecutive ones, each of at most _GROUP
+    primes.  A group's sweep keeps about its largest prime's count of inverses, each of
+    its product's 30-bit words, so a group of more than one prime also closes before
+    that count times those words would pass _WORDS."""
     groups, bits = [], 0
     for p in primes:
         bits += p.bit_length()
-        if groups and len(groups[-1]) < min(size, _GROUP) and -(-bits // 30) * p <= _WORDS:
+        if groups and len(groups[-1]) < _GROUP and -(-bits // 30) * p <= _WORDS:
             groups[-1].append(p)
         else:
             groups.append([p])
@@ -604,17 +597,16 @@ def per_prime(plan, primes, jobs=1, cache=None) -> list:
     the values of the first n columns (all by default), through the cache if one is
     given; the cache's lines are flushed once per prime.
 
-    The primes go in groups of consecutive ones (_groups), each swept once (_group), at
-    most ceil(len(primes) / min(jobs, CPUs)) to a group, so that every worker gets one;
-    the groups go to a pool of min(jobs, groups, CPUs) workers when that is above 1.  A
-    worker starts from an in-memory cache that holds a copy of the parent cache's dicts
-    of cells at its primes, and sends back the cells it added to each, in the order it
-    read them; the parent, the only writer, adds them to its cache.
+    The primes go in groups of consecutive ones (_groups), each swept once (_group); the
+    groups go to a pool of min(jobs, groups, CPUs) workers when that is above 1, so a
+    run of one group runs here whatever jobs is.  A worker starts from an in-memory
+    cache that holds a copy of the parent cache's dicts of cells at its primes, and
+    sends back the cells it added to each, in the order it read them; the parent, the
+    only writer, adds them to its cache.
     """
-    primes = list(primes)
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
-    groups = _groups(primes, -(-len(primes) // jobs))
-    jobs = min(jobs, len(groups))  # a pool forks all its workers at once
+    groups = _groups(primes)
+    # a pool forks all its workers at once
+    jobs = max(1, min(jobs, len(groups), os.cpu_count() or 1))
     out = []
     if jobs <= 1:
         for group in groups:

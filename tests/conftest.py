@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+import fmzv.evaluator as ev
+
 
 @pytest.fixture
 def pools(monkeypatch):
@@ -10,6 +12,8 @@ def pools(monkeypatch):
 
     The host is taken to have 2 CPUs, so that a run under --jobs 2 starts a real pool of
     2 workers on any host, and a test that compares it with a serial run can assert it.
+    A group holds at most 4 primes: a pool gets no more workers than a run has groups, so
+    at the module's 32 a test's small prime window would be one group, run serially.
     """
     started = []
 
@@ -20,4 +24,5 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ev, "_GROUP", 4)
     return started

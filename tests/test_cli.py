@@ -408,6 +408,20 @@ def test_jobs_parallel_identical(capsys, pools):
     assert pools == [2]
 
 
+def test_jobs_starts_a_pool_only_over_more_than_one_group(capsys, pools):
+    # a pool gets no more workers than the run has groups of primes, so --jobs 2 over one
+    # group runs in the parent and over two starts a pool of 2, each printing the serial bytes
+    primes = sieve_primes(5, 400)
+    for count, started in ((ev._GROUP, []), (ev._GROUP + 1, [2])):
+        args = ("compute", "--variant", "zeta2", "--index", "2,1",
+                "--primes", "5..%d" % primes[count - 1])
+        code, serial, _ = run(capsys, *args)
+        assert code == 0
+        code, pooled, _ = run(capsys, "--jobs", "2", *args)
+        assert (code, pooled) == (0, serial)
+        assert pools == started
+
+
 def test_corrupt_cache_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("zeta2,1,,9,1\n")

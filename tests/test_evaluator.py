@@ -925,8 +925,10 @@ def test_two_workers_over_a_partly_filled_cache_write_what_one_process_writes(
     assert pools == [2]
 
 
-# the group sizes of count primes spread over min(jobs, cpus) workers
-POOL_GROUPS = {(5000, 2, 64): [1, 1], (3, 10, 2): [5, 5], (4, 10, 8): [3, 3, 3, 1]}
+# the group size the count primes are cut by, and the sizes of a pool's tasks
+POOL_GROUPS = {(5000, 2, 64): (1, [1, 1]), (3, 10, 2): (3, [3, 3, 3, 1]),
+               (4, 10, 8): (2, [2] * 5), (5000, 10, None): (3, []), (4, 1, 8): (32, []),
+               (2, 10, 1): (3, [])}
 
 
 @pytest.mark.parametrize("jobs, count, cpus, workers", [
@@ -935,9 +937,9 @@ POOL_GROUPS = {(5000, 2, 64): [1, 1], (3, 10, 2): [5, 5], (4, 10, 8): [3, 3, 3, 
 ])
 def test_per_prime_caps_its_pool(monkeypatch, jobs, count, cpus, workers):
     # a pool forks all its workers at its first task, so it gets no more than there are
-    # groups of the count primes and CPUs, and none at all when that is 1; the primes are
-    # spread over the workers in groups of consecutive ones; a fake pool records its size
-    # and its tasks, one group each
+    # groups of the count primes and CPUs, and none at all when that is 1; the groups of
+    # consecutive primes are those of _groups alone; a fake pool records its size and its
+    # tasks, one group each
     import concurrent.futures
 
     started, tasks = [], []
@@ -958,32 +960,36 @@ def test_per_prime_caps_its_pool(monkeypatch, jobs, count, cpus, workers):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(ev.os, "cpu_count", lambda: cpus)
+    group, sizes = POOL_GROUPS[jobs, count, cpus]
+    monkeypatch.setattr(ev, "_GROUP", group)
     primes = sieve_primes(5, 3000)[:count]
     cache = ResidueCache()
     got = ev.per_prime(partial(ev._plan_all, [("zeta2", (2, 1), None)]), primes, jobs, cache)
     assert started == ([] if workers is None else [workers])
-    sizes = POOL_GROUPS.get((jobs, count, cpus), [])
     assert tasks == [primes[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
     assert got == [(eval_zeta2((2, 1), p),) for p in primes]
     assert len(cache) == len(primes)
 
 
-@pytest.mark.parametrize("start, stop, size, sizes", [
-    (5, 400, 32, [32, 32, 12]), (5, 400, 38, [32, 32, 12]), (5, 400, 26, [26, 26, 24]),
+@pytest.mark.parametrize("start, stop, group, sizes", [
+    (5, 400, 32, [32, 32, 12]), (5, 400, 38, [38, 38]), (5, 400, 26, [26, 26, 24]),
     (5, 400, 1, [1] * 76), (1000, 1400, 27, [27, 27]), (10000, 10400, 32, [12, 12, 12, 9]),
     (30000, 30400, 32, [4] * 9 + [3]), (100000, 100400, 32, [1] * 32),
 ])
-def test_groups_are_bounded_by_size_and_by_their_table_of_inverses(start, stop, size, sizes):
-    # a group's sweep keeps about its largest prime's count of inverses, each of its
-    # product's 30-bit words: at most _WORDS words for a group of more than one prime, so
-    # that at large primes its memory stays that of one prime's sweep
+def test_groups_are_bounded_by_size_and_by_their_table_of_inverses(
+        monkeypatch, start, stop, group, sizes):
+    # a group holds at most _GROUP primes; its sweep keeps about its largest prime's count
+    # of inverses, each of its product's 30-bit words: at most _WORDS words for a group of
+    # more than one prime, so that at large primes its memory stays that of one prime's
+    # sweep
+    monkeypatch.setattr(ev, "_GROUP", group)
     primes = sieve_primes(start, stop)
-    groups = ev._groups(primes, size)
+    groups = ev._groups(primes)
     assert [len(g) for g in groups] == sizes
     assert list(itertools.chain.from_iterable(groups)) == primes
     for g in groups:
         assert len(g) == 1 or -(-sum(p.bit_length() for p in g) // 30) * g[-1] <= ev._WORDS
-    assert ev._groups([], 0) == []
+    assert ev._groups([]) == []
 
 
 def test_per_prime_sweeps_only_the_primes_that_miss_a_cell(tmp_path, monkeypatch):
