@@ -110,7 +110,7 @@ def test_L2_examples():
 
 
 def test_Zk_matches_table_oracle():
-    # the power-sum congruence against the series-inversion table, every k at every prime
+    # Voronoi's congruence against the series-inversion table, every k at every prime
     for p in sieve_primes(5, 200):
         for k in range(2, p - 2):
             assert Zk(k, p) == bernoulli_mod(p - k, p) * mod_inv(k, p) % p
@@ -130,8 +130,9 @@ def test_Zk_even_weight_vanishes():
 
 
 def test_Zk_matches_kummer_oracle():
-    # the paired sum against the unpaired one, every k at every prime: k ascending, so
+    # the third-range sum against the power sum, every k at every prime: k ascending, so
     # every table is built afresh, then k descending, so each is derived from k + 2's
+    # (afresh where k + 2's is too short: a = 3 there and a > 3 at k)
     for p in sieve_primes(5, 400):
         ks = range(2, p - 2)
         want = [kummer_oracle(k, p) for k in ks]
@@ -152,17 +153,55 @@ def test_Zk_kept_table_follows_its_prime_and_weight():
 
 def test_Zk_builds_one_table_per_prime_in_a_depth2_run(monkeypatch):
     # depth2 names Zk at k = 9, 7, 5, 3 (odd, so each sums powers); taken from the
-    # largest down, each prime builds one table where one per call (216) were built
+    # largest down, each prime builds one table where one per call (216) were built.
+    # Each table ends at floor(p/3), the cut of a = 3, and so never at a = 2's (p - 1)/2
     built, calls = [], []
     build, zk = bernoulli._power_table, ids.Zk
+
+    def record(e, p, h):
+        table = build(e, p, h)
+        built.append((p, len(table)))
+        return table
+
     monkeypatch.setattr(bernoulli, "_kept", [0, 0, []])
-    monkeypatch.setattr(bernoulli, "_power_table", lambda e, p: built.append(p) or build(e, p))
+    monkeypatch.setattr(bernoulli, "_power_table", record)
     monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
     primes = sieve_primes(1000, 1400)
     rep = ids.SUITES["depth2"].run({"kmax": 9}, primes)
     assert rep.total == 1080 and rep.failed == 0
     assert len(calls) == 216 and len(set(calls)) == 216
-    assert built == primes and len(primes) == 54
+    assert built == [(p, p // 3 + 1) for p in primes] and len(primes) == 54
+
+
+@pytest.mark.parametrize("k, p, a", [(9, 41, 4), (13, 73, 4), (7, 13, 5), (19, 37, 5),
+                                     (31, 61, 6)])
+def test_Zk_takes_the_least_a_from_3_whose_a_to_the_k_minus_1_is_not_1(monkeypatch, k, p, a):
+    # b^(k-1) = 1 mod p for 3 <= b < a, so b - b^k does not invert; the table ends at
+    # the largest folded cut min(c, p - 1 - c), c = floor(i p / a)
+    h = max(min(c, p - 1 - c) for c in (i * p // a for i in range(1, a)))
+    assert [pow(b, k - 1, p) == 1 for b in range(3, a + 1)] == [True] * (a - 3) + [False]
+    want = bernoulli_mod(p - k, p) * mod_inv(k, p) % p
+    assert kummer_oracle(k, p) == want
+    built, build = [], bernoulli._power_table
+    monkeypatch.setattr(bernoulli, "_power_table",
+                        lambda e, p, h: built.append(h) or build(e, p, h))
+    # fresh: after nothing, and after k + 2 at the same prime, whose a = 3 table is too short
+    for kept in ([0, 0, []], [p, p - 3 - k, build(p - 3 - k, p, p // 3)]):
+        monkeypatch.setattr(bernoulli, "_kept", kept)
+        assert Zk(k, p) == want and built.pop() == h and len(bernoulli._kept[2]) == h + 1
+    # derived, with no table built: from any kept table at k + 2 that covers the cut
+    # (a run leaves none, as a = 3 at k + 2), and at k - 2, where a = 3, from this
+    # call's longer table, cut down to floor(p/3)
+    monkeypatch.setattr(bernoulli, "_kept", [p, p - 3 - k, build(p - 3 - k, p, (p - 1) // 2)])
+    assert Zk(k, p) == want and len(bernoulli._kept[2]) == h + 1
+    assert Zk(k - 2, p) == kummer_oracle(k - 2, p) and len(bernoulli._kept[2]) == p // 3 + 1
+    assert built == []
+
+
+@pytest.mark.parametrize("p", [20011, 100003])
+def test_Zk_matches_kummer_oracle_large_primes(p):
+    # past bernoulli_mod's O(p^2) reach: the unpaired power sum mod p^2, one pow per m < p
+    assert [Zk(k, p) for k in range(13, 2, -2)] == [kummer_oracle(k, p) for k in range(13, 2, -2)]
 
 
 def test_Zk_matches_kummer_oracle_benchmark_primes():
@@ -173,8 +212,9 @@ def test_Zk_matches_kummer_oracle_benchmark_primes():
 
 
 def test_Zk_small_half_ranges():
-    # h = (p - 1)/2 = 2, 3, 5.  k = p - 4 is n = 4, the smallest even n and so the
-    # first k that sums powers; at p = 5 that k is 1, so the only k is 2 (n = 3, odd).
+    # a = 3 at every odd k here, so the cut floor(p/3) is 2 at p = 7 and 3 at p = 11.
+    # k = p - 4 is n = 4, the smallest even n and so the first k that sums powers; at
+    # p = 5 that k is 1, so the only k is 2 (n = 3, odd).
     pinned = {5: [0], 7: [0, 1, 0], 11: [0, 5, 0, 1, 0, 10, 0]}  # Zk(k, p) for k = 2..p-3
     for p, values in pinned.items():
         ks = range(2, p - 2)

@@ -517,6 +517,11 @@ CI_PINS = [
      "ff508f8620fb7d923d969a1e93d7ac0a0c1da9280f5d1a96ce3e64a2b1d47c66"),
     (("verify", "--suite", "weighted1", "--primes", "1000..1100"),
      "8b3adb622c21063c31b80aebe21cbad2057ed1adaf8aeb30e1e9bc0ae3c5e4a5"),
+    # Zk's tables near p = 20000, pinned before Zk summed a third of the range
+    (("verify", "--suite", "prop21", "--kmax", "12", "--primes", "20000..20200"),
+     "6cc6a910154422a80420736261a9637b76cbd21384a5d9d9db7703f88b333b9a"),
+    (("verify", "--suite", "depth2", "--kmax", "9", "--primes", "20000..20100"),
+     "61143c515cbae3a5529fbeae6da8cd4007ef22b8fd2ed58032a0840c53774b2f"),
     (("verify", "--suite", "example24", "--wmax", "12", "--primes", "5..100"),
      "f34a09e80fd693ad3154c1e7369f87393f26c5c8be5be365cda5df4dbee92d1b"),
     (("verify", "--suite", "sumformula", "--kmax", "12", "--primes", "5..100", "--format", "csv"),
