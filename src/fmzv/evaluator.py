@@ -18,7 +18,10 @@ the primes that miss a cell, the empty index aside, are swept together once, by
 `_sweep`, whose tables stream out in prime order, and each distinct missing cell
 is read from its prime's table by `compute_cell` and added to the cache in column
 order; the empty index is 1.  The cache is the only store of values that outlives
-a call, so a repeated call without one sweeps again.
+a call, so a repeated call without one sweeps again.  Beside the variants, the
+suites plan one internal kind, "third": ("third", (k,), None) is the strict sum
+of m^-k over m <= floor(p/3), the sum bernoulli.Zk takes; check_cell refuses it,
+and it is never cached.
 
 A sweep (`values_at`, `compute_cell`, `_sweep`: internal routes) trusts its cells
 and primes: each is checked once per run, where it enters (`build_matrix`,
@@ -30,7 +33,8 @@ last entry k, times (-1)^m for a - sign.  1/m is taken mod n, the product of the
 primes still to be read at m or later, all above m, from the recurrence
 1/i = -(n // i) / (n % i), and a block's sums mod that product at its start, so
 the modulus shrinks as primes are read: zeta and euler cells at m = p-1, zeta2
-and zeta2star cells at m = (p-1)/2, each reduced mod p.  The walk goes depth
+and zeta2star cells at m = (p-1)/2, third cells at m = floor(p/3), each reduced
+mod p, and a prime's table goes out after its last read.  The walk goes depth
 first, column by column, over blocks of m; a block ends where its read primes
 make up half its modulus' bits, and a column holds at most _BLOCK 30-bit words.
 An inner node is one prefix-sum column over the block, reduced only if another
@@ -386,19 +390,23 @@ def _sweep(cells, primes):
     primes, ascending: none is checked."""
     strict, star, slot_of, parent, letters = _trie(dict.fromkeys(chain.from_iterable(cells)))
     reads, done = {}, {}  # read point -> [(p, cells, their slots)]; p -> its last
+    # a cell is read at m = (p - 1) // d, d its kind's: p - 1, (p - 1)/2, or floor(p/3) for
+    # a third-range cell (p > 3)
+    span = {"zeta": 1, "euler": 1, "zeta2": 2, "zeta2star": 2, "third": 3}
     # equal cells at prime after prime share their lists, as comparing them costs a
     # tenth of rebuilding them (0.5 ms against 5 ms over the key run's 76 primes)
     prev = None
     for p, cs in zip(primes, cells):
         if cs != prev:
-            prev, parts = cs, []
-            for half in (True, False):
-                part = [c for c in cs if (c[0] in ("zeta2", "zeta2star")) == half]
-                parts.append((part, [slot_of[c] for c in part]))
-        for r, (part, slots) in zip(((p - 1) // 2, p - 1), parts):
-            if part:
-                reads.setdefault(r, []).append((p, part, slots))
-                done[p] = r
+            prev, parts = cs, {}
+            for c in cs:
+                part, slots = parts.setdefault(span[c[0]], ([], []))
+                part.append(c)
+                slots.append(slot_of[c])
+        for d, (part, slots) in parts.items():
+            reads.setdefault((p - 1) // d, []).append((p, part, slots))
+        if parts:
+            done[p] = (p - 1) // min(parts)
     # last[s]: the last m at which node s, or a node below it, is read
     last = [0] * len(parent)
     for r in sorted(reads):
@@ -534,14 +542,14 @@ def _finish_all(read):
 def _read(columns, values, p, cache, table, computed, n=None) -> tuple:
     """The values of the first n columns (all by default): values[i], the cache's, unless
     None; else, for a nonempty index, the cell computed once, by compute_cell from table,
-    and added to the cache in column order; else 1."""
+    and added to the cache in column order, unless it is a third-range cell; else 1."""
     values = values[:n]
     if None in values:
         new = dict.fromkeys(c for c, v in zip(columns, values)
                             if v is None and c[1] and c not in computed)
         for cell in new:
             v = computed[cell] = compute_cell(*cell, table)
-            if cache is not None:
+            if cache is not None and cell[0] != "third":
                 cache.add(*cell, p, v)
         values = [computed.get(c, 1) if v is None else v for c, v in zip(columns, values)]
     return tuple(values)

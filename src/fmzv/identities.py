@@ -158,28 +158,29 @@ def _listed(rows, primes):
 
 def _prime_rows(listed, p):
     """per_prime's plan of the Cases at p of the listed rows (see _listed) of weight below
-    p - 2: the distinct cells they name, in first-named order, and the finish that reads
-    them once each and evaluates each constant once, the Zk from the largest weight down
-    (see bernoulli.Zk)."""
+    p - 2: the distinct cells they name, in first-named order, then a third-range cell
+    ("third", (k,), None) for each Zk of odd k they name, whose value is the sum that Zk
+    takes (see bernoulli.Zk), and the finish that reads them once each and evaluates
+    each constant once."""
     factors, rows = listed
     rows = [row for row in rows if p > row[1] + 2]
     cells, consts = [], []
     for slot in dict.fromkeys(itertools.chain.from_iterable(row[4] for row in rows)):
         (consts if factors[slot][0] in ("Zk", "L2") else cells).append(slot)
-    return [factors[slot] for slot in cells], partial(_cases, factors, rows, p, cells, consts)
+    # a Zk's slot holds its third-range sum until the constant replaces it
+    thirds = [slot for slot in consts if factors[slot][0] == "Zk" and factors[slot][1] % 2]
+    columns = [factors[slot] for slot in cells] + [("third", factors[slot][1:], None)
+                                                   for slot in thirds]
+    return columns, partial(_cases, factors, rows, p, cells + thirds, consts)
 
 
-def _cases(factors, rows, p, cells, consts, read):
-    values, zks = [None] * len(factors), []
-    for slot in consts:
-        if factors[slot][0] == "Zk":
-            zks.append((factors[slot][1], slot))
-        else:
-            values[slot] = L2(p)
-    for k, slot in sorted(zks, reverse=True):
-        values[slot] = Zk(k, p)
-    for slot, v in zip(cells, read()):
+def _cases(factors, rows, p, slots, consts, read):
+    values = [None] * len(factors)
+    for slot, v in zip(slots, read()):
         values[slot] = v
+    for slot in consts:
+        f = factors[slot]
+        values[slot] = Zk(f[1], p, values[slot]) if f[0] == "Zk" else L2(p)
 
     def side(terms):
         total = 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import fmzv.bernoulli as bernoulli
+import fmzv.evaluator as ev
 import fmzv.identities as ids
 from fmzv.bernoulli import L2, Zk, bernoulli_mod
 from fmzv.modmath import mod_inv, sieve_primes
@@ -151,10 +152,10 @@ def test_Zk_kept_table_follows_its_prime_and_weight():
     assert [Zk(k, r) for k, r in calls] == [kummer_oracle(k, r) for k, r in calls]
 
 
-def test_Zk_builds_one_table_per_prime_in_a_depth2_run(monkeypatch):
-    # depth2 names Zk at k = 9, 7, 5, 3 (odd, so each sums powers); taken from the
-    # largest down, each prime builds one table where one per call (216) were built.
-    # Each table ends at floor(p/3), the cut of a = 3, and so never at a = 2's (p - 1)/2
+def test_Zk_builds_no_table_in_a_depth2_run(monkeypatch):
+    # depth2 names Zk at k = 9, 7, 5, 3 (odd, so each sums powers); a = 3 at every one of
+    # the 216 (k, p) over 1000..1400, so each takes its third-range sum from the group
+    # sweep and no power table is built
     built, calls = [], []
     build, zk = bernoulli._power_table, ids.Zk
 
@@ -165,12 +166,35 @@ def test_Zk_builds_one_table_per_prime_in_a_depth2_run(monkeypatch):
 
     monkeypatch.setattr(bernoulli, "_kept", [0, 0, []])
     monkeypatch.setattr(bernoulli, "_power_table", record)
-    monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
+    monkeypatch.setattr(ids, "Zk", lambda k, p, third=None: calls.append((k, p)) or
+                        zk(k, p, third))
     primes = sieve_primes(1000, 1400)
     rep = ids.SUITES["depth2"].run({"kmax": 9}, primes)
     assert rep.total == 1080 and rep.failed == 0
-    assert len(calls) == 216 and len(set(calls)) == 216
-    assert built == [(p, p // 3 + 1) for p in primes] and len(primes) == 54
+    assert len(calls) == 216 and len(set(calls)) == 216 and len(primes) == 54
+    assert built == []
+
+
+# the pairs (k, p) at which 3^(k-1) = 1 mod p, so that Zk takes an a > 3
+A_ABOVE_3 = [(7, 13), (9, 41), (11, 61), (13, 73), (19, 37), (31, 61)]
+
+
+def test_Zk_from_the_suite_route_matches_kummer_oracle(monkeypatch):
+    # every odd k < p - 2 at every prime of 5..400, in the groups a suite sweeps them in:
+    # Zk from the third-range sum the sweep reads, and at the pairs with a > 3 from a
+    # table of its own, which is built there and nowhere else
+    primes = sieve_primes(5, 400)
+    rows = [("k=%d" % k, k, [(1, ("Zk", k))], []) for k in range(3, primes[-1] - 2, 2)]
+    built, build = [], bernoulli._power_table
+    monkeypatch.setattr(bernoulli, "_power_table",
+                        lambda e, p, h: built.append((p - 1 - e, p)) or build(e, p, h))
+    rep = ids.Suite("zk", (), rows=lambda: rows).run({}, primes)
+    got = {(int(c.case[2:]), c.prime): int(c.lhs) for c in rep.cases}
+    assert sorted(got) == sorted((k, p) for p in primes for k in range(3, p - 2, 2))
+    assert got == {(k, p): kummer_oracle(k, p) for k, p in got}
+    assert sorted(built) == sorted((k, p) for k, p in got if pow(3, k - 1, p) == 1)
+    assert set(A_ABOVE_3) <= set(built)
+    assert len(ev._groups(primes)) > 1
 
 
 @pytest.mark.parametrize("k, p, a", [(9, 41, 4), (13, 73, 4), (7, 13, 5), (19, 37, 5),

@@ -522,6 +522,10 @@ CI_PINS = [
      "6cc6a910154422a80420736261a9637b76cbd21384a5d9d9db7703f88b333b9a"),
     (("verify", "--suite", "depth2", "--kmax", "9", "--primes", "20000..20100"),
      "61143c515cbae3a5529fbeae6da8cd4007ef22b8fd2ed58032a0840c53774b2f"),
+    # the only pinned suite run that crosses pairs (k, p) where Zk takes an a > 3, as
+    # 3^(k-1) = 1 mod p: (7, 13), (9, 41) and (11, 61)
+    (("verify", "--suite", "prop21", "--kmax", "12", "--primes", "5..80"),
+     "74fb8a4a2fe5822bcaf00a65f09a22ebd0c700a3c6e5f24b01a9659982566e4c"),
     (("verify", "--suite", "example24", "--wmax", "12", "--primes", "5..100"),
      "f34a09e80fd693ad3154c1e7369f87393f26c5c8be5be365cda5df4dbee92d1b"),
     (("verify", "--suite", "sumformula", "--kmax", "12", "--primes", "5..100", "--format", "csv"),
@@ -684,6 +688,24 @@ def test_compute_cache_bytes_cold_and_warm(tmp_path, capsys, pools):
                     == "15da5d9f03edd62360625b901e149a2919615b25bb9560078117591745f2ad05")
             assert (hashlib.sha256(path.read_bytes()).hexdigest()
                     == "3759da2f1df326bce6e4a31126ab444e2538e336b89f872453a2a203f7946fd2")
+    assert pools == [2, 2]  # the cold and the warm run under --jobs 2
+
+
+def test_depth2_cache_bytes_cold_and_warm_hold_no_third_range_sum(tmp_path, capsys, pools):
+    # sha256 of depth2's stdout and of its cache file, recorded before its Zk sums were read
+    # off the group sweep: the sweep's third-range cells reach Zk and never the cache, cold
+    # or warm, serially or from two workers over two groups of 4 primes
+    for jobs in ("1", "2"):
+        path = tmp_path / ("depth2-%s.csv" % jobs)
+        for _ in ("cold", "warm"):
+            code, out, _ = run(capsys, "--jobs", jobs, "--cache", str(path), "verify",
+                               "--suite", "depth2", "--kmax", "9", "--primes", "100..138")
+            assert code == 0
+            assert (hashlib.sha256(out.encode()).hexdigest()
+                    == "78887c9d4b53d4e0f9315868a774c21a59a426e04248613b0b9ad7d797d9efe8")
+            assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                    == "c0b22644a1c78a907eb20e694c06987b349aab007ed83afb7f4cf162c1b4a91e")
+            assert "third" not in path.read_text()
     assert pools == [2, 2]  # the cold and the warm run under --jobs 2
 
 

@@ -365,6 +365,45 @@ def test_group_sweep_matches_oracles(monkeypatch, primes, block):
         {cell: oracle(cell, p) for cell in cs} for p, cs in zip(primes, cells)]
 
 
+def third_range(k, p):
+    # the strict depth-1 sum over j <= floor(p/3), term by term
+    return sum(pow(j, -k, p) for j in range(1, p // 3 + 1)) % p
+
+
+# third-range cells on the nodes that zeta2 and zeta cells read at (p - 1)/2 and p - 1,
+# alone ((7,)), on an inner node ((3,) under (3, 1)), and at an entry of 1009
+THIRDS = [("third", (k,), None) for k in (1, 2, 3, 7, 1009)]
+READ_THRICE = THIRDS + [("zeta2", (k,), None) for k in (1, 2, 3, 1009)] + [
+    ("zeta", (k,), None) for k in (2, 3, 1009)] + [
+    ("zeta2", (3, 1), None), ("zeta", (3, 1, 2), None), ("zeta2star", (3,), None),
+    ("euler", (3,), (-1,))]
+
+
+@pytest.mark.parametrize("primes", [(5, 7, 11, 13), (5, 7, 1009, 1013), (13, 17, 1019),
+                                    (1013,)], ids=lambda g: "-".join(map(str, g)))
+@pytest.mark.parametrize("block", [4096, 1, 7])
+def test_sweep_reads_third_range_cells_with_the_others(monkeypatch, primes, block):
+    # one group reads a node at floor(p/3), (p - 1)/2 and p - 1 of each prime, and hands
+    # out a prime's table only after its last read
+    monkeypatch.setattr(ev, "_BLOCK", block)
+    cells = [READ_THRICE[i % 3:] for i in range(len(primes))]
+    want = [{cell: third_range(cell[1][0], p) if cell[0] == "third" else oracle(cell, p)
+             for cell in cs} for p, cs in zip(primes, cells)]
+    assert list(ev._sweep(cells, primes)) == want
+    assert [sweep_at(cs, p) for p, cs in zip(primes, cells)] == want
+
+
+def test_third_range_cells_are_internal(tmp_path):
+    # a suite's Zk reads them off the sweep; no entry takes one, and no cache line holds one
+    with pytest.raises(ValueError, match="unknown variant"):
+        check_cell("third", (3,), None)
+    cache = ResidueCache(str(tmp_path / "c.csv"))
+    assert ev.values_at(THIRDS[:2], 13, cache) == (third_range(1, 13), third_range(2, 13))
+    assert len(cache) == 0
+    with pytest.raises(ValueError, match="unknown variant"):
+        cache.add("third", (3,), None, 13, 1)
+
+
 def test_sweep_hands_out_each_table_once_its_prime_is_read(monkeypatch):
     # the tables stream out in prime order, each at the end of the block of m where its
     # prime is last read: with blocks of 64 values, 5's, read at 4, before the walk

@@ -225,7 +225,8 @@ def test_weighted_level2_passes_and_anchor():
 def test_weighted_calls_Zk_once_per_weight_and_prime(monkeypatch):
     calls = []
     zk = ids.Zk
-    monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
+    monkeypatch.setattr(ids, "Zk", lambda k, p, third=None: calls.append((k, p)) or
+                        zk(k, p, third))
     rep = SUITES["weighted1"].run({}, sieve_primes(5, 60))
     assert rep.passed
     assert calls and len(calls) == len(set(calls))
@@ -234,7 +235,8 @@ def test_weighted_calls_Zk_once_per_weight_and_prime(monkeypatch):
 def test_weighted1_calls_Zk_once_per_weight_and_prime_with_a_nonzero_C_sum(monkeypatch):
     calls = []
     zk = ids.Zk
-    monkeypatch.setattr(ids, "Zk", lambda k, p: calls.append((k, p)) or zk(k, p))
+    monkeypatch.setattr(ids, "Zk", lambda k, p, third=None: calls.append((k, p)) or
+                        zk(k, p, third))
     primes = sieve_primes(5, 60)
     assert SUITES["weighted1"].run({}, primes).passed
     weights = {sum(ix) for ix in default_weighted_indices(1)
