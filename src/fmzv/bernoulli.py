@@ -18,14 +18,14 @@ multiplicative in j, so its table up to the cut takes one modular pow per prime
 j and one product per composite j, mod p: about p/(3 ln p) pows.  A suite reads
 H_{floor(p/3)} off its group sweep (evaluator._sweep, the "third" cells that
 identities._prime_rows plans) and passes it to Zk, which then builds no table;
-a library call, or a pair with a > 3, sums its own.  The table route behind
-bernoulli_mod inverts a power series in O(p^2) and is kept as the independent
-oracle for it.
+a library call, or a pair with a > 3, builds its own, and no call keeps one.
+The table route behind bernoulli_mod inverts a power series in O(p^2) and is
+kept as the independent oracle for it.
 """
 
 import math
-from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 
 from .modmath import check_prime, mod_inv
 
@@ -73,9 +73,6 @@ def _power_table(e: int, p: int, h: int) -> list[int]:
     return t
 
 
-_kept = [0, 0, []]  # p, e and the m^e mod p table of the latest Zk call that summed powers
-
-
 def Zk(k: int, p: int, third: int | None = None) -> int:
     """The depth-1 constant B_{p-k}/k mod p; defined for k >= 2, p > k + 2.
 
@@ -84,11 +81,9 @@ def Zk(k: int, p: int, third: int | None = None) -> int:
     read at min(c_i, p - 1 - c_i), H_x = sum_{j<=x} j^{p-1-k} and a >= 3 is the
     least with a^{k-1} != 1 mod p.  third, if given, is H_{floor(p/3)} mod p, as a
     suite reads it off its group sweep: at a = 3 Zk is then 2 third / (3 - 3^k), with
-    no table built or kept; at a > 3 it is ignored.  Otherwise the powers are summed
-    from a table, each distinct cut once, and the table is kept: a call at the same
-    prime with k two below it, whose cut it covers, multiplies each entry by j^2
-    instead of one pow per prime j.  bernoulli_mod(p - k, p) / k is the O(p^2)
-    oracle for this.
+    no table built; at a > 3 it is ignored.  Otherwise the call builds a table of the
+    powers up to its largest cut and reads each H_{c_i} off its prefix sums; nothing is
+    kept.  bernoulli_mod(p - k, p) / k is the O(p^2) oracle for this.
     """
     check_prime(p)
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
@@ -100,16 +95,10 @@ def Zk(k: int, p: int, third: int | None = None) -> int:
     a = next(b for b in range(3, p) if pow(b, k - 1, p) != 1)
     if a == 3 and third is not None:
         return 2 * third * mod_inv(3 - pow(3, k, p), p) % p
-    # c_{a-i} = p - 1 - c_i folds onto c_i's cut: each distinct cut is summed once
-    cuts = Counter(min(c, p - 1 - c) for c in (i * p // a for i in range(1, a)))
-    e, h = p - 1 - k, max(cuts)
-    kept_p, kept_e, t = _kept
-    if kept_p == p and e == kept_e + 2 and len(t) > h:
-        t = [x * m * m % p for m, x in enumerate(t[:h + 1])]
-    else:
-        t = _power_table(e, p, h)
-    _kept[:] = p, e, t
-    return sum(n * sum(t[:c + 1]) for c, n in cuts.items()) * mod_inv(a - pow(a, k, p), p) % p
+    # H_{p-1-c} = H_c: each cut c_i = floor(ip/a) is read at min(c_i, p - 1 - c_i)
+    cuts = [min(c, p - 1 - c) for c in (i * p // a for i in range(1, a))]
+    sums = list(accumulate(_power_table(p - 1 - k, p, max(cuts))))
+    return sum(sums[c] for c in cuts) * mod_inv(a - pow(a, k, p), p) % p
 
 
 def L2(p: int) -> int:

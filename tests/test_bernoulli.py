@@ -1,4 +1,6 @@
+import copy
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -97,7 +99,7 @@ def test_Zk_examples():
 
 @pytest.mark.parametrize("k", [3.0, True, "3", None])
 def test_Zk_refuses_a_weight_that_is_not_an_int(k):
-    # as check_index does for index entries: a float never reaches the kept table
+    # as check_index does for index entries: a float never reaches the power table
     with pytest.raises(ValueError, match="integer k >= 2"):
         Zk(k, 101)
 
@@ -131,9 +133,8 @@ def test_Zk_even_weight_vanishes():
 
 
 def test_Zk_matches_kummer_oracle():
-    # the third-range sum against the power sum, every k at every prime: k ascending, so
-    # every table is built afresh, then k descending, so each is derived from k + 2's
-    # (afresh where k + 2's is too short: a = 3 there and a > 3 at k)
+    # the third-range sum against the power sum, every k at every prime, k ascending and
+    # then descending: each call builds its own table, so the order changes nothing
     for p in sieve_primes(5, 400):
         ks = range(2, p - 2)
         want = [kummer_oracle(k, p) for k in ks]
@@ -141,15 +142,28 @@ def test_Zk_matches_kummer_oracle():
         assert [Zk(k, p) for k in reversed(ks)] == want[::-1]
 
 
-def test_Zk_kept_table_follows_its_prime_and_weight():
-    # the kept table belongs to one prime: q = p + 2 at the same k, whose exponent is
-    # p's + 2, must not derive from it; ascending and repeated weights, weights 4 below,
-    # and even weights in between, leave every value as the oracle's
+def test_Zk_values_do_not_depend_on_call_order():
+    # two primes two apart at the same k, ascending and repeated weights, weights 4
+    # below, and even weights in between, leave every value as the oracle's
     p, q = 101, 103
     calls = [(9, p), (9, q), (7, p), (7, q), (5, q), (5, p), (3, p), (3, p), (9, p),
              (8, p), (7, p), (6, p), (5, p), (3, p), (7, p), (11, p), (7, p), (3, p),
              (9, p), (7, q)]
     assert [Zk(k, r) for k, r in calls] == [kummer_oracle(k, r) for k, r in calls]
+
+
+def test_Zk_leaves_no_state():
+    # every value the module holds, but its functions, imported modules and the
+    # interpreter's builtins, is as it was after library calls at two primes, weights up
+    # and down, and a pair with a > 3
+    def state():
+        return {name: v for name, v in vars(bernoulli).items() if name != "__builtins__"
+                and not callable(v) and not isinstance(v, types.ModuleType)}
+
+    before = copy.deepcopy(state())
+    calls = [(3, 101), (9, 101), (5, 103), (11, 103), (7, 101), (3, 103), (7, 13), (5, 13)]
+    assert [Zk(k, p) for k, p in calls] == [kummer_oracle(k, p) for k, p in calls]
+    assert state() == before
 
 
 def test_Zk_builds_no_table_in_a_depth2_run(monkeypatch):
@@ -164,7 +178,6 @@ def test_Zk_builds_no_table_in_a_depth2_run(monkeypatch):
         built.append((p, len(table)))
         return table
 
-    monkeypatch.setattr(bernoulli, "_kept", [0, 0, []])
     monkeypatch.setattr(bernoulli, "_power_table", record)
     monkeypatch.setattr(ids, "Zk", lambda k, p, third=None: calls.append((k, p)) or
                         zk(k, p, third))
@@ -198,7 +211,7 @@ def test_Zk_from_the_suite_route_matches_kummer_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("k, p, a", [(9, 41, 4), (13, 73, 4), (7, 13, 5), (19, 37, 5),
-                                     (31, 61, 6)])
+                                     (31, 61, 6), (15, 1093, 4), (21, 1181, 4)])
 def test_Zk_takes_the_least_a_from_3_whose_a_to_the_k_minus_1_is_not_1(monkeypatch, k, p, a):
     # b^(k-1) = 1 mod p for 3 <= b < a, so b - b^k does not invert; the table ends at
     # the largest folded cut min(c, p - 1 - c), c = floor(i p / a)
@@ -207,18 +220,21 @@ def test_Zk_takes_the_least_a_from_3_whose_a_to_the_k_minus_1_is_not_1(monkeypat
     want = bernoulli_mod(p - k, p) * mod_inv(k, p) % p
     assert kummer_oracle(k, p) == want
     built, build = [], bernoulli._power_table
-    monkeypatch.setattr(bernoulli, "_power_table",
-                        lambda e, p, h: built.append(h) or build(e, p, h))
-    # fresh: after nothing, and after k + 2 at the same prime, whose a = 3 table is too short
-    for kept in ([0, 0, []], [p, p - 3 - k, build(p - 3 - k, p, p // 3)]):
-        monkeypatch.setattr(bernoulli, "_kept", kept)
-        assert Zk(k, p) == want and built.pop() == h and len(bernoulli._kept[2]) == h + 1
-    # derived, with no table built: from any kept table at k + 2 that covers the cut
-    # (a run leaves none, as a = 3 at k + 2), and at k - 2, where a = 3, from this
-    # call's longer table, cut down to floor(p/3)
-    monkeypatch.setattr(bernoulli, "_kept", [p, p - 3 - k, build(p - 3 - k, p, (p - 1) // 2)])
-    assert Zk(k, p) == want and len(bernoulli._kept[2]) == h + 1
-    assert Zk(k - 2, p) == kummer_oracle(k - 2, p) and len(bernoulli._kept[2]) == p // 3 + 1
+
+    def record(e, q, cut):
+        table = build(e, q, cut)
+        built.append(len(table))
+        return table
+
+    monkeypatch.setattr(bernoulli, "_power_table", record)
+    # two calls in a row each build a table of their own, up to the cut
+    assert [Zk(k, p), Zk(k, p)] == [want, want] and built == [h + 1, h + 1]
+    # at k - 2, where a = 3, a table up to floor(p/3), or none from a given sum
+    built.clear()
+    third = sum(pow(j, p - 1 - (k - 2), p) for j in range(1, p // 3 + 1)) % p
+    assert Zk(k - 2, p) == kummer_oracle(k - 2, p) and built == [p // 3 + 1]
+    built.clear()
+    assert Zk(k - 2, p, third) == kummer_oracle(k - 2, p)
     assert built == []
 
 
